@@ -19,17 +19,7 @@ from .errors import (
     VerificationError,
     WildInputError,
 )
-from .symbolic import (
-    FracPoly,
-    GenFun,
-    Rat,
-    check_inversion_symmetry,
-    eval_t_as_p_power,
-    gf_arith,
-    rewrite_in_q,
-    series_coefficients,
-    substitute_t_power,
-)
+from .symbolic import FracPoly, GenFun, check_inversion_symmetry, rewrite_in_q
 from .splitting import SplittingType
 from .engine import (
     DensityResult,

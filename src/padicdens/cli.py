@@ -9,8 +9,15 @@ Commands:
   oracle      enumeration / Monte Carlo cross-check against the engine
   conjecture  the two-variable symmetry report
 
-Exit codes: 0 success, 2 parse error, 3 wild prime, 4 non-integral exponent,
-5 verification failure, 6 enumeration too large.
+Exit codes:
+
+  0  success
+  2  bad input: parse error, invalid component or depth vector, negative
+     sample count, unsupported oracle base, bad PADICDENS_MEMO_CAP
+  3  wild prime, or a -p that is not prime
+  4  non-integral exponent
+  5  verification failure, or the recursion guard tripped
+  6  enumeration too large
 
 Identical job specifications (including seeds) produce byte-identical
 reports; catalog entries are emitted in a canonical order.
@@ -32,8 +39,10 @@ from . import engine, verify
 from .errors import (
     DivisibilityError,
     NonIntegralExponentError,
+    RecursionGuardError,
     SigmaParseError,
     TooLargeError,
+    VerificationError,
     WildInputError,
 )
 from .splitting import SplittingType
@@ -49,6 +58,17 @@ EXIT_TOO_LARGE = 6
 _ITEM = re.compile(r"e(\d+)f(\d+)")
 
 
+def _parse_pair(text: str, what: str, position: int = -1) -> Tuple[int, int]:
+    """Parse one 'e<int>f<int>' pair with positive e and f."""
+    m = _ITEM.fullmatch(text.strip())
+    if not m or int(m.group(1)) < 1 or int(m.group(2)) < 1:
+        raise SigmaParseError(
+            f"bad {what} {text!r} (expected e<int>f<int>, both positive)",
+            position=position,
+        )
+    return int(m.group(1)), int(m.group(2))
+
+
 def parse_sigma(s: str) -> SplittingType:
     """Parse 'e<int>f<int>,...' with an optional '@e<int>f<int>' base suffix.
 
@@ -58,25 +78,12 @@ def parse_sigma(s: str) -> SplittingType:
     base = (1, 1)
     if "@" in text:
         text, _, base_text = text.partition("@")
-        m = _ITEM.fullmatch(base_text.strip())
-        if not m:
-            raise SigmaParseError(
-                f"bad base {base_text!r} (expected e<int>f<int>)",
-                position=s.index("@") + 1,
-            )
-        base = (int(m.group(1)), int(m.group(2)))
+        base = _parse_pair(base_text, "base", position=s.index("@") + 1)
     comps = []
     pos = 0
     for item in text.split(","):
-        m = _ITEM.fullmatch(item.strip())
-        if not m:
-            raise SigmaParseError(
-                f"bad component {item!r} (expected e<int>f<int>)", position=pos
-            )
-        comps.append((int(m.group(1)), int(m.group(2))))
+        comps.append(_parse_pair(item, "component", position=pos))
         pos += len(item) + 1
-    if not comps:
-        raise SigmaParseError("empty splitting type", position=0)
     return SplittingType(tuple(comps), *base)
 
 
@@ -170,8 +177,8 @@ def run_compute(job: JobSpec) -> int:
         result = engine.density_result(sigma)
     else:
         result = None
-    rho = engine.splitting_density(sigma)
-    fe_holds, _ = check_inversion_symmetry(rho)
+    values = dict(_quantity_rows(sigma))
+    fe_holds, _ = check_inversion_symmetry(values["rho"])
     if job.fmt == "csv":
         _emit(job, _render_csv(_csv_rows(sigma)))
         return EXIT_OK
@@ -180,27 +187,20 @@ def run_compute(job: JobSpec) -> int:
             "sigma": sigma.display_pairs(),
             "e_base": sigma.e_base,
             "f_base": sigma.f_base,
-            "rho": to_json_obj(rho),
-            "alpha": to_json_obj(engine.monic_density(sigma)),
-            "beta_monic": to_json_obj(engine.centered_monic_density(sigma)),
-            "asymptotic": to_json_obj(engine.density_asymptotic(sigma)),
+            **{name: to_json_obj(value) for name, value in values.items()},
             "functional_eq_holds": fe_holds,
         }
         if result is not None:
             payload["rho_bivariate"] = to_json_obj(result.rho_bivariate)
         if job.p is not None:
             q0 = Fraction(job.p) ** sigma.f_base
-            payload["numeric"] = {
-                "p": job.p,
-                "q": str(q0),
-                "rho": str(result.rho_q.evaluate(q0)),
-                "alpha": str(result.alpha_q.evaluate(q0)),
-                "beta_monic": str(result.beta_q.evaluate(q0)),
+            payload["numeric"] = {"p": job.p, "q": str(q0)} | {
+                name: str(values[name].evaluate(q0)) for name in ("rho", "alpha", "beta_monic")
             }
         _emit(job, json.dumps(payload, sort_keys=True, indent=2))
         return EXIT_OK
     lines = [_sigma_header(sigma)]
-    for name, value in _quantity_rows(sigma):
+    for name, value in values.items():
         lines.append(f"{name:12s} = {value}")
     if result is not None:
         lines.append(f"{'rho(p,t)':12s} = {result.rho_bivariate}")
@@ -211,7 +211,7 @@ def run_compute(job: JobSpec) -> int:
     if job.p is not None:
         q0 = Fraction(job.p) ** sigma.f_base
         lines.append(f"numeric at p={job.p} (q={q0}):")
-        for name, value in _quantity_rows(sigma):
+        for name, value in values.items():
             lines.append(f"  {name:12s} = {_frac_str(value.evaluate(q0))}")
     _emit(job, "\n".join(lines))
     return EXIT_OK
@@ -285,8 +285,18 @@ def run_oracle(job: JobSpec) -> int:
     assert sigma is not None
     if job.p is None:
         raise WildInputError("the oracle needs a concrete prime (-p)")
+    if (sigma.e_base, sigma.f_base) != (1, 1):
+        raise SigmaParseError(
+            f"the oracle works over the base (1,1) only, not {sigma.display_pairs()}"
+        )
     sigma.require_tame(job.p)
     b = job.depths if job.depths is not None else (0,) * sigma.m
+    if len(b) != sigma.m or any(x < 0 for x in b):
+        raise SigmaParseError(
+            f"depth vector {list(b)} must have {sigma.m} nonnegative entries"
+        )
+    if job.samples < 0:
+        raise SigmaParseError(f"--samples must be nonnegative, got {job.samples}")
     records = verify.oracle_records(
         sigma, b, job.p, job.c_max, samples=job.samples, seed=job.seed
     )
@@ -313,13 +323,14 @@ def run_conjecture(job: JobSpec) -> int:
 
 
 def _parse_bases(raw: str) -> Tuple[Tuple[int, int], ...]:
-    out = []
-    for item in raw.split(","):
-        m = _ITEM.fullmatch(item.strip())
-        if not m:
-            raise SigmaParseError(f"bad base {item!r}")
-        out.append((int(m.group(1)), int(m.group(2))))
-    return tuple(out)
+    return tuple(_parse_pair(item, "base") for item in raw.split(","))
+
+
+def _parse_depths(raw: str) -> Tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in raw.split(","))
+    except ValueError:
+        raise SigmaParseError(f"bad depth vector {raw!r} (expected integers)") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,48 +379,64 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# command-specific options: argparse dest -> (JobSpec field, parser or None)
+_OPTIONS = {
+    "p": ("p", None),
+    "cmax": ("c_max", None),
+    "samples": ("samples", None),
+    "seed": ("seed", None),
+    "degree_max": ("degree_max", None),
+    "depths": ("depths", _parse_depths),
+    "bases": ("bases", _parse_bases),
+    "bivariate": ("bivariate", None),
+}
+
+
 def job_from_args(args: argparse.Namespace) -> JobSpec:
-    job = JobSpec(command=args.command)
-    job.fmt = args.fmt
-    job.emit = args.emit
+    job = JobSpec(command=args.command, fmt=args.fmt, emit=args.emit)
+    base = _parse_pair(args.base, "base") if args.base else None
     if getattr(args, "sigma", None):
         sigma = parse_sigma(args.sigma)
-        if args.base:
-            m = _ITEM.fullmatch(args.base.strip())
-            if not m:
-                raise SigmaParseError(f"bad base {args.base!r}")
-            sigma = SplittingType(
-                sigma.components, int(m.group(1)), int(m.group(2))
-            )
+        if base:
+            sigma = SplittingType(sigma.components, *base)
         job.sigma = sigma
-        job.e_base, job.f_base = sigma.e_base, sigma.f_base
-    elif getattr(args, "base", None):
-        m = _ITEM.fullmatch(args.base.strip())
-        if not m:
-            raise SigmaParseError(f"bad base {args.base!r}")
-        job.e_base, job.f_base = int(m.group(1)), int(m.group(2))
-    if getattr(args, "p", None) is not None:
-        job.p = args.p
-    if getattr(args, "cmax", None) is not None:
-        job.c_max = args.cmax
-    if getattr(args, "samples", None) is not None:
-        job.samples = args.samples
-    if getattr(args, "seed", None) is not None:
-        job.seed = args.seed
-    if getattr(args, "degree_max", None) is not None:
-        job.degree_max = args.degree_max
-    if getattr(args, "depths", None):
-        job.depths = tuple(int(x) for x in args.depths.split(","))
-    if getattr(args, "bases", None):
-        job.bases = _parse_bases(args.bases)
-    if getattr(args, "bivariate", False):
-        job.bivariate = True
+        base = (sigma.e_base, sigma.f_base)
+    if base:
+        job.e_base, job.f_base = base
+    for dest, (field, parse) in _OPTIONS.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            setattr(job, field, parse(value) if parse else value)
     return job
+
+
+_EXIT_CODES = {
+    SigmaParseError: EXIT_PARSE,
+    DivisibilityError: EXIT_PARSE,
+    WildInputError: EXIT_WILD,
+    NonIntegralExponentError: EXIT_NONINTEGRAL,
+    VerificationError: EXIT_VERIFY,
+    RecursionGuardError: EXIT_VERIFY,
+    TooLargeError: EXIT_TOO_LARGE,
+}
+
+
+def _fail(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return _EXIT_CODES[type(exc)]
+
+
+def _check_memo_cap() -> None:
+    try:
+        engine.memo_cap()
+    except ValueError as exc:
+        raise SigmaParseError(str(exc)) from None
 
 
 def run(job: JobSpec) -> int:
     """Dispatch a job; returns the exit code."""
     try:
+        _check_memo_cap()
         if job.command == "compute":
             return run_compute(job)
         if job.command == "table":
@@ -421,18 +448,8 @@ def run(job: JobSpec) -> int:
         if job.command == "conjecture":
             return run_conjecture(job)
         raise ValueError(f"unknown command {job.command}")
-    except (SigmaParseError, DivisibilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except WildInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_WILD
-    except NonIntegralExponentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONINTEGRAL
-    except TooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
+    except tuple(_EXIT_CODES) as exc:
+        return _fail(exc)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -441,8 +458,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = ap.parse_args(argv)
         job = job_from_args(args)
     except (SigmaParseError, DivisibilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(exc)
     return run(job)
 
 

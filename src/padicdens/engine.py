@@ -32,7 +32,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import ceil
+from math import ceil, prod
 from typing import Dict, Iterator, Tuple
 
 from .errors import RecursionGuardError, VerificationError
@@ -43,39 +43,46 @@ from .splitting import (
     bump_argmin,
     enumerate_plans,
     head_plan,
+    is_prime,
     perm_factor,
     plan_weight,
     slope_data,
 )
 from .symbolic import FracPoly, GenFun, check_inversion_symmetry, rewrite_in_q
 
-_MEMO: Dict[tuple, GenFun] = {}
-_ASSEMBLY: Dict[tuple, object] = {}
+_CACHE: Dict[tuple, object] = {}
 _MEMO_CAP_ENV = "PADICDENS_MEMO_CAP"
 
 
 def clear_memo() -> None:
-    _MEMO.clear()
-    _ASSEMBLY.clear()
+    _CACHE.clear()
 
 
-def _assembled(kind: str, sigma: SplittingType, build):
-    key = (kind, sigma.key())
-    hit = _ASSEMBLY.get(key)
-    if hit is None:
-        hit = build()
-        cap = _memo_cap()
-        if cap is not None and len(_ASSEMBLY) >= cap:
-            _ASSEMBLY.clear()
-        _ASSEMBLY[key] = hit
-    return hit
-
-
-def _memo_cap() -> int | None:
+def memo_cap() -> int | None:
+    """The PADICDENS_MEMO_CAP bound on cached values, or None when unset."""
     raw = os.environ.get(_MEMO_CAP_ENV)
     if not raw:
         return None
-    return int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{_MEMO_CAP_ENV} must be a positive integer, got {raw!r}")
+    return cap
+
+
+def _cached(key: tuple, build):
+    """The cached value for key, built on a miss.  Recursion and assembly
+    values share the cache; it is cleared whole when it reaches the cap."""
+    hit = _CACHE.get(key)
+    if hit is None:
+        hit = build()
+        cap = memo_cap()
+        if cap is not None and len(_CACHE) >= cap:
+            _CACHE.clear()
+        _CACHE[key] = hit
+    return hit
 
 
 def leading_coeff_weight(d: int) -> FracPoly:
@@ -86,10 +93,10 @@ def leading_coeff_weight(d: int) -> FracPoly:
     return FracPoly({d + 1: 1, d: -1}, {d + 1: 1, 0: -1}, var="q")
 
 
-def _q_to_genfun(f: FracPoly, f_base: int) -> GenFun:
+def _q_as_p(f: FracPoly, f_base: int) -> FracPoly:
     """Interpret a rational function of q as one of p via q = p^f_base."""
-    conv = lambda terms: {(k[0] * f_base, Fraction(0)): c for k, c in terms.items()}
-    return GenFun(conv(f.num_terms), conv(f.den_terms))
+    conv = lambda terms: {k[0] * f_base: c for k, c in terms.items()}
+    return FracPoly(conv(f.num_terms), conv(f.den_terms), var="p")
 
 
 def _p_to_genfun(f: FracPoly) -> GenFun:
@@ -115,10 +122,13 @@ def disc_gen_fun(
     """
     if len(b) != sigma.m or any(x < 0 for x in b):
         raise ValueError("depth vector must be nonnegative and match sigma")
-    key = _recursion_key(sigma, b)
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
+    return _cached(
+        _recursion_key(sigma, b), lambda: _recurse(sigma, b, _depth, _limit)
+    )
+
+
+def _recurse(sigma: SplittingType, b: BVector, _depth: int, _limit: int | None) -> GenFun:
+    """The uncached value of disc_gen_fun."""
     if _limit is None:
         _limit = 10 * max(1, sigma.degree) * sigma.e_base * sigma.f_base
     if _depth > _limit:
@@ -135,47 +145,40 @@ def disc_gen_fun(
     if sigma.m == 1 and e_rel[0] == 1 and sigma.f_rel[0] == 1:
         # single component equal to the base: degree-1 minimal polynomials
         # have unit discriminant, so all mass sits at t^0
-        result = GenFun.monomial(p_exp=-b[0] * sigma.components[0][1])
-    else:
-        d = sigma.degree
-        f_base = sigma.f_base
-        t_step = Fraction(d * (d - 1), sigma.e_base)
+        return GenFun.monomial(p_exp=-b[0] * sigma.components[0][1])
+    d = sigma.degree
+    f_base = sigma.f_base
+    t_step = Fraction(d * (d - 1), sigma.e_base)
 
-        k_lim = max(ceil(Fraction(bi, ei)) for bi, ei in zip(b, e_rel))
-        target = tuple(k_lim * ei for ei in e_rel)
-        chain_sum = GenFun(0)
-        cur = b
-        steps = 0
-        while cur != target:
-            chain_sum = chain_sum + branch_sum(sigma, cur, _depth + 1, _limit)
-            cur = bump_argmin(sigma, cur)
-            steps += 1
-            if steps > _limit:
-                raise RecursionGuardError("argmin chain failed to terminate")
+    k_lim = max(ceil(Fraction(bi, ei)) for bi, ei in zip(b, e_rel))
+    target = tuple(k_lim * ei for ei in e_rel)
+    chain_sum = GenFun(0)
+    cur = b
+    steps = 0
+    while cur != target:
+        chain_sum = chain_sum + branch_sum(sigma, cur, _depth + 1, _limit)
+        cur = bump_argmin(sigma, cur)
+        steps += 1
+        if steps > _limit:
+            raise RecursionGuardError("argmin chain failed to terminate")
 
-        zero_b = (0,) * sigma.m
-        rel_target = tuple(e_rel)
-        head = branch_sum(sigma, zero_b, _depth + 1, _limit)
-        tail = GenFun(0)
-        cur = bump_argmin(sigma, zero_b)
-        steps = 0
-        while cur != rel_target:
-            tail = tail + branch_sum(sigma, cur, _depth + 1, _limit)
-            cur = bump_argmin(sigma, cur)
-            steps += 1
-            if steps > _limit:
-                raise RecursionGuardError("argmin chain failed to terminate")
-        closure_den = GenFun(1) - GenFun.monomial(p_exp=f_base * (1 - d), t_exp=t_step)
-        g_zero = (head + GenFun.monomial(p_exp=f_base) * tail) / closure_den
+    zero_b = (0,) * sigma.m
+    rel_target = tuple(e_rel)
+    head = branch_sum(sigma, zero_b, _depth + 1, _limit)
+    tail = GenFun(0)
+    cur = bump_argmin(sigma, zero_b)
+    steps = 0
+    while cur != rel_target:
+        tail = tail + branch_sum(sigma, cur, _depth + 1, _limit)
+        cur = bump_argmin(sigma, cur)
+        steps += 1
+        if steps > _limit:
+            raise RecursionGuardError("argmin chain failed to terminate")
+    closure_den = GenFun(1) - GenFun.monomial(p_exp=f_base * (1 - d), t_exp=t_step)
+    g_zero = (head + GenFun.monomial(p_exp=f_base) * tail) / closure_den
 
-        rescale = GenFun.monomial(p_exp=-f_base * d * k_lim, t_exp=t_step * k_lim)
-        result = chain_sum + rescale * g_zero
-
-    cap = _memo_cap()
-    if cap is not None and len(_MEMO) >= cap:
-        _MEMO.clear()
-    _MEMO[key] = result
-    return result
+    rescale = GenFun.monomial(p_exp=-f_base * d * k_lim, t_exp=t_step * k_lim)
+    return chain_sum + rescale * g_zero
 
 
 def branch_sum(
@@ -203,7 +206,7 @@ def branch_sum(
             sep -= block_deg * (Fraction(block_deg, n) - 1)
         t_exp = Fraction(sep, sigma.e_base) * sd.slope
 
-        prod = GenFun(1)
+        subs = GenFun(1)
         for bl, n in zip(plan.blocks, plan.orbit_sizes):
             h = base_ram_factor(sd, n)
             sub_sigma = SplittingType(
@@ -214,8 +217,8 @@ def branch_sum(
             sub_b = tuple(b[i] + (1 if i in arg else 0) for i in bl)
             assert sub_sigma.degree < parent_degree, "branch must shrink the degree"
             sub = disc_gen_fun(sub_sigma, sub_b, _depth + 1, _limit)
-            prod = prod * sub.substitute_t_power(n)
-        terms.append(_p_to_genfun(weight) * GenFun.monomial(t_exp=t_exp) * prod)
+            subs = subs * sub.substitute_t_power(n)
+        terms.append(_p_to_genfun(weight) * GenFun.monomial(t_exp=t_exp) * subs)
     return _tree_sum(terms, GenFun(0))
 
 
@@ -260,15 +263,14 @@ def _subset_masses(sigma: SplittingType) -> GenFun:
     return _tree_sum((ga * gb for ga, gb in _subset_products(sigma)), GenFun(0))
 
 
-def _half_disc_exponent(sigma: SplittingType) -> Fraction:
-    return Fraction(sum((e - 1) * f for e, f in zip(sigma.e_rel, sigma.f_rel)), 2)
+def _rel_disc_exponent(sigma: SplittingType) -> int:
+    """sum (e_rel - 1) f_rel, the q-exponent of the large-q asymptotic."""
+    return sum((e - 1) * f for e, f in zip(sigma.e_rel, sigma.f_rel))
 
 
-def _prod_f_rel(sigma: SplittingType) -> int:
-    out = 1
-    for f in sigma.f_rel:
-        out *= f
-    return out
+def _scale(sigma: SplittingType) -> Fraction:
+    """1/(perm * prod f_rel): the count of orderings and Frobenius twists."""
+    return Fraction(1, perm_factor(sigma) * prod(sigma.f_rel))
 
 
 def density_gen_fun(sigma: SplittingType) -> GenFun:
@@ -279,14 +281,29 @@ def density_gen_fun(sigma: SplittingType) -> GenFun:
     fractional p-exponent; it cancels on the univariate path.
     """
     def build():
-        d = sigma.degree
         f_base = sigma.f_base
-        w = _q_to_genfun(leading_coeff_weight(d), f_base)
-        norm = GenFun.monomial(p_exp=f_base * _half_disc_exponent(sigma))
-        scale = Fraction(1, perm_factor(sigma) * _prod_f_rel(sigma))
-        return w * _subset_masses(sigma) * scale / norm
+        w = _p_to_genfun(_q_as_p(leading_coeff_weight(sigma.degree), f_base))
+        norm = GenFun.monomial(p_exp=Fraction(f_base * _rel_disc_exponent(sigma), 2))
+        return w * _subset_masses(sigma) * _scale(sigma) / norm
 
-    return _assembled("rho_pt", sigma, build)
+    return _cached(("rho_pt", sigma.key()), build)
+
+
+def _at_t_star(sigma: SplittingType, g: GenFun) -> FracPoly:
+    """g at t = p^(-e_base f_base / 2), where the univariate densities live."""
+    return g.eval_t_as_p_power(Fraction(-sigma.e_base * sigma.f_base, 2))
+
+
+def _univariate(kind: str, sigma: SplittingType, start, shift: int) -> FracPoly:
+    """The cached density start() * p^(shift - f_base * h) / (perm * prod f_rel),
+    rewritten in q = p^f_base; h = sum (e_rel - 1) f_rel / 2, and start()
+    returns a function of p."""
+    def build():
+        f_base = sigma.f_base
+        exp = shift - Fraction(f_base * _rel_disc_exponent(sigma), 2)
+        return rewrite_in_q(start() * FracPoly.monomial(exp, _scale(sigma), var="p"), f_base)
+
+    return _cached((kind, sigma.key()), build)
 
 
 def splitting_density(sigma: SplittingType) -> FracPoly:
@@ -295,66 +312,37 @@ def splitting_density(sigma: SplittingType) -> FracPoly:
     Assembled after specializing the valuation variable, so all gcd work is
     univariate; agreement with the two-variable assembly is covered by tests.
     """
-    def build():
-        t_star = Fraction(-sigma.e_base * sigma.f_base, 2)
-        total = _tree_sum(
-            (
-                ga.eval_t_as_p_power(t_star) * gb.eval_t_as_p_power(t_star)
-                for ga, gb in _subset_products(sigma)
-            ),
+    def start():
+        masses = _tree_sum(
+            (_at_t_star(sigma, ga) * _at_t_star(sigma, gb) for ga, gb in _subset_products(sigma)),
             FracPoly(0, var="p"),
         )
-        d = sigma.degree
-        w = leading_coeff_weight(d)
-        w_p = FracPoly(
-            {k[0] * sigma.f_base: c for k, c in w.num_terms.items()},
-            {k[0] * sigma.f_base: c for k, c in w.den_terms.items()},
-            var="p",
-        )
-        total = w_p * total
-        total = total * FracPoly.monomial(
-            -sigma.f_base * _half_disc_exponent(sigma), var="p"
-        )
-        total = total * Fraction(1, perm_factor(sigma) * _prod_f_rel(sigma))
-        return rewrite_in_q(total, sigma.f_base)
+        return _q_as_p(leading_coeff_weight(sigma.degree), sigma.f_base) * masses
 
-    return _assembled("rho_q", sigma, build)
+    return _univariate("rho_q", sigma, start, 0)
 
 
 def monic_density(sigma: SplittingType) -> FracPoly:
     """Density among monic degree-d polynomials (all roots integral)."""
-    def build():
-        t_star = Fraction(-sigma.e_base * sigma.f_base, 2)
-        g = disc_gen_fun(sigma, (0,) * sigma.m).eval_t_as_p_power(t_star)
-        g = g * FracPoly.monomial(
-            -sigma.f_base * _half_disc_exponent(sigma), var="p"
-        )
-        g = g * Fraction(1, perm_factor(sigma) * _prod_f_rel(sigma))
-        return rewrite_in_q(g, sigma.f_base)
-
-    return _assembled("alpha_q", sigma, build)
+    return _univariate(
+        "alpha_q", sigma, lambda: _at_t_star(sigma, disc_gen_fun(sigma, (0,) * sigma.m)), 0
+    )
 
 
 def centered_monic_density(sigma: SplittingType) -> FracPoly:
     """Conditional density among monic polynomials congruent to x^d: all
     roots in the maximal ideal, rescaled by the measure q^d of that slice."""
-    def build():
-        t_star = Fraction(-sigma.e_base * sigma.f_base, 2)
-        g = disc_gen_fun(sigma, (1,) * sigma.m).eval_t_as_p_power(t_star)
-        g = g * FracPoly.monomial(
-            sigma.f_base * (sigma.degree - _half_disc_exponent(sigma)), var="p"
-        )
-        g = g * Fraction(1, perm_factor(sigma) * _prod_f_rel(sigma))
-        return rewrite_in_q(g, sigma.f_base)
-
-    return _assembled("beta_q", sigma, build)
+    return _univariate(
+        "beta_q",
+        sigma,
+        lambda: _at_t_star(sigma, disc_gen_fun(sigma, (1,) * sigma.m)),
+        sigma.f_base * sigma.degree,
+    )
 
 
 def density_asymptotic(sigma: SplittingType) -> FracPoly:
     """Large-q limit 1/(perm * prod f_rel * q^(sum (e_rel-1) f_rel))."""
-    exp = sum((e - 1) * f for e, f in zip(sigma.e_rel, sigma.f_rel))
-    scale = Fraction(1, perm_factor(sigma) * _prod_f_rel(sigma))
-    return FracPoly.monomial(-exp, scale, var="q")
+    return FracPoly.monomial(-_rel_disc_exponent(sigma), _scale(sigma), var="q")
 
 
 def min_disc_valuation(sigma: SplittingType) -> Fraction:
@@ -363,9 +351,7 @@ def min_disc_valuation(sigma: SplittingType) -> Fraction:
     Cross-checked against the least t-exponent of the computed generating
     function; a mismatch means a bug in one of the two routes.
     """
-    c0 = Fraction(
-        sum(f * (e - 1) for e, f in zip(sigma.e_rel, sigma.f_rel)), sigma.e_base
-    )
+    c0 = Fraction(_rel_disc_exponent(sigma), sigma.e_base)
     lowest = disc_gen_fun(sigma, (0,) * sigma.m).min_t_exponent()
     if lowest != c0:
         raise VerificationError(
@@ -376,10 +362,8 @@ def min_disc_valuation(sigma: SplittingType) -> Fraction:
 
 def smallest_tame_prime(sigma: SplittingType) -> int:
     p = 2
-    while not sigma.is_tame_at(p):
+    while not (is_prime(p) and sigma.is_tame_at(p)):
         p += 1
-        while any(p % d == 0 for d in range(2, p)):
-            p += 1
     return p
 
 

@@ -29,24 +29,13 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import LengthMismatchError, TooLargeError, WildInputError
-from .splitting import BVector, SplittingType, mobius_orbit_count
+from .splitting import BVector, SplittingType, is_prime, mobius_orbit_count
 
 ZERO = -1  # sentinel for a zero coefficient in exponent arrays
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _require_tame_prime(p: int, es: Sequence[int]) -> None:
-    if not _is_prime(p):
+    if not is_prime(p):
         raise WildInputError(f"{p} is not prime")
     for e in es:
         if math.gcd(p, e) != 1:

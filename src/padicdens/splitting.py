@@ -87,6 +87,8 @@ class SplittingType:
         return all(math.gcd(p, e) == 1 for e in self.e_rel)
 
     def require_tame(self, p: int) -> None:
+        if not is_prime(p):
+            raise WildInputError(f"{p} is not prime")
         if not self.is_tame_at(p):
             raise WildInputError(
                 f"p={p} divides a relative ramification index of {self.display_pairs()}"
@@ -120,9 +122,6 @@ class PartitionPlan:
 
     blocks: Tuple[Tuple[int, ...], ...]
     orbit_sizes: Tuple[int, ...]
-
-    def is_head(self, m: int) -> bool:
-        return len(self.blocks) == 1 and len(self.blocks[0]) == m and self.orbit_sizes == (1,)
 
 
 def perm_factor(sigma: SplittingType) -> int:
@@ -164,6 +163,18 @@ def falling_factorial(x: FracPoly, length: int) -> FracPoly:
     for j in range(length):
         out = out * (x - j)
     return out
+
+
+def is_prime(n: int) -> bool:
+    """Trial division; the primes a tame computation names are small."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
 
 
 def _prime_factors(n: int) -> Tuple[int, ...]:

@@ -34,8 +34,6 @@ from .errors import (
     NoSeriesExpansionError,
 )
 
-Rat = Fraction
-
 # Sparse term maps: exponent tuple -> nonzero coefficient.
 Exp = Tuple[Fraction, ...]
 Terms = Dict[Exp, Fraction]
@@ -282,15 +280,6 @@ def _u_eval_int(a: list, x: int) -> int:
     return out
 
 
-def _int_poly_gcd_degree(a: list, b: list) -> int:
-    """Degree of gcd of two integer polynomials (Euclid over Q, int-scaled)."""
-    a = _u_primitive(a)
-    b = _u_primitive(b)
-    while b:
-        a, b = b, _u_primitive(_u_prem(a, b))
-    return len(a) - 1
-
-
 def _b_specialize(f: BiPoly, x: int) -> list:
     out = [0] * (max(f) + 1)
     for j, c in f.items():
@@ -307,7 +296,7 @@ def _b_coprime_by_specialization(f: BiPoly, g: BiPoly) -> bool:
         if _u_eval_int(lf, x) == 0 or _u_eval_int(lg, x) == 0:
             continue
         # degrees match the t-degrees because the leading coefficients survive
-        return _int_poly_gcd_degree(_b_specialize(f, x), _b_specialize(g, x)) == 0
+        return len(_u_gcd(_b_specialize(f, x), _b_specialize(g, x))) == 1
     return False
 
 
@@ -785,12 +774,6 @@ class FracPoly(_RatFuncBase):
     def exponents(self) -> Tuple[Fraction, ...]:
         return tuple(k[0] for k, _ in self._num) + tuple(k[0] for k, _ in self._den)
 
-    def min_exponent(self) -> Fraction:
-        """Order of vanishing at 0 (numerator min minus denominator min)."""
-        if self.is_zero:
-            raise ValueError("zero has no minimal exponent")
-        return min(k[0] for k, _ in self._num) - min(k[0] for k, _ in self._den)
-
     def evaluate(self, x: Scalar) -> Fraction:
         """Exact evaluation; requires integer exponents and a nonzero base for
         negative powers."""
@@ -978,31 +961,6 @@ class GenFun(_RatFuncBase):
 # ---------------------------------------------------------------------------
 # operation surface
 # ---------------------------------------------------------------------------
-
-def gf_arith(a: GenFun, b: GenFun, which: str) -> GenFun:
-    """Field arithmetic on GenFun values: which in {'add','sub','mul','div'}."""
-    if which == "add":
-        return a + b
-    if which == "sub":
-        return a - b
-    if which == "mul":
-        return a * b
-    if which == "div":
-        return a / b
-    raise ValueError(f"unknown operation {which!r}")
-
-
-def substitute_t_power(g: GenFun, n: int) -> GenFun:
-    return g.substitute_t_power(n)
-
-
-def eval_t_as_p_power(g: GenFun, r: Scalar) -> FracPoly:
-    return g.eval_t_as_p_power(r)
-
-
-def series_coefficients(g: GenFun, c_max: Scalar) -> Dict[Fraction, FracPoly]:
-    return g.series_coefficients(c_max)
-
 
 def rewrite_in_q(f: FracPoly, f_base: int) -> FracPoly:
     """Rename p^(f_base) to q: divide every exponent by f_base.

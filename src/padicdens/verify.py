@@ -12,8 +12,8 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import engine, oracle
-from .splitting import SplittingType, mobius_orbit_count, perm_factor
-from .symbolic import FracPoly, check_inversion_symmetry, series_coefficients
+from .splitting import SplittingType, mobius_orbit_count
+from .symbolic import FracPoly, check_inversion_symmetry
 
 Check = Tuple[str, bool, str]
 
@@ -106,15 +106,8 @@ def asymptotic_checks(
     out = []
     tol = Fraction(tol_num, q0)
     for sigma in sigmas:
-        rho = engine.splitting_density(sigma)
-        exp = sum((e - 1) * f for e, f in zip(sigma.e_rel, sigma.f_rel))
-        prod_f = 1
-        for f in sigma.f_rel:
-            prod_f *= f
-        dev = abs(
-            rho.evaluate(Fraction(q0)) * perm_factor(sigma) * prod_f * Fraction(q0) ** exp
-            - 1
-        )
+        rho = engine.splitting_density(sigma).evaluate(q0)
+        dev = abs(rho / engine.density_asymptotic(sigma).evaluate(q0) - 1)
         out.append(
             (
                 f"asymptotic {sigma.display_pairs()}",
@@ -144,7 +137,7 @@ def min_disc_checks(
         out.append((f"min_disc {sigma.display_pairs()}", ok, note))
         if ok and leading_p is not None:
             g = engine.disc_gen_fun(sigma, (0,) * sigma.m)
-            lead = series_coefficients(g, c0)[c0]
+            lead = g.series_coefficients(c0)[c0]
             dev = abs(lead.evaluate(leading_p) - 1)
             out.append(
                 (
@@ -174,9 +167,8 @@ def engine_masses_at(
     sigma: SplittingType, b: Tuple[int, ...], c_max: int, p: int
 ) -> Dict[int, Fraction]:
     """The engine's series coefficients at a concrete tame prime."""
-    g = engine.disc_gen_fun(sigma, b)
     out: Dict[int, Fraction] = {}
-    for c, coeff in series_coefficients(g, c_max).items():
+    for c, coeff in engine.disc_gen_fun(sigma, b).series_coefficients(c_max).items():
         if c.denominator != 1:
             raise AssertionError(f"non-integer valuation {c} over an unramified base")
         v = coeff.evaluate(p)

@@ -6,16 +6,23 @@ import json
 
 import pytest
 
+from padicdens import engine
 from padicdens.cli import (
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_VERIFY,
     EXIT_WILD,
     JobSpec,
     main,
     parse_sigma,
     run,
 )
-from padicdens.errors import DivisibilityError, SigmaParseError
+from padicdens.errors import (
+    DivisibilityError,
+    RecursionGuardError,
+    SigmaParseError,
+    VerificationError,
+)
 from padicdens.splitting import SplittingType
 from padicdens.symbolic import from_json_obj
 
@@ -56,6 +63,14 @@ def test_compute_numeric(capsys):
     assert main(["compute", "--sigma", "e1f2", "-p", "5"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "21/62" in out
+
+
+def test_compute_json_numeric_without_bivariate(capsys):
+    assert main(["compute", "--sigma", "e1f2", "-p", "5", "--format", "json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["numeric"] == {
+        "p": 5, "q": "5", "rho": "21/62", "alpha": "5/12", "beta_monic": "1/12"
+    }
 
 
 def test_exit_code_parse():
@@ -161,3 +176,61 @@ def test_run_jobspec_direct(capsys):
     job = JobSpec(command="compute", sigma=SplittingType(((1, 1), (1, 1))))
     assert run(job) == EXIT_OK
     assert "rho" in capsys.readouterr().out
+
+
+def _raising(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+ORACLE_11 = ["oracle", "--sigma", "e1f1,e1f1", "-p", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv, env, patch, code",
+    [
+        pytest.param(["compute", "--sigma", "e0f1"], {}, None, EXIT_PARSE, id="zero-component"),
+        pytest.param(["compute", "--sigma", "e1f1@e1f0"], {}, None, EXIT_PARSE, id="zero-base"),
+        pytest.param(["verify", "--bases", "e0f1"], {}, None, EXIT_PARSE, id="zero-bases"),
+        pytest.param(ORACLE_11 + ["--depths", "x"], {}, None, EXIT_PARSE, id="depths-text"),
+        pytest.param(ORACLE_11 + ["--depths", "0"], {}, None, EXIT_PARSE, id="depths-short"),
+        pytest.param(ORACLE_11 + ["--depths", "0,-1"], {}, None, EXIT_PARSE, id="depths-negative"),
+        pytest.param(ORACLE_11 + ["--samples", "-3"], {}, None, EXIT_PARSE, id="samples-negative"),
+        pytest.param(
+            ["oracle", "--sigma", "e2f2@e1f2", "-p", "5"], {}, None, EXIT_PARSE, id="oracle-base"
+        ),
+        pytest.param(
+            ["compute", "--sigma", "e1f2"], {"PADICDENS_MEMO_CAP": "abc"}, None, EXIT_PARSE,
+            id="memo-cap-text",
+        ),
+        pytest.param(
+            ["compute", "--sigma", "e1f2"], {"PADICDENS_MEMO_CAP": "0"}, None, EXIT_PARSE,
+            id="memo-cap-zero",
+        ),
+        pytest.param(
+            ["compute", "--sigma", "e1f2"], {"PADICDENS_MEMO_CAP": "-4"}, None, EXIT_PARSE,
+            id="memo-cap-negative",
+        ),
+        pytest.param(["compute", "--sigma", "e1f2", "-p", "-1"], {}, None, EXIT_WILD, id="p-not-prime"),
+        pytest.param(
+            ["compute", "--sigma", "e1f2"], {},
+            ("splitting_density", VerificationError("forced mismatch")), EXIT_VERIFY,
+            id="verification",
+        ),
+        pytest.param(
+            ["conjecture", "--degree-max", "1", "--bases", "e1f1"], {},
+            ("density_gen_fun", RecursionGuardError("forced guard")), EXIT_VERIFY,
+            id="recursion-guard",
+        ),
+    ],
+)
+def test_failures_exit_with_documented_code(argv, env, patch, code, monkeypatch, capsys):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if patch is not None:
+        monkeypatch.setattr(engine, patch[0], _raising(patch[1]))
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err

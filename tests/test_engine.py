@@ -24,12 +24,7 @@ from padicdens.engine import (
 )
 from padicdens.errors import RecursionGuardError
 from padicdens.splitting import SplittingType
-from padicdens.symbolic import (
-    FracPoly,
-    GenFun,
-    check_inversion_symmetry,
-    series_coefficients,
-)
+from padicdens.symbolic import FracPoly, GenFun, check_inversion_symmetry
 
 P = GenFun.monomial(p_exp=1)
 T = GenFun.monomial(t_exp=1)
@@ -204,7 +199,7 @@ def test_leading_coeff_boundary_at_four_split_factors():
     d(d-1)/2 / p; four split linear factors sit just above 5/p."""
     sigma = SplittingType(((1, 1),) * 4)
     g = disc_gen_fun(sigma, (0, 0, 0, 0))
-    lead = series_coefficients(g, 0)[F(0)]
+    lead = g.series_coefficients(0)[F(0)]
     # exact value (p-1)(p-2)(p-3)/p^3 at p = 1000
     dev = abs(lead.evaluate(1000) - 1)
     assert dev == F(5989006, 10**9)
@@ -230,7 +225,7 @@ def test_memo_cap_env(monkeypatch):
     clear_memo()
     value = splitting_density(SplittingType(((1, 1), (2, 1))))
     assert value == FracPoly({3: 1, 1: 1}, {4: 1, 3: 1, 2: 1, 1: 1, 0: 1})
-    assert len(engine._MEMO) <= 3  # cap clears before every insert beyond it
+    assert len(engine._CACHE) <= 3  # cap clears before every insert beyond it
     monkeypatch.delenv("PADICDENS_MEMO_CAP")
     clear_memo()
 
