@@ -13,7 +13,8 @@ Exit codes:
 
   0  success
   2  bad input: parse error, invalid component or depth vector, negative
-     sample count, unsupported oracle base, bad PADICDENS_MEMO_CAP
+     --samples, --seed or --cmax, --degree-max below 1, unsupported oracle
+     base, bad PADICDENS_MEMO_CAP
   3  wild prime, or a -p that is not prime
   4  non-integral exponent
   5  verification failure, or the recursion guard tripped
@@ -46,7 +47,7 @@ from .errors import (
     WildInputError,
 )
 from .splitting import SplittingType
-from .symbolic import FracPoly, check_inversion_symmetry, to_json_obj
+from .symbolic import FracPoly, _render_terms, check_inversion_symmetry, to_json_obj
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -124,8 +125,6 @@ def _csv_rows(sigma: SplittingType) -> List[List[str]]:
     rows = []
     for name, value in _quantity_rows(sigma):
         num, den = value.as_integer_pair()
-        from .symbolic import _render_terms  # canonical text rendering
-
         rows.append(
             [
                 sigma.display_pairs(),
@@ -295,8 +294,6 @@ def run_oracle(job: JobSpec) -> int:
         raise SigmaParseError(
             f"depth vector {list(b)} must have {sigma.m} nonnegative entries"
         )
-    if job.samples < 0:
-        raise SigmaParseError(f"--samples must be nonnegative, got {job.samples}")
     records = verify.oracle_records(
         sigma, b, job.p, job.c_max, samples=job.samples, seed=job.seed
     )
@@ -426,17 +423,30 @@ def _fail(exc: Exception) -> int:
     return _EXIT_CODES[type(exc)]
 
 
-def _check_memo_cap() -> None:
+# least accepted value of each numeric option: JobSpec field -> (option, bound)
+_LOWER_BOUNDS = {
+    "c_max": ("--cmax", 0),
+    "samples": ("--samples", 0),
+    "seed": ("--seed", 0),
+    "degree_max": ("--degree-max", 1),
+}
+
+
+def _check_job(job: JobSpec) -> None:
     try:
         engine.memo_cap()
     except ValueError as exc:
         raise SigmaParseError(str(exc)) from None
+    for field, (option, bound) in _LOWER_BOUNDS.items():
+        value = getattr(job, field)
+        if value < bound:
+            raise SigmaParseError(f"{option} must be at least {bound}, got {value}")
 
 
 def run(job: JobSpec) -> int:
     """Dispatch a job; returns the exit code."""
     try:
-        _check_memo_cap()
+        _check_job(job)
         if job.command == "compute":
             return run_compute(job)
         if job.command == "table":

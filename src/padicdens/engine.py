@@ -395,7 +395,7 @@ def density_result(sigma: SplittingType, validate: bool = True) -> DensityResult
     if validate:
         p0 = smallest_tame_prime(sigma)
         val = rho.evaluate(Fraction(p0) ** sigma.f_base)
-        if not (0 < val < 1):
+        if not (0 < val <= 1):
             raise VerificationError(
                 f"density out of range at p={p0}: {val} for {sigma.display_pairs()}"
             )

@@ -120,8 +120,11 @@ def _sparse_divexact(a: Terms, b: Terms) -> Terms | None:
 #
 # Univariate polynomials over Z are dense coefficient lists (index = degree).
 # Bivariate polynomials are dicts {t_degree: dense p-coefficient list}.
-# gcds use a primitive pseudo-remainder sequence, which keeps coefficient
-# growth under control at the sizes this engine produces.
+# The univariate gcd is a primitive pseudo-remainder sequence, which keeps
+# coefficient growth under control at the sizes this engine produces.  The
+# bivariate gcd removes the content in Z[p] and then interpolates in p: it
+# takes univariate gcds in t at integer points p = x and interpolates them,
+# and a trial division certifies the result.
 
 def _u_trim(a: list) -> list:
     while a and a[-1] == 0:
@@ -164,13 +167,6 @@ def _u_scale(a: list, c: int) -> list:
     if not c:
         return []
     return [x * c for x in a]
-
-
-def _u_sub(a: list, b: list) -> list:
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _u_trim(out)
 
 
 def _u_prem(a: list, b: list) -> list:
@@ -254,25 +250,6 @@ def _b_div_content(a: BiPoly, c: list) -> BiPoly:
     return out
 
 
-def _b_prem(a: BiPoly, b: BiPoly) -> BiPoly:
-    """Pseudo-remainder in the main variable t, coefficients in Z[p]."""
-    db = max(b)
-    lb = b[db]
-    r = {j: list(c) for j, c in a.items()}
-    while r and max(r) >= db:
-        dr = max(r)
-        lr = r[dr]
-        nxt: BiPoly = {}
-        for j, c in r.items():
-            nxt[j] = _u_mul(c, lb)
-        shift = dr - db
-        for j, c in b.items():
-            cur = nxt.get(j + shift, [])
-            nxt[j + shift] = _u_sub(cur, _u_mul(c, lr))
-        r = _b_trim(nxt)
-    return r
-
-
 def _u_eval_int(a: list, x: int) -> int:
     out = 0
     for c in reversed(a):
@@ -287,135 +264,106 @@ def _b_specialize(f: BiPoly, x: int) -> list:
     return _u_trim(out)
 
 
-def _b_coprime_by_specialization(f: BiPoly, g: BiPoly) -> bool:
-    """Specialize p to a point where both leading t-coefficients survive; a
-    constant univariate gcd there certifies the primitive parts coprime."""
-    lf = f[max(f)]
-    lg = g[max(g)]
-    for x in (2, 3, 5, 7, 11, 13):
-        if _u_eval_int(lf, x) == 0 or _u_eval_int(lg, x) == 0:
-            continue
-        # degrees match the t-degrees because the leading coefficients survive
-        return len(_u_gcd(_b_specialize(f, x), _b_specialize(g, x))) == 1
-    return False
-
-
-def _b_to_sparse(f: BiPoly) -> Dict[tuple, Fraction]:
-    return {
-        (i, j): Fraction(c)
-        for j, coeff in f.items()
-        for i, c in enumerate(coeff)
-        if c
-    }
-
-
 def _b_divides(g: BiPoly, f: BiPoly) -> bool:
-    fs = {(Fraction(i), Fraction(j)): c for (i, j), c in _b_to_sparse(f).items()}
-    gs = {(Fraction(i), Fraction(j)): c for (i, j), c in _b_to_sparse(g).items()}
-    return _sparse_divexact(fs, gs) is not None
+    """Whether g divides f in Q[p, t]."""
+    def sparse(h: BiPoly) -> Terms:
+        return {
+            (i, j): Fraction(c) for j, coeff in h.items() for i, c in enumerate(coeff) if c
+        }
+
+    return _sparse_divexact(sparse(f), sparse(g)) is not None
 
 
-def _b_gcd_by_interpolation(f: BiPoly, g: BiPoly) -> BiPoly | None:
-    """gcd of primitive parts via specialization at integer points and
-    Lagrange interpolation; None when the points were unlucky (the caller
-    falls back to the pseudo-remainder sequence).  A final trial division
-    makes the result unconditionally sound."""
-    lf = f[max(f)]
-    lg = g[max(g)]
-    gamma = _u_gcd(lf, lg)
-    dpf = max(len(c) for c in f.values()) - 1
-    dpg = max(len(c) for c in g.values()) - 1
-    n_points = min(dpf, dpg) + len(gamma) + 1
-    xs: list = []
-    values: list = []
-    deg_min = None
-    x = 0
-    while len(xs) < n_points:
-        x = -x + (1 if x <= 0 else 0)  # 1, -1, 2, -2, ...
-        if abs(x) > 8 * n_points + 16:
-            return None
-        if _u_eval_int(lf, x) == 0 or _u_eval_int(lg, x) == 0:
-            continue
-        ux = _u_gcd(_b_specialize(f, x), _b_specialize(g, x))
-        dx = len(ux) - 1
-        if deg_min is None or dx < deg_min:
-            deg_min = dx
-            xs, values = [], []
-        elif dx > deg_min:
-            continue
-        if deg_min == 0:
-            return {0: [1]}
-        scale = Fraction(_u_eval_int(gamma, x), ux[-1])
-        xs.append(x)
-        values.append([c * scale for c in ux])
-
-    # coefficient-wise Lagrange interpolation in p, exact over Q
+def _b_interpolate(xs: list, values: list, f: BiPoly, g: BiPoly) -> BiPoly | None:
+    """The primitive part of the polynomial whose t-coefficients take the
+    values values[k] at p = xs[k] (Newton interpolation, exact over Q), when
+    it divides both f and g; None otherwise."""
+    n = len(xs)
     coeffs: Dict[int, list] = {}
-    for j in range(deg_min + 1):
-        ys = [v[j] if j < len(v) else Fraction(0) for v in values]
-        poly = [Fraction(0)]
-        basis = [Fraction(1)]  # running product (p - x_0)...(p - x_{k-1})
-        for k, (xk, yk) in enumerate(zip(xs, ys)):
-            # Newton form: next divided difference
-            val = Fraction(0)
-            bval = Fraction(0)
-            for i, c in enumerate(poly):
-                val += c * Fraction(xk) ** i
-            for i, c in enumerate(basis):
-                bval += c * Fraction(xk) ** i
-            diff = (yk - val) / bval
-            poly = [
-                (poly[i] if i < len(poly) else Fraction(0))
-                + diff * (basis[i] if i < len(basis) else Fraction(0))
-                for i in range(max(len(poly), len(basis)))
-            ]
-            new_basis = [Fraction(0)] * (len(basis) + 1)
-            for i, c in enumerate(basis):
-                new_basis[i + 1] += c
-                new_basis[i] -= c * xk
-            basis = new_basis
-        while poly and poly[-1] == 0:
-            poly.pop()
-        if poly:
-            coeffs[j] = poly
-    if not coeffs or max(coeffs) != deg_min:
-        return None
-    # clear to a primitive integer polynomial
+    for j in range(len(values[0])):
+        c = [v[j] for v in values]  # divided differences, computed in place
+        for k in range(1, n):
+            for i in range(n - 1, k - 1, -1):
+                c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - k])
+        poly = [c[-1]]  # Horner on the Newton form: poly * (p - xs[k]) + c[k]
+        for k in range(n - 2, -1, -1):
+            nxt = [Fraction(0)] + poly
+            for i, v in enumerate(poly):
+                nxt[i] -= xs[k] * v
+            nxt[0] += c[k]
+            poly = nxt
+        coeffs[j] = poly
     denom = 1
     for c in coeffs.values():
         for v in c:
             denom = lcm(denom, v.denominator)
-    cand: BiPoly = {
-        j: _u_trim([int(v * denom) for v in c]) for j, c in coeffs.items()
-    }
-    cand = _b_trim(cand)
-    if not cand:
-        return None
+    cand = _b_trim({j: _u_trim([int(v * denom) for v in c]) for j, c in coeffs.items()})
     cand = _b_div_content(cand, _b_content(cand))
     if _b_divides(cand, f) and _b_divides(cand, g):
         return cand
     return None
 
 
+def _b_gcd_by_interpolation(f: BiPoly, g: BiPoly) -> BiPoly:
+    """gcd of two polynomials with no content in Z[p], by evaluation at
+    integer points p = x and interpolation.
+
+    Let h be the gcd and gamma = gcd(lc_t f, lc_t g); lc_t h divides gamma.
+    At a point x where both leading coefficients survive, the univariate gcd
+    u_x of f(x, t) and g(x, t) has t-degree at least deg_t h, and x is lucky
+    when the degrees are equal.  Then u_x, scaled to the leading coefficient
+    gamma(x), is the value at x of H = (gamma / lc_t h) * h, whose p-degree is
+    at most min(deg_p f, deg_p g) + deg gamma.  The loop keeps the points of
+    the lowest t-degree seen so far; once it has enough of them to determine
+    H, it interpolates and returns the primitive part if that divides both f
+    and g.  A candidate that fails the trial division came from unlucky
+    points only (once the lowest degree is deg_t h every kept point is
+    lucky), so the points are dropped and sampling goes on.  A degree-0
+    u_x proves f and g coprime at once.
+
+    Termination: a point is skipped or unlucky only if it is a root of
+    lc_t f, of lc_t g or of Res_t(f/h, g/h), which is a nonzero polynomial in
+    p because f/h and g/h are coprime.  So only finitely many integers are
+    skipped or unlucky.  Past the last of them every point is lucky, and the
+    next batch of points gives H, which passes the trial division.
+    """
+    lf = f[max(f)]
+    lg = g[max(g)]
+    gamma = _u_gcd(lf, lg)
+    dpf = max(len(c) for c in f.values()) - 1
+    dpg = max(len(c) for c in g.values()) - 1
+    n_points = min(dpf, dpg) + len(gamma)  # exceeds deg_p H
+    xs: list = []
+    values: list = []
+    deg_min = None
+    x = -1
+    while True:
+        x = -x if x > 0 else 1 - x  # 2, -2, 3, -3, ...
+        if _u_eval_int(lf, x) == 0 or _u_eval_int(lg, x) == 0:
+            continue
+        ux = _u_gcd(_b_specialize(f, x), _b_specialize(g, x))
+        dx = len(ux) - 1
+        if dx == 0:
+            return {0: [1]}
+        if deg_min is None or dx < deg_min:
+            deg_min, xs, values = dx, [], []
+        elif dx > deg_min:
+            continue
+        scale = Fraction(_u_eval_int(gamma, x), ux[-1])
+        xs.append(x)
+        values.append([c * scale for c in ux])
+        if len(xs) == n_points:
+            cand = _b_interpolate(xs, values, f, g)
+            if cand is not None:
+                return cand
+            xs, values = [], []
+
+
 def _b_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
     cont_a = _b_content(a)
     cont_b = _b_content(b)
     cont = _u_gcd(cont_a, cont_b)
-    f = _b_div_content(a, cont_a)
-    g = _b_div_content(b, cont_b)
-    if _b_coprime_by_specialization(f, g):
-        return {0: cont}
-    pp = _b_gcd_by_interpolation(f, g)
-    if pp is None:
-        if max(f) < max(g):
-            f, g = g, f
-        while g:
-            r = _b_prem(f, g)
-            r = _b_trim(r)
-            if r:
-                r = _b_div_content(r, _b_content(r))
-            f, g = g, r
-        pp = _b_div_content(f, _b_content(f))
+    pp = _b_gcd_by_interpolation(_b_div_content(a, cont_a), _b_div_content(b, cont_b))
     if cont != [1]:
         pp = {j: _u_mul(c, cont) for j, c in pp.items()}
     return pp
@@ -439,24 +387,7 @@ def _lattice_gcd(a: Dict[tuple, int], b: Dict[tuple, int], nvars: int) -> Dict[t
         if len(g) <= 1:
             return None
         return {(i,): c for i, c in enumerate(g) if c}
-    # two variables: p is axis 0, t is axis 1 (main variable for the PRS)
-    ta = max(k[1] for k in a)
-    tb = max(k[1] for k in b)
-    if ta == 0 and tb == 0:
-        g1 = _lattice_gcd({(k[0],): v for k, v in a.items()},
-                          {(k[0],): v for k, v in b.items()}, 1)
-        if g1 is None:
-            return None
-        return {(k[0], 0): v for k, v in g1.items()}
-    pa = max(k[0] for k in a)
-    pb = max(k[0] for k in b)
-    if pa == 0 and pb == 0:
-        g1 = _lattice_gcd({(k[1],): v for k, v in a.items()},
-                          {(k[1],): v for k, v in b.items()}, 1)
-        if g1 is None:
-            return None
-        return {(0, k[0]): v for k, v in g1.items()}
-
+    # two variables: p is axis 0 (the interpolation variable), t is axis 1
     def to_bi(d: Dict[tuple, int]) -> BiPoly:
         out: BiPoly = {}
         for (i, j), v in d.items():
@@ -739,8 +670,29 @@ class _RatFuncBase:
         neg = lambda terms: {tuple(-e for e in k): v for k, v in terms.items()}
         return self._like(neg(dict(self._num)), neg(dict(self._den)))
 
-    def _varkey(self):
+    def _varkey(self) -> Tuple[str, ...]:
+        """The variable names, one per exponent axis."""
         raise NotImplementedError
+
+    # -- display ------------------------------------------------------------
+
+    def as_integer_pair(self) -> Tuple[Terms, Terms]:
+        """num/den scaled so all coefficients are integers (for display)."""
+        m = 1
+        for _, c in self._num + self._den:
+            m = lcm(m, c.denominator)
+        num = {k: c * m for k, c in self._num}
+        den = {k: c * m for k, c in self._den}
+        return num, den
+
+    def __str__(self):
+        num, den = self.as_integer_pair()
+        names = self._varkey()
+        ns = _render_terms(num.items(), names)
+        if den == {(Fraction(0),) * self._NVARS: 1}:
+            return ns
+        ds = _render_terms(den.items(), names)
+        return f"({ns}) / ({ds})"
 
 
 class FracPoly(_RatFuncBase):
@@ -758,7 +710,7 @@ class FracPoly(_RatFuncBase):
         super().__init__(num, den, _reduced=_reduced)
 
     def _varkey(self):
-        return self.var
+        return (self.var,)
 
     def _like(self, num, den=1):
         return FracPoly(num, den, var=self.var)
@@ -793,23 +745,6 @@ class FracPoly(_RatFuncBase):
         if den == 0:
             raise ZeroDivisionError(f"denominator vanishes at {x}")
         return ev(self._num) / den
-
-    def as_integer_pair(self) -> Tuple[Terms, Terms]:
-        """num/den scaled so all coefficients are integers (for display)."""
-        m = 1
-        for _, c in self._num + self._den:
-            m = lcm(m, c.denominator)
-        num = {k: c * m for k, c in self._num}
-        den = {k: c * m for k, c in self._den}
-        return num, den
-
-    def __str__(self):
-        num, den = self.as_integer_pair()
-        ns = _render_terms(num.items(), (self.var,))
-        if den == {(Fraction(0),): 1}:
-            return ns
-        ds = _render_terms(den.items(), (self.var,))
-        return f"({ns}) / ({ds})"
 
     def __repr__(self):
         return f"FracPoly({self}, var={self.var!r})"
@@ -937,22 +872,6 @@ class GenFun(_RatFuncBase):
         if den == 0:
             raise ZeroDivisionError("denominator vanishes at the evaluation point")
         return ev(self._num) / den
-
-    def as_integer_pair(self) -> Tuple[Terms, Terms]:
-        m = 1
-        for _, c in self._num + self._den:
-            m = lcm(m, c.denominator)
-        num = {k: c * m for k, c in self._num}
-        den = {k: c * m for k, c in self._den}
-        return num, den
-
-    def __str__(self):
-        num, den = self.as_integer_pair()
-        ns = _render_terms(num.items(), self.VARS)
-        if den == {(Fraction(0), Fraction(0)): 1}:
-            return ns
-        ds = _render_terms(den.items(), self.VARS)
-        return f"({ns}) / ({ds})"
 
     def __repr__(self):
         return f"GenFun({self})"

@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import engine, oracle
+from .errors import VerificationError
 from .splitting import SplittingType, mobius_orbit_count
 from .symbolic import FracPoly, check_inversion_symmetry
 
@@ -131,7 +132,7 @@ def min_disc_checks(
             c0 = engine.min_disc_valuation(sigma)
             ok = True
             note = f"c0={c0}"
-        except Exception as exc:  # VerificationError carries the mismatch
+        except VerificationError as exc:  # carries the mismatch
             ok = False
             note = str(exc)
         out.append((f"min_disc {sigma.display_pairs()}", ok, note))

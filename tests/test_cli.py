@@ -73,6 +73,12 @@ def test_compute_json_numeric_without_bivariate(capsys):
     }
 
 
+def test_compute_bivariate_density_one(capsys):
+    # the one degree-1 type has rho = 1 by the partition of unity
+    assert main(["compute", "--sigma", "e1f1", "--bivariate"]) == EXIT_OK
+    assert "rho          = 1" in capsys.readouterr().out
+
+
 def test_exit_code_parse():
     assert main(["compute", "--sigma", "nonsense"]) == EXIT_PARSE
     assert main(["compute", "--sigma", "e2f1@e1f2"]) == EXIT_PARSE
@@ -197,6 +203,15 @@ ORACLE_11 = ["oracle", "--sigma", "e1f1,e1f1", "-p", "5"]
         pytest.param(ORACLE_11 + ["--depths", "0"], {}, None, EXIT_PARSE, id="depths-short"),
         pytest.param(ORACLE_11 + ["--depths", "0,-1"], {}, None, EXIT_PARSE, id="depths-negative"),
         pytest.param(ORACLE_11 + ["--samples", "-3"], {}, None, EXIT_PARSE, id="samples-negative"),
+        pytest.param(
+            ORACLE_11 + ["--samples", "10", "--seed", "-1"], {}, None, EXIT_PARSE,
+            id="seed-negative",
+        ),
+        pytest.param(
+            ["oracle", "--sigma", "e1f1", "-p", "5", "--cmax", "-1"], {}, None, EXIT_PARSE,
+            id="cmax-negative",
+        ),
+        pytest.param(["table", "--degree-max", "-2"], {}, None, EXIT_PARSE, id="degree-max-negative"),
         pytest.param(
             ["oracle", "--sigma", "e2f2@e1f2", "-p", "5"], {}, None, EXIT_PARSE, id="oracle-base"
         ),

@@ -271,6 +271,32 @@ def test_gcd_interpolation_stress():
     assert (a - b) / common == (P + 3) - (P - T)
 
 
+def _product(factors):
+    out = ONE
+    for f in factors:
+        out = out * f
+    return out
+
+
+@pytest.mark.parametrize(
+    "a, b, c",
+    [
+        # a(x, t) = t at every integer 0 < |x| <= 40, so gcd(a*c, b*c) has an
+        # extra factor t at each of those points: 80 unlucky points in a row
+        pytest.param(
+            T + P * _product(P - k for k in range(-40, 41) if k),
+            T * (T + 1),
+            (T - P) * (P * T + 3),
+            id="unlucky-points",
+        ),
+        pytest.param(P + 1, P**2 - 3, P**2 + 2, id="t-free"),
+        pytest.param(T + 2, T**2 + 1, T**3 - 2 * T + 5, id="p-free"),
+    ],
+)
+def test_common_factor_cancels(a, b, c):
+    assert (a * c) / (b * c) == a / b
+
+
 def test_json_round_trip_fractional_exponents():
     # the bivariate density of a ramified quadratic carries p^(1/2)
     from padicdens.engine import density_gen_fun
