@@ -14,7 +14,7 @@ Exit codes:
   0  success
   2  bad input: parse error, invalid component or depth vector, negative
      --samples, --seed or --cmax, --degree-max below 1, unsupported oracle
-     base, bad PADICDENS_MEMO_CAP
+     base
   3  wild prime, or a -p that is not prime
   4  non-integral exponent
   5  verification failure, or the recursion guard tripped
@@ -433,10 +433,6 @@ _LOWER_BOUNDS = {
 
 
 def _check_job(job: JobSpec) -> None:
-    try:
-        engine.memo_cap()
-    except ValueError as exc:
-        raise SigmaParseError(str(exc)) from None
     for field, (option, bound) in _LOWER_BOUNDS.items():
         value = getattr(job, field)
         if value < bound:

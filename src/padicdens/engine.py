@@ -28,7 +28,6 @@ results.  All returned values are immutable.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -51,36 +50,18 @@ from .splitting import (
 from .symbolic import FracPoly, GenFun, check_inversion_symmetry, rewrite_in_q
 
 _CACHE: Dict[tuple, object] = {}
-_MEMO_CAP_ENV = "PADICDENS_MEMO_CAP"
 
 
 def clear_memo() -> None:
     _CACHE.clear()
 
 
-def memo_cap() -> int | None:
-    """The PADICDENS_MEMO_CAP bound on cached values, or None when unset."""
-    raw = os.environ.get(_MEMO_CAP_ENV)
-    if not raw:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"{_MEMO_CAP_ENV} must be a positive integer, got {raw!r}")
-    return cap
-
-
 def _cached(key: tuple, build):
     """The cached value for key, built on a miss.  Recursion and assembly
-    values share the cache; it is cleared whole when it reaches the cap."""
+    values share the cache."""
     hit = _CACHE.get(key)
     if hit is None:
         hit = build()
-        cap = memo_cap()
-        if cap is not None and len(_CACHE) >= cap:
-            _CACHE.clear()
         _CACHE[key] = hit
     return hit
 
@@ -152,33 +133,33 @@ def _recurse(sigma: SplittingType, b: BVector, _depth: int, _limit: int | None) 
 
     k_lim = max(ceil(Fraction(bi, ei)) for bi, ei in zip(b, e_rel))
     target = tuple(k_lim * ei for ei in e_rel)
-    chain_sum = GenFun(0)
-    cur = b
-    steps = 0
-    while cur != target:
-        chain_sum = chain_sum + branch_sum(sigma, cur, _depth + 1, _limit)
-        cur = bump_argmin(sigma, cur)
-        steps += 1
-        if steps > _limit:
-            raise RecursionGuardError("argmin chain failed to terminate")
+    chain_sum = _chain_sum(sigma, b, target, _depth, _limit)
 
     zero_b = (0,) * sigma.m
-    rel_target = tuple(e_rel)
     head = branch_sum(sigma, zero_b, _depth + 1, _limit)
-    tail = GenFun(0)
-    cur = bump_argmin(sigma, zero_b)
-    steps = 0
-    while cur != rel_target:
-        tail = tail + branch_sum(sigma, cur, _depth + 1, _limit)
-        cur = bump_argmin(sigma, cur)
-        steps += 1
-        if steps > _limit:
-            raise RecursionGuardError("argmin chain failed to terminate")
+    tail = _chain_sum(sigma, bump_argmin(sigma, zero_b), tuple(e_rel), _depth, _limit)
     closure_den = GenFun(1) - GenFun.monomial(p_exp=f_base * (1 - d), t_exp=t_step)
     g_zero = (head + GenFun.monomial(p_exp=f_base) * tail) / closure_den
 
     rescale = GenFun.monomial(p_exp=-f_base * d * k_lim, t_exp=t_step * k_lim)
     return chain_sum + rescale * g_zero
+
+
+def _chain_sum(
+    sigma: SplittingType, start: BVector, stop: BVector, _depth: int, _limit: int
+) -> GenFun:
+    """The sum of branch_sum along the bump_argmin chain from start up to,
+    not including, stop."""
+    total = GenFun(0)
+    cur = start
+    steps = 0
+    while cur != stop:
+        total = total + branch_sum(sigma, cur, _depth + 1, _limit)
+        cur = bump_argmin(sigma, cur)
+        steps += 1
+        if steps > _limit:
+            raise RecursionGuardError("argmin chain failed to terminate")
+    return total
 
 
 def branch_sum(

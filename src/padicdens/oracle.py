@@ -244,15 +244,15 @@ def _layout(sigma: SplittingType, b: BVector, c_max: int, p: int):
     return E, M, n_common, per
 
 
-def _slot_codes(dig, n, j, comp, p, M):
-    """Vectorized common-lattice exponent for one (slot, conjugate) choice.
+def _slot_codes(dig, n, j, r, s, comp, p, M):
+    """Vectorized common-lattice exponent for one (slot, conjugate) choice;
+    (r, s) picks the conjugate.
 
     dig is an integer array of Teichmuller digits (0 = zero coefficient,
     v >= 1 encodes the root-of-unity exponent v - 1); j may be scalar or an
     array aligned with dig.
     """
     e, f = comp["e"], comp["f"]
-    r, s = comp["_r"], comp["_s"]
     m_local = e * (p**f - 1)
     pr = pow(p, r, m_local)
     code = ((e * (dig - 1) + n * j) * pr + n * s * (p**f - 1)) % m_local
@@ -260,7 +260,7 @@ def _slot_codes(dig, n, j, comp, p, M):
     return np.where(dig == 0, ZERO, code)
 
 
-def _valuations_for_digits(digit_arrays, jays, sigma, layout, p):
+def _valuations_for_digits(digit_arrays, jays, layout, p):
     """Sum of ordered pairwise first-difference slots, in units of 1/E.
 
     Returns (v_times_E int array, resolved bool array).
@@ -274,14 +274,13 @@ def _valuations_for_digits(digit_arrays, jays, sigma, layout, p):
                 conj_rows.append((i, r, s))
     codes = np.full((n, len(conj_rows), n_common), ZERO, dtype=np.int64)
     for row, (i, r, s) in enumerate(conj_rows):
-        comp = dict(per[i])
-        comp["_r"], comp["_s"] = r, s
+        comp = per[i]
         for slot in range(comp["b"], comp["n_slots"]):
             mc = slot * comp["step"]
             if mc >= n_common:
                 continue
             dig = digit_arrays[(i, slot)]
-            codes[:, row, mc] = _slot_codes(dig, slot, jays[i], comp, p, M)
+            codes[:, row, mc] = _slot_codes(dig, slot, jays[i], r, s, comp, p, M)
     v = np.zeros(n, dtype=np.int64)
     resolved = np.ones(n, dtype=bool)
     for a, bb in combinations(range(len(conj_rows)), 2):
@@ -330,11 +329,9 @@ def exact_disc_masses(
     counts: Dict[int, int] = {}
     for jvec in product(*(range(comp["gcd_j"]) for comp in per)):
         lo = 0
-        while lo < total_patterns or (total_patterns == 0 and lo == 0):
+        while lo < total_patterns:
             hi = min(lo + chunk, total_patterns)
-            idx = np.arange(lo, max(hi, lo + 1), dtype=np.int64)
-            if total_patterns == 0:
-                idx = np.zeros(1, dtype=np.int64)
+            idx = np.arange(lo, hi, dtype=np.int64)
             digit_arrays = {}
             stride = 1
             for key in slots:
@@ -343,7 +340,7 @@ def exact_disc_masses(
                 stride *= radix
             if not slots:
                 digit_arrays = {(-1, -1): np.zeros(len(idx), dtype=np.int64)}
-            v, resolved = _valuations_for_digits(digit_arrays, jvec, sigma, layout, p)
+            v, resolved = _valuations_for_digits(digit_arrays, jvec, layout, p)
             assert (v[resolved] % E == 0).all(), "resolved valuation not integral"
             cs = v[resolved] // E
             keep = cs <= c_max
@@ -351,8 +348,6 @@ def exact_disc_masses(
             for c, tally in zip(vals.tolist(), tallies.tolist()):
                 counts[c] = counts.get(c, 0) + tally
             lo = hi
-            if total_patterns == 0:
-                break
 
     mass_exp = sum(comp["f"] * comp["n_slots"] for comp in per)
     unit = Fraction(1, p**mass_exp * n_jvecs)
@@ -396,8 +391,7 @@ def sampled_disc_masses(
     jays = [
         rng.integers(0, comp["gcd_j"], size=samples, dtype=np.int64) for comp in per
     ]
-    v, resolved = _valuations_for_digits(digit_arrays, jays, sigma, layout, p)
-    cs = v // E
+    v, resolved = _valuations_for_digits(digit_arrays, jays, layout, p)
 
     # conditioning: samples live in the b-cylinder, whose measure rescales
     # the conditional frequencies to unconditional masses

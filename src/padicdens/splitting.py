@@ -75,9 +75,6 @@ class SplittingType:
     def key(self) -> tuple:
         return (self.e_base, self.f_base, tuple(sorted(self.components)))
 
-    def sorted(self) -> "SplittingType":
-        return SplittingType(tuple(sorted(self.components)), self.e_base, self.f_base)
-
     def restrict(self, indices: Sequence[int]) -> "SplittingType":
         return SplittingType(
             tuple(self.components[i] for i in indices), self.e_base, self.f_base

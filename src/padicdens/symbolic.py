@@ -20,6 +20,13 @@ Two concrete shapes are exposed: :class:`FracPoly` (one variable, default
 ``q``) and :class:`GenFun` (two variables, fixed ``p`` and ``t``).  All values
 are immutable after construction and all operations are pure functions, so
 values may be freely shared between threads.
+
+There are two ways in, and both end in the same normalization.  The public
+constructors parse: they accept scalars and mappings with int or Fraction
+exponents and coefficients and convert them.  Arithmetic and substitutions
+build through the internal ``_make``, which trusts its term maps to hold
+Fraction exponents and nonzero Fraction coefficients already, and may be told
+that the pair is coprime so that the gcd is skipped.
 """
 
 from __future__ import annotations
@@ -450,10 +457,10 @@ def _reduce_fraction(num: Terms, den: Terms, nvars: int) -> Tuple[Terms, Terms]:
 def _normalize_pair(
     num: Terms, den: Terms, nvars: int, reduced: bool = False
 ) -> Tuple[Terms, Terms]:
-    den = {k: v for k, v in den.items() if v}
+    """The canonical form of num/den; the term maps hold no zero coefficient.
+    With reduced=True the caller vouches that num and den are coprime."""
     if not den:
         raise ZeroDivisionError("zero denominator")
-    num = {k: v for k, v in num.items() if v}
     zero_exp = (Fraction(0),) * nvars
     if not num:
         return {}, {zero_exp: Fraction(1)}
@@ -518,18 +525,28 @@ def _render_terms(terms: Iterable[Tuple[Exp, Fraction]], names: Tuple[str, ...])
 
 
 class _RatFuncBase:
-    """Normalized quotient of sparse Laurent polynomials.  Immutable."""
+    """Normalized quotient of sparse Laurent polynomials.  Immutable.
 
-    __slots__ = ("_num", "_den", "_hash")
-    _NVARS = 0
+    ``_vars`` names the variables, one per exponent axis.
+    """
 
-    def __init__(self, num, den=1, *, _reduced: bool = False):
-        n = _coerce_terms(num, self._NVARS)
-        d = _coerce_terms(den, self._NVARS)
-        n, d = _normalize_pair(n, d, self._NVARS, reduced=_reduced)
+    __slots__ = ("_vars", "_num", "_den", "_hash")
+
+    def _init(self, vars: Tuple[str, ...], num: Terms, den: Terms, reduced: bool = False):
+        n, d = _normalize_pair(num, den, len(vars), reduced)
+        object.__setattr__(self, "_vars", vars)
         object.__setattr__(self, "_num", tuple(sorted(n.items())))
         object.__setattr__(self, "_den", tuple(sorted(d.items())))
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _make(cls, vars: Tuple[str, ...], num: Terms, den: Terms, reduced: bool = False):
+        """The value num/den from term maps whose exponents and coefficients
+        are already Fractions, with no zero coefficient; nothing is parsed.
+        With reduced=True the caller vouches that num and den are coprime."""
+        self = object.__new__(cls)
+        self._init(vars, num, den, reduced)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -548,38 +565,33 @@ class _RatFuncBase:
     def is_zero(self) -> bool:
         return not self._num
 
-    def _key(self):
-        return (self._num, self._den)
-
     def __bool__(self) -> bool:
         return bool(self._num)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self._like(other)
-        if type(other) is not type(self):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self._varkey() == other._varkey() and self._key() == other._key()
+        return self._num == o._num and self._den == o._den
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self._varkey(), self._num, self._den))
+            h = hash((self._vars, self._num, self._den))
             object.__setattr__(self, "_hash", h)
         return h
 
     # -- arithmetic -------------------------------------------------------
 
-    def _like(self, num, den=1) -> "_RatFuncBase":
-        raise NotImplementedError
-
-    def _like_reduced(self, num, den) -> "_RatFuncBase":
-        raise NotImplementedError
+    def _like(self, num: Terms, den: Terms, reduced: bool = False) -> "_RatFuncBase":
+        return self._make(self._vars, num, den, reduced)
 
     def _coerce(self, other):
+        """other as a value of this shape and these variables, or None."""
         if isinstance(other, (int, Fraction)):
-            return self._like(other)
-        if type(other) is type(self) and self._varkey() == other._varkey():
+            n = len(self._vars)
+            return self._like(_coerce_terms(other, n), _coerce_terms(1, n), reduced=True)
+        if type(other) is type(self) and self._vars == other._vars:
             return other
         return None
 
@@ -592,7 +604,7 @@ class _RatFuncBase:
         if self._den == o._den:
             return self._like(_t_add(n1, n2), d1)
         # pre-cancel the denominators' common factor to keep the final gcd small
-        g = _terms_gcd(d1, d2, self._NVARS)
+        g = _terms_gcd(d1, d2, len(self._vars))
         if g is not None:
             d1r = _sparse_divexact(d1, g)
             d2r = _sparse_divexact(d2, g)
@@ -604,7 +616,8 @@ class _RatFuncBase:
     __radd__ = __add__
 
     def __neg__(self):
-        return self._like(_t_neg(dict(self._num)), dict(self._den))
+        # negation keeps a normalized pair normalized
+        return self._like(_t_neg(dict(self._num)), dict(self._den), reduced=True)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -622,9 +635,10 @@ class _RatFuncBase:
         """(n1/d1) * (n2/d2) for normalized operands: after cancelling the two
         cross gcds the product pair is coprime, so normalization skips the gcd."""
         if n1 and n2:
-            n1, d2 = _reduce_fraction(n1, d2, self._NVARS)
-            n2, d1 = _reduce_fraction(n2, d1, self._NVARS)
-        return self._like_reduced(_t_mul(n1, n2), _t_mul(d1, d2))
+            nvars = len(self._vars)
+            n1, d2 = _reduce_fraction(n1, d2, nvars)
+            n2, d1 = _reduce_fraction(n2, d1, nvars)
+        return self._like(_t_mul(n1, n2), _t_mul(d1, d2), reduced=True)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -655,24 +669,49 @@ class _RatFuncBase:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
+        one = self._coerce(1)
         if n == 0:
-            return self._like(1)
-        base = self if n > 0 else self._like(1) / self
-        out = self._like(1)
+            return one
+        base = self if n > 0 else one / self
+        out = one
         for _ in range(abs(n)):
             out = out * base
         return out
 
-    # -- substitutions ----------------------------------------------------
+    # -- substitutions and evaluation ---------------------------------------
 
     def subs_inverse(self) -> "_RatFuncBase":
         """Replace every variable x by 1/x (exponent negation)."""
-        neg = lambda terms: {tuple(-e for e in k): v for k, v in terms.items()}
-        return self._like(neg(dict(self._num)), neg(dict(self._den)))
+        neg = lambda terms: {tuple(-e for e in k): v for k, v in terms}
+        return self._like(neg(self._num), neg(self._den))
 
-    def _varkey(self) -> Tuple[str, ...]:
-        """The variable names, one per exponent axis."""
-        raise NotImplementedError
+    def evaluate(self, *point: Scalar) -> Fraction:
+        """Exact evaluation at a rational point, one value per variable;
+        requires integer exponents and nonzero values for negative powers."""
+        if len(point) != len(self._vars):
+            raise TypeError(
+                f"expected {len(self._vars)} values for {self._vars}, got {len(point)}"
+            )
+        point = tuple(Fraction(x) for x in point)
+
+        def ev(terms) -> Fraction:
+            total = Fraction(0)
+            for exps, c in terms:
+                for x, e in zip(point, exps):
+                    if e.denominator != 1:
+                        raise NonIntegralExponentError(
+                            f"cannot evaluate fractional exponent {e} numerically"
+                        )
+                    c *= x ** int(e)
+                total += c
+            return total
+
+        den = ev(self._den)
+        if den == 0:
+            raise ZeroDivisionError(
+                f"denominator vanishes at {', '.join(map(str, point))}"
+            )
+        return ev(self._num) / den
 
     # -- display ------------------------------------------------------------
 
@@ -687,11 +726,10 @@ class _RatFuncBase:
 
     def __str__(self):
         num, den = self.as_integer_pair()
-        names = self._varkey()
-        ns = _render_terms(num.items(), names)
-        if den == {(Fraction(0),) * self._NVARS: 1}:
+        ns = _render_terms(num.items(), self._vars)
+        if den == {(Fraction(0),) * len(self._vars): 1}:
             return ns
-        ds = _render_terms(den.items(), names)
+        ds = _render_terms(den.items(), self._vars)
         return f"({ns}) / ({ds})"
 
 
@@ -702,21 +740,14 @@ class FracPoly(_RatFuncBase):
     variables in arithmetic is an error.
     """
 
-    __slots__ = ("var",)
-    _NVARS = 1
+    __slots__ = ()
 
-    def __init__(self, num, den=1, var: str = "q", *, _reduced: bool = False):
-        object.__setattr__(self, "var", var)
-        super().__init__(num, den, _reduced=_reduced)
+    def __init__(self, num, den=1, var: str = "q"):
+        self._init((var,), _coerce_terms(num, 1), _coerce_terms(den, 1))
 
-    def _varkey(self):
-        return (self.var,)
-
-    def _like(self, num, den=1):
-        return FracPoly(num, den, var=self.var)
-
-    def _like_reduced(self, num, den):
-        return FracPoly(num, den, var=self.var, _reduced=True)
+    @property
+    def var(self) -> str:
+        return self._vars[0]
 
     @classmethod
     def monomial(cls, exponent: Scalar, coeff: Scalar = 1, var: str = "q") -> "FracPoly":
@@ -725,26 +756,6 @@ class FracPoly(_RatFuncBase):
     @property
     def exponents(self) -> Tuple[Fraction, ...]:
         return tuple(k[0] for k, _ in self._num) + tuple(k[0] for k, _ in self._den)
-
-    def evaluate(self, x: Scalar) -> Fraction:
-        """Exact evaluation; requires integer exponents and a nonzero base for
-        negative powers."""
-        x = Fraction(x)
-
-        def ev(terms) -> Fraction:
-            total = Fraction(0)
-            for (e,), c in terms:
-                if e.denominator != 1:
-                    raise NonIntegralExponentError(
-                        f"cannot evaluate fractional exponent {e} numerically"
-                    )
-                total += c * x ** int(e)
-            return total
-
-        den = ev(self._den)
-        if den == 0:
-            raise ZeroDivisionError(f"denominator vanishes at {x}")
-        return ev(self._num) / den
 
     def __repr__(self):
         return f"FracPoly({self}, var={self.var!r})"
@@ -761,17 +772,10 @@ class GenFun(_RatFuncBase):
     """
 
     __slots__ = ()
-    _NVARS = 2
     VARS = ("p", "t")
 
-    def _varkey(self):
-        return self.VARS
-
-    def _like(self, num, den=1):
-        return GenFun(num, den)
-
-    def _like_reduced(self, num, den):
-        return GenFun(num, den, _reduced=True)
+    def __init__(self, num, den=1):
+        self._init(self.VARS, _coerce_terms(num, 2), _coerce_terms(den, 2))
 
     @classmethod
     def monomial(cls, p_exp: Scalar = 0, t_exp: Scalar = 0, coeff: Scalar = 1) -> "GenFun":
@@ -781,8 +785,8 @@ class GenFun(_RatFuncBase):
         """t -> t^n on both numerator and denominator."""
         if n <= 0:
             raise ValueError("power substitution needs a positive integer")
-        sub = lambda terms: {(k[0], k[1] * n): v for k, v in terms.items()}
-        return GenFun(sub(dict(self._num)), sub(dict(self._den)))
+        sub = lambda terms: {(pe, te * n): v for (pe, te), v in terms}
+        return self._like(sub(self._num), sub(self._den))
 
     def eval_t_as_p_power(self, r: Scalar) -> FracPoly:
         """Substitute t = p^r, collapsing to a univariate function of p.
@@ -806,7 +810,7 @@ class GenFun(_RatFuncBase):
         den = collapse(self._den)
         if not den:
             raise ZeroDivisionError("denominator collapsed to zero under substitution")
-        return FracPoly(num, den, var="p")
+        return FracPoly._make(("p",), num, den)
 
     def min_t_exponent(self) -> Fraction:
         """Order of vanishing in t at t = 0."""
@@ -833,15 +837,16 @@ class GenFun(_RatFuncBase):
         grid = 1
         for te in list(den_slices) + list(num_slices):
             grid = lcm(grid, te.denominator)
-        d0 = FracPoly(den_slices[Fraction(0)], 1, var="p")
-        higher = sorted((te, FracPoly(s, 1, var="p"))
-                        for te, s in den_slices.items() if te != 0)
+        one = {(Fraction(0),): Fraction(1)}
+        in_p = lambda terms: FracPoly._make(("p",), terms, one)
+        d0 = in_p(den_slices[Fraction(0)])
+        higher = sorted((te, in_p(s)) for te, s in den_slices.items() if te != 0)
         out: Dict[Fraction, FracPoly] = {}
         coeffs: Dict[Fraction, FracPoly] = {}
         k = 0
         while Fraction(k, grid) <= c_max:
             c = Fraction(k, grid)
-            acc = FracPoly(num_slices.get(c, {}), 1, var="p")
+            acc = in_p(num_slices.get(c, {}))
             for te, slice_poly in higher:
                 prev = coeffs.get(c - te)
                 if prev is not None:
@@ -852,26 +857,6 @@ class GenFun(_RatFuncBase):
                 out[c] = s
             k += 1
         return out
-
-    def evaluate(self, p_val: Scalar, t_val: Scalar) -> Fraction:
-        """Exact evaluation at rational (p, t); requires integer exponents."""
-        p_val = Fraction(p_val)
-        t_val = Fraction(t_val)
-
-        def ev(terms) -> Fraction:
-            total = Fraction(0)
-            for (pe, te), c in terms:
-                if pe.denominator != 1 or te.denominator != 1:
-                    raise NonIntegralExponentError(
-                        "cannot evaluate fractional exponents numerically"
-                    )
-                total += c * p_val ** int(pe) * t_val ** int(te)
-            return total
-
-        den = ev(self._den)
-        if den == 0:
-            raise ZeroDivisionError("denominator vanishes at the evaluation point")
-        return ev(self._num) / den
 
     def __repr__(self):
         return f"GenFun({self})"
@@ -898,7 +883,7 @@ def rewrite_in_q(f: FracPoly, f_base: int) -> FracPoly:
             out[(Fraction(int(e) // f_base),)] = c
         return out
 
-    return FracPoly(convert(f._num), convert(f._den), var="q")
+    return FracPoly._make(("q",), convert(f._num), convert(f._den))
 
 
 def check_inversion_symmetry(f):
@@ -914,36 +899,31 @@ def check_inversion_symmetry(f):
 # ---------------------------------------------------------------------------
 # JSON serialization (bit-exact round trip)
 # ---------------------------------------------------------------------------
+#
+# Each term is one row: the numerator and denominator of every exponent, in
+# variable order, then those of the coefficient.
 
 def to_json_obj(x) -> dict:
-    if isinstance(x, FracPoly):
-        enc = lambda terms: [
-            [k[0].numerator, k[0].denominator, c.numerator, c.denominator]
-            for k, c in terms
-        ]
-        return {"var": x.var, "num": enc(x._num), "den": enc(x._den)}
-    if isinstance(x, GenFun):
-        enc = lambda terms: [
-            [k[0].numerator, k[0].denominator, k[1].numerator, k[1].denominator,
-             c.numerator, c.denominator]
-            for k, c in terms
-        ]
-        return {"vars": list(GenFun.VARS), "num": enc(x._num), "den": enc(x._den)}
-    raise TypeError(f"cannot serialize {type(x).__name__}")
+    if not isinstance(x, _RatFuncBase):
+        raise TypeError(f"cannot serialize {type(x).__name__}")
+    enc = lambda terms: [
+        [n for q in (*k, c) for n in (q.numerator, q.denominator)] for k, c in terms
+    ]
+    head = {"var": x.var} if isinstance(x, FracPoly) else {"vars": list(x._vars)}
+    return {**head, "num": enc(x._num), "den": enc(x._den)}
 
 
 def from_json_obj(obj: Mapping):
+    def dec(rows, nvars: int) -> Terms:
+        return {
+            tuple(Fraction(r[2 * i], r[2 * i + 1]) for i in range(nvars)): Fraction(r[-2], r[-1])
+            for r in rows
+        }
+
     if "var" in obj:
-        dec = lambda rows: {
-            (Fraction(a, b),): Fraction(c, d) for a, b, c, d in rows
-        }
-        return FracPoly(dec(obj["num"]), dec(obj["den"]), var=obj["var"])
+        return FracPoly(dec(obj["num"], 1), dec(obj["den"], 1), var=obj["var"])
     if "vars" in obj:
-        dec = lambda rows: {
-            (Fraction(a, b), Fraction(c, d)): Fraction(e, f)
-            for a, b, c, d, e, f in rows
-        }
-        return GenFun(dec(obj["num"]), dec(obj["den"]))
+        return GenFun(dec(obj["num"], 2), dec(obj["den"], 2))
     raise ValueError("not a serialized FracPoly/GenFun")
 
 

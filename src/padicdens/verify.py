@@ -6,7 +6,6 @@ so the CLI can render them as text, JSON, or CSV; nothing here prints.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -30,16 +29,6 @@ GOLDEN = (
         FracPoly({4: 1, 0: 1}, {4: 2, 3: 2, 2: 2, 1: 2, 0: 2}),
     ),
 )
-
-ACCEPTANCE_BASES = ((1, 1), (2, 1), (1, 2))
-
-
-def acceptance_catalog(degree_max: int = 4) -> Tuple[SplittingType, ...]:
-    out: List[SplittingType] = []
-    for eb, fb in ACCEPTANCE_BASES:
-        out.extend(engine.catalog(degree_max, eb, fb))
-    return tuple(out)
-
 
 def golden_value_checks() -> List[Check]:
     out = []
@@ -227,30 +216,6 @@ def oracle_records(
                 )
             )
     return records
-
-
-def oracle_grid_checks(
-    degree_max: int = 3,
-    primes: Sequence[int] = (3, 5),
-    b_max: int = 1,
-    c_max: int = 4,
-) -> List[Check]:
-    out = []
-    for sigma in engine.catalog(degree_max):
-        for p in primes:
-            if not sigma.is_tame_at(p):
-                continue
-            for b in itertools.product(range(b_max + 1), repeat=sigma.m):
-                recs = oracle_records(sigma, b, p, c_max)
-                ok = all(r["match"] for r in recs)
-                out.append(
-                    (
-                        f"oracle {sigma.display_pairs()} b={list(b)} p={p}",
-                        ok,
-                        f"{len(recs)} masses",
-                    )
-                )
-    return out
 
 
 def brute_frobenius_orbit_count(f: int, k: int, p: int) -> int:

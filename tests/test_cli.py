@@ -194,55 +194,41 @@ ORACLE_11 = ["oracle", "--sigma", "e1f1,e1f1", "-p", "5"]
 
 
 @pytest.mark.parametrize(
-    "argv, env, patch, code",
+    "argv, patch, code",
     [
-        pytest.param(["compute", "--sigma", "e0f1"], {}, None, EXIT_PARSE, id="zero-component"),
-        pytest.param(["compute", "--sigma", "e1f1@e1f0"], {}, None, EXIT_PARSE, id="zero-base"),
-        pytest.param(["verify", "--bases", "e0f1"], {}, None, EXIT_PARSE, id="zero-bases"),
-        pytest.param(ORACLE_11 + ["--depths", "x"], {}, None, EXIT_PARSE, id="depths-text"),
-        pytest.param(ORACLE_11 + ["--depths", "0"], {}, None, EXIT_PARSE, id="depths-short"),
-        pytest.param(ORACLE_11 + ["--depths", "0,-1"], {}, None, EXIT_PARSE, id="depths-negative"),
-        pytest.param(ORACLE_11 + ["--samples", "-3"], {}, None, EXIT_PARSE, id="samples-negative"),
+        pytest.param(["compute", "--sigma", "e0f1"], None, EXIT_PARSE, id="zero-component"),
+        pytest.param(["compute", "--sigma", "e1f1@e1f0"], None, EXIT_PARSE, id="zero-base"),
+        pytest.param(["verify", "--bases", "e0f1"], None, EXIT_PARSE, id="zero-bases"),
+        pytest.param(ORACLE_11 + ["--depths", "x"], None, EXIT_PARSE, id="depths-text"),
+        pytest.param(ORACLE_11 + ["--depths", "0"], None, EXIT_PARSE, id="depths-short"),
+        pytest.param(ORACLE_11 + ["--depths", "0,-1"], None, EXIT_PARSE, id="depths-negative"),
+        pytest.param(ORACLE_11 + ["--samples", "-3"], None, EXIT_PARSE, id="samples-negative"),
         pytest.param(
-            ORACLE_11 + ["--samples", "10", "--seed", "-1"], {}, None, EXIT_PARSE,
+            ORACLE_11 + ["--samples", "10", "--seed", "-1"], None, EXIT_PARSE,
             id="seed-negative",
         ),
         pytest.param(
-            ["oracle", "--sigma", "e1f1", "-p", "5", "--cmax", "-1"], {}, None, EXIT_PARSE,
+            ["oracle", "--sigma", "e1f1", "-p", "5", "--cmax", "-1"], None, EXIT_PARSE,
             id="cmax-negative",
         ),
-        pytest.param(["table", "--degree-max", "-2"], {}, None, EXIT_PARSE, id="degree-max-negative"),
+        pytest.param(["table", "--degree-max", "-2"], None, EXIT_PARSE, id="degree-max-negative"),
         pytest.param(
-            ["oracle", "--sigma", "e2f2@e1f2", "-p", "5"], {}, None, EXIT_PARSE, id="oracle-base"
+            ["oracle", "--sigma", "e2f2@e1f2", "-p", "5"], None, EXIT_PARSE, id="oracle-base"
         ),
+        pytest.param(["compute", "--sigma", "e1f2", "-p", "-1"], None, EXIT_WILD, id="p-not-prime"),
         pytest.param(
-            ["compute", "--sigma", "e1f2"], {"PADICDENS_MEMO_CAP": "abc"}, None, EXIT_PARSE,
-            id="memo-cap-text",
-        ),
-        pytest.param(
-            ["compute", "--sigma", "e1f2"], {"PADICDENS_MEMO_CAP": "0"}, None, EXIT_PARSE,
-            id="memo-cap-zero",
-        ),
-        pytest.param(
-            ["compute", "--sigma", "e1f2"], {"PADICDENS_MEMO_CAP": "-4"}, None, EXIT_PARSE,
-            id="memo-cap-negative",
-        ),
-        pytest.param(["compute", "--sigma", "e1f2", "-p", "-1"], {}, None, EXIT_WILD, id="p-not-prime"),
-        pytest.param(
-            ["compute", "--sigma", "e1f2"], {},
+            ["compute", "--sigma", "e1f2"],
             ("splitting_density", VerificationError("forced mismatch")), EXIT_VERIFY,
             id="verification",
         ),
         pytest.param(
-            ["conjecture", "--degree-max", "1", "--bases", "e1f1"], {},
+            ["conjecture", "--degree-max", "1", "--bases", "e1f1"],
             ("density_gen_fun", RecursionGuardError("forced guard")), EXIT_VERIFY,
             id="recursion-guard",
         ),
     ],
 )
-def test_failures_exit_with_documented_code(argv, env, patch, code, monkeypatch, capsys):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+def test_failures_exit_with_documented_code(argv, patch, code, monkeypatch, capsys):
     if patch is not None:
         monkeypatch.setattr(engine, patch[0], _raising(patch[1]))
     assert main(argv) == code

@@ -6,7 +6,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from padicdens import engine
 from padicdens.engine import (
     branch_sum,
     catalog,
@@ -218,16 +217,6 @@ def test_partition_of_unity_degree_five():
     # exercises the univariate assembly on the largest default-catalog slice
     total = sum((splitting_density(s) for s in degree_slice(5)), FracPoly(0))
     assert total == FracPoly(1)
-
-
-def test_memo_cap_env(monkeypatch):
-    monkeypatch.setenv("PADICDENS_MEMO_CAP", "2")
-    clear_memo()
-    value = splitting_density(SplittingType(((1, 1), (2, 1))))
-    assert value == FracPoly({3: 1, 1: 1}, {4: 1, 3: 1, 2: 1, 1: 1, 0: 1})
-    assert len(engine._CACHE) <= 3  # cap clears before every insert beyond it
-    monkeypatch.delenv("PADICDENS_MEMO_CAP")
-    clear_memo()
 
 
 def test_bivariate_symmetry_degree_four():

@@ -43,6 +43,51 @@ def test_division_by_zero():
         GenFun(1, 0)
 
 
+@pytest.mark.parametrize(
+    "make, nvars",
+    [pytest.param(FracPoly, 1, id="FracPoly"), pytest.param(GenFun, 2, id="GenFun")],
+)
+def test_construction_and_evaluation_errors(make, nvars):
+    at = lambda e: (e,) * nvars  # the exponent key with every variable at e
+    with pytest.raises(NonIntegralExponentError):
+        make({at(F(1, 2)): 1}).evaluate(*[4] * nvars)
+    with pytest.raises(ZeroDivisionError):
+        make(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        make(1, {at(1): 1, at(0): -1}).evaluate(*[1] * nvars)
+    for arity in (nvars - 1, nvars + 1):
+        with pytest.raises(TypeError):
+            make(1).evaluate(*[1] * arity)
+
+
+def test_built_values_match_constructed_values():
+    # values that arithmetic and substitution build from term maps equal,
+    # and hash like, the same value parsed by the public constructor
+    pairs = [
+        (
+            ((2 * P + T) / (3 * T**2 - P)).eval_t_as_p_power(F(1, 3)),
+            FracPoly({1: 2, F(1, 3): 1}, {F(2, 3): 3, 1: -1}, var="p"),
+        ),
+        (
+            rewrite_in_q(FracPoly({4: 3, 2: -1}, {6: 2, 0: 5}, var="p"), 2),
+            FracPoly({2: 3, 1: -1}, {3: 2, 0: 5}, var="q"),
+        ),
+        (
+            -((P - 3 * T) / (2 * P**2 + T)),
+            GenFun({(1, 0): -1, (0, 1): 3}, {(2, 0): 2, (0, 1): 1}),
+        ),
+        (
+            -FracPoly({1: 1, 0: 2}, {2: 3, 0: 1}),
+            FracPoly({1: -1, 0: -2}, {2: 3, 0: 1}),
+        ),
+    ]
+    for built, parsed in pairs:
+        assert type(built) is type(parsed)
+        assert built == parsed
+        assert hash(built) == hash(parsed)
+        assert str(built) == str(parsed)
+
+
 # -- substitute_t_power ---------------------------------------------------------
 
 def test_substitute_basic():
@@ -255,6 +300,18 @@ def test_json_round_trip_fracpoly():
     s = dumps(f)
     assert loads(s) == f
     assert dumps(loads(s)) == s
+
+
+def test_json_golden_strings():
+    f = FracPoly({F(1, 2): F(3, 7), 0: -2}, {1: 1, 0: 1})
+    assert dumps(f) == (
+        '{"den":[[0,1,1,1],[1,1,1,1]],"num":[[0,1,-2,1],[1,2,3,7]],"var":"q"}'
+    )
+    g = GenFun({(F(1, 2), F(3, 2)): 2, (0, 0): F(-1, 3)}, {(1, 0): 1, (0, 1): 5})
+    assert dumps(g) == (
+        '{"den":[[0,1,1,1,1,1],[1,1,0,1,1,5]],"num":[[0,1,0,1,-1,15],[1,2,3,2,2,5]],'
+        '"vars":["p","t"]}'
+    )
 
 
 def test_fracpoly_var_mismatch():
