@@ -75,14 +75,16 @@ def leading_coeff_weight(d: int) -> FracPoly:
 
 
 def _q_as_p(f: FracPoly, f_base: int) -> FracPoly:
-    """Interpret a rational function of q as one of p via q = p^f_base."""
-    conv = lambda terms: {k[0] * f_base: c for k, c in terms.items()}
-    return FracPoly(conv(f.num_terms), conv(f.den_terms), var="p")
+    """Interpret a rational function of q as one of p via q = p^f_base: the
+    lattice exponents stretch by f_base, and the pair stays coprime."""
+    conv = lambda terms: {(k * f_base,): c for (k,), c in terms}
+    return FracPoly._make(("p",), f._scale, conv(f._num), conv(f._den), reduced=True)
 
 
 def _p_to_genfun(f: FracPoly) -> GenFun:
-    conv = lambda terms: {(k[0], Fraction(0)): c for k, c in terms.items()}
-    return GenFun(conv(f.num_terms), conv(f.den_terms))
+    """A function of p as a t-free GenFun."""
+    conv = lambda terms: {(k, 0): c for (k,), c in terms}
+    return GenFun._make(GenFun.VARS, f._scale + (1,), conv(f._num), conv(f._den), reduced=True)
 
 
 def _recursion_key(sigma: SplittingType, b: BVector) -> tuple:

@@ -1,20 +1,34 @@
 """Exact sparse Laurent / rational-function arithmetic over the rationals.
 
-A (Laurent) polynomial is a mapping from exponent tuples to nonzero Fraction
-coefficients.  Exponents are themselves Fractions, so objects like t^(1/2) are
-first class; integrality is only asserted where it is mathematically required
-(see :func:`rewrite_in_q`).
+Exponents are rationals, so objects like t^(1/2) are first class;
+integrality is only asserted where it is mathematically required (see
+:func:`rewrite_in_q`).
 
-Rational functions are stored as a normalized numerator/denominator pair.
-The normal form is canonical:
+Values are stored on an integer lattice.  Each value keeps one positive int
+``_scale`` per variable: the stored int exponent k on axis i means the
+exponent k / _scale[i].  Numerator and denominator are sorted tuples of
+(int exponent tuple, nonzero int coefficient).  The normal form is canonical:
 
+  * each axis scale is minimal: the lcm of the denominators of the exponents
+    that occur on that axis,
   * the minimum exponent of each variable across numerator and denominator is
     zero (no shared monomial factor, Laurent part cleared),
   * numerator and denominator share no polynomial factor (full gcd reduction),
-  * the lexicographically least term of the denominator has coefficient +1.
+  * the joint integer content of numerator and denominator is 1,
+  * the lexicographically least term of the denominator is positive.
 
 Two values built along different arithmetic paths from the same rational
-function therefore compare equal with ``==``.
+function therefore compare equal with ``==``, and a constant value equals,
+and hashes like, its Fraction.
+
+The printed and serialized form is a bijective image of the stored one.  A
+positive scale per axis keeps the lexicographic term order, so dividing each
+exponent by its scale gives the exponents, in the same order, and the stored
+coefficients are exactly those of :meth:`as_integer_pair` (the integer pair
+with joint content 1, which ``__str__`` prints).  Dividing them by the lex-
+least denominator coefficient gives the Fraction coefficients of
+``num_terms``/``den_terms`` and of the JSON codec, in which that coefficient
+is +1.
 
 Two concrete shapes are exposed: :class:`FracPoly` (one variable, default
 ``q``) and :class:`GenFun` (two variables, fixed ``p`` and ``t``).  All values
@@ -23,10 +37,12 @@ values may be freely shared between threads.
 
 There are two ways in, and both end in the same normalization.  The public
 constructors parse: they accept scalars and mappings with int or Fraction
-exponents and coefficients and convert them.  Arithmetic and substitutions
-build through the internal ``_make``, which trusts its term maps to hold
-Fraction exponents and nonzero Fraction coefficients already, and may be told
-that the pair is coprime so that the gcd is skipped.
+exponents and coefficients and convert them onto the lattice.  Arithmetic and
+substitutions build through the internal ``_make``, which trusts its scale
+and int term maps, and may be told that the pair is coprime so that the gcd
+is skipped.  Fractions appear only at that boundary: in parsing, in
+``num_terms``/``den_terms``/``exponents``, in ``evaluate``, in the keys of
+``series_coefficients``, in printing and in the JSON codec.
 """
 
 from __future__ import annotations
@@ -34,6 +50,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, floordiv, mul, sub
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
 from .errors import (
@@ -41,9 +58,10 @@ from .errors import (
     NoSeriesExpansionError,
 )
 
-# Sparse term maps: exponent tuple -> nonzero coefficient.
-Exp = Tuple[Fraction, ...]
-Terms = Dict[Exp, Fraction]
+# Sparse term maps on the lattice: int exponent tuple -> nonzero int coefficient.
+Exp = Tuple[int, ...]
+Terms = Dict[Exp, int]
+Scale = Tuple[int, ...]
 
 Scalar = Union[int, Fraction]
 
@@ -59,7 +77,7 @@ def _t_add(a: Terms, b: Terms) -> Terms:
         if s:
             out[k] = s
         else:
-            out.pop(k, None)
+            del out[k]
     return out
 
 
@@ -71,32 +89,37 @@ def _t_mul(a: Terms, b: Terms) -> Terms:
     if not a or not b:
         return {}
     out: Terms = {}
+    get = out.get
     for ka, va in a.items():
         for kb, vb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
-            s = out.get(k, 0) + va * vb
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
+            k = tuple(map(add, ka, kb))
+            out[k] = get(k, 0) + va * vb
+    return {k: v for k, v in out.items() if v}
 
 
 def _t_shift(a: Terms, shift: Exp) -> Terms:
-    return {tuple(x + s for x, s in zip(k, shift)): v for k, v in a.items()}
+    return {tuple(map(add, k, shift)): v for k, v in a.items()}
 
 
-def _t_scale(a: Terms, c: Fraction) -> Terms:
-    if not c:
-        return {}
+def _t_stretch(a: Terms, factors: Exp) -> Terms:
+    """Every exponent multiplied, axis by axis, by factors."""
+    return {tuple(map(mul, k, factors)): v for k, v in a.items()}
+
+
+def _t_scale(a: Terms, c: int) -> Terms:
+    if c == 1:
+        return a
     return {k: v * c for k, v in a.items()}
 
 
 def _sparse_divexact(a: Terms, b: Terms) -> Terms | None:
-    """Exact division of sparse polynomials (nonnegative exponents), or None.
+    """Exact division of integer polynomials (nonnegative exponents), or None
+    when b does not divide a with an integral quotient.
 
-    Uses lexicographic term order; exact quotients always reduce the leading
-    term, so the division terminates.
+    For a primitive b that is the same as division over Q (Gauss's lemma: a
+    quotient over Q of an integral a by a primitive b is integral).  Uses
+    lexicographic term order; exact quotients always reduce the leading term,
+    so the division terminates.
     """
     if not a:
         return {}
@@ -106,18 +129,20 @@ def _sparse_divexact(a: Terms, b: Terms) -> Terms | None:
     rem = dict(a)
     while rem:
         lead_a = max(rem)
-        shift = tuple(x - y for x, y in zip(lead_a, lead_b))
-        if any(s < 0 for s in shift):
+        shift = tuple(map(sub, lead_a, lead_b))
+        if min(shift) < 0:
             return None
-        c = rem[lead_a] / cb
+        c, r = divmod(rem[lead_a], cb)
+        if r:
+            return None
         out[shift] = c
         for k, v in b.items():
-            kk = tuple(x + y for x, y in zip(k, shift))
+            kk = tuple(map(add, k, shift))
             s = rem.get(kk, 0) - c * v
             if s:
                 rem[kk] = s
             else:
-                rem.pop(kk, None)
+                del rem[kk]
     return out
 
 
@@ -239,7 +264,7 @@ def _b_trim(a: BiPoly) -> BiPoly:
 
 def _b_content(a: BiPoly) -> list:
     c: list = []
-    for coeff in a.values():
+    for coeff in sorted(a.values(), key=len):  # the shortest settle it soonest
         c = _u_gcd(c, coeff)
         if c == [1]:
             break
@@ -272,19 +297,17 @@ def _b_specialize(f: BiPoly, x: int) -> list:
 
 
 def _b_divides(g: BiPoly, f: BiPoly) -> bool:
-    """Whether g divides f in Q[p, t]."""
+    """Whether the primitive g divides f in Q[p, t]."""
     def sparse(h: BiPoly) -> Terms:
-        return {
-            (i, j): Fraction(c) for j, coeff in h.items() for i, c in enumerate(coeff) if c
-        }
+        return {(i, j): c for j, coeff in h.items() for i, c in enumerate(coeff) if c}
 
     return _sparse_divexact(sparse(f), sparse(g)) is not None
 
 
 def _b_interpolate(xs: list, values: list, f: BiPoly, g: BiPoly) -> BiPoly | None:
-    """The primitive part of the polynomial whose t-coefficients take the
-    values values[k] at p = xs[k] (Newton interpolation, exact over Q), when
-    it divides both f and g; None otherwise."""
+    """The primitive part over Z of the polynomial whose t-coefficients take
+    the values values[k] at p = xs[k] (Newton interpolation, exact over Q),
+    when it divides both f and g; None otherwise."""
     n = len(xs)
     coeffs: Dict[int, list] = {}
     for j in range(len(values[0])):
@@ -306,6 +329,9 @@ def _b_interpolate(xs: list, values: list, f: BiPoly, g: BiPoly) -> BiPoly | Non
             denom = lcm(denom, v.denominator)
     cand = _b_trim({j: _u_trim([int(v * denom) for v in c]) for j, c in coeffs.items()})
     cand = _b_div_content(cand, _b_content(cand))
+    content = gcd(*(v for c in cand.values() for v in c))
+    if content != 1:
+        cand = {j: [v // content for v in c] for j, c in cand.items()}
     if _b_divides(cand, f) and _b_divides(cand, g):
         return cand
     return None
@@ -377,7 +403,8 @@ def _b_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
 
 
 def _lattice_gcd(a: Dict[tuple, int], b: Dict[tuple, int], nvars: int) -> Dict[tuple, int] | None:
-    """gcd of two integer-coefficient polynomials on the nonneg integer lattice.
+    """Primitive gcd of two integer-coefficient polynomials on the nonneg
+    integer lattice.
 
     Returns None when the gcd is a constant (nothing to cancel).
     """
@@ -411,41 +438,27 @@ def _lattice_gcd(a: Dict[tuple, int], b: Dict[tuple, int], nvars: int) -> Dict[t
     return out
 
 
-def _terms_gcd(a: Terms, b: Terms, nvars: int) -> Terms | None:
-    """Polynomial gcd of two term maps with nonnegative Fraction exponents;
-    None when no non-monomial common factor exists."""
+def _terms_gcd(a: Terms, b: Terms) -> Terms | None:
+    """Primitive polynomial gcd of two int term maps with nonnegative
+    exponents; None when no non-monomial common factor exists."""
     if len(a) == 1 or len(b) == 1:
         return None
-    scales = []
-    for i in range(nvars):
-        m = 1
-        for k in a:
-            m = lcm(m, k[i].denominator)
-        for k in b:
-            m = lcm(m, k[i].denominator)
-        scales.append(m)
-
-    def to_int(terms: Terms) -> Dict[tuple, int]:
-        c = 1
-        for v in terms.values():
-            c = lcm(c, v.denominator)
-        return {
-            tuple(int(k[i] * scales[i]) for i in range(nvars)): int(v * c)
-            for k, v in terms.items()
-        }
-
-    g = _lattice_gcd(to_int(a), to_int(b), nvars)
-    if g is None:
-        return None
-    return {
-        tuple(Fraction(k[i], scales[i]) for i in range(nvars)): Fraction(v)
-        for k, v in g.items()
-    }
+    # the coarsest lattice holding both: divide each axis by the gcd of its
+    # exponents (x -> x^k commutes with the gcd)
+    steps = tuple(gcd(*col) or 1 for col in zip(*a, *b))
+    coarse = any(s != 1 for s in steps)
+    if coarse:
+        down = lambda t: {tuple(map(floordiv, k, steps)): v for k, v in t.items()}
+        a, b = down(a), down(b)
+    g = _lattice_gcd(a, b, len(steps))
+    if g is not None and coarse:
+        g = _t_stretch(g, steps)
+    return g
 
 
-def _reduce_fraction(num: Terms, den: Terms, nvars: int) -> Tuple[Terms, Terms]:
-    """Cancel the polynomial gcd of num and den (exponents nonneg Fractions)."""
-    g = _terms_gcd(num, den, nvars)
+def _reduce_fraction(num: Terms, den: Terms) -> Tuple[Terms, Terms]:
+    """Cancel the polynomial gcd of num and den (nonnegative exponents)."""
+    g = _terms_gcd(num, den)
     if g is None:
         return num, den
     num2 = _sparse_divexact(num, g)
@@ -455,38 +468,45 @@ def _reduce_fraction(num: Terms, den: Terms, nvars: int) -> Tuple[Terms, Terms]:
 
 
 def _normalize_pair(
-    num: Terms, den: Terms, nvars: int, reduced: bool = False
-) -> Tuple[Terms, Terms]:
-    """The canonical form of num/den; the term maps hold no zero coefficient.
-    With reduced=True the caller vouches that num and den are coprime."""
+    num: Terms, den: Terms, scale: Scale, reduced: bool = False
+) -> Tuple[Scale, Terms, Terms]:
+    """The canonical (scale, num, den) of num/den on the lattice scale; the
+    term maps hold no zero coefficient.  With reduced=True the caller vouches
+    that num and den are coprime."""
     if not den:
         raise ZeroDivisionError("zero denominator")
-    zero_exp = (Fraction(0),) * nvars
+    nvars = len(scale)
     if not num:
-        return {}, {zero_exp: Fraction(1)}
-    mins = tuple(
-        min(min(k[i] for k in num), min(k[i] for k in den)) for i in range(nvars)
-    )
+        return (1,) * nvars, {}, {(0,) * nvars: 1}
+    mins = tuple(map(min, zip(*num, *den)))
     if any(mins):
         shift = tuple(-m for m in mins)
         num = _t_shift(num, shift)
         den = _t_shift(den, shift)
     if not reduced:
-        num, den = _reduce_fraction(num, den, nvars)
-    c = den[min(den)]
-    if c != 1:
-        inv = 1 / c
-        num = _t_scale(num, inv)
-        den = _t_scale(den, inv)
-    return num, den
+        num, den = _reduce_fraction(num, den)
+    content = gcd(*num.values(), *den.values())
+    if den[min(den)] < 0:
+        content = -content
+    if content != 1:
+        num = {k: v // content for k, v in num.items()}
+        den = {k: v // content for k, v in den.items()}
+    if any(s != 1 for s in scale):
+        steps = tuple(gcd(s, *col) for s, col in zip(scale, zip(*num, *den)))
+        if any(s != 1 for s in steps):
+            num = {tuple(map(floordiv, k, steps)): v for k, v in num.items()}
+            den = {tuple(map(floordiv, k, steps)): v for k, v in den.items()}
+            scale = tuple(map(floordiv, scale, steps))
+    return scale, num, den
 
 
-def _coerce_terms(spec, nvars: int) -> Terms:
-    """Build a term dict from a scalar or a {exponent(s): coefficient} mapping."""
+def _coerce_terms(spec, nvars: int) -> Dict[Tuple[Fraction, ...], Fraction]:
+    """Build a Fraction term dict from a scalar or a {exponent(s): coefficient}
+    mapping."""
     if isinstance(spec, (int, Fraction)):
         c = Fraction(spec)
         return {(Fraction(0),) * nvars: c} if c else {}
-    out: Terms = {}
+    out: Dict[Tuple[Fraction, ...], Fraction] = {}
     for k, v in spec.items():
         if not isinstance(k, tuple):
             k = (k,)
@@ -499,7 +519,24 @@ def _coerce_terms(spec, nvars: int) -> Terms:
     return {k: v for k, v in out.items() if v}
 
 
-def _render_terms(terms: Iterable[Tuple[Exp, Fraction]], names: Tuple[str, ...]) -> str:
+def _parse(num, den, nvars: int) -> Tuple[Scale, Terms, Terms]:
+    """Constructor input on the lattice: (scale, num, den) with int exponents
+    and int coefficients, before normalization."""
+    num = _coerce_terms(num, nvars)
+    den = _coerce_terms(den, nvars)
+    scale = tuple(lcm(*(e.denominator for e in col)) for col in zip(*num, *den))
+    m = lcm(*(c.denominator for c in (*num.values(), *den.values())))
+    conv = lambda terms: {
+        tuple(e.numerator * (s // e.denominator) for e, s in zip(k, scale)):
+            c.numerator * (m // c.denominator)
+        for k, c in terms.items()
+    }
+    return scale, conv(num), conv(den)
+
+
+def _render_terms(
+    terms: Iterable[Tuple[Tuple[Fraction, ...], Scalar]], names: Tuple[str, ...]
+) -> str:
     parts = []
     for exps, coeff in sorted(terms, reverse=True):
         mono = "*".join(
@@ -527,39 +564,66 @@ def _render_terms(terms: Iterable[Tuple[Exp, Fraction]], names: Tuple[str, ...])
 class _RatFuncBase:
     """Normalized quotient of sparse Laurent polynomials.  Immutable.
 
-    ``_vars`` names the variables, one per exponent axis.
+    ``_vars`` names the variables, one per exponent axis, and ``_scale``
+    holds the lattice scale of each axis.
     """
 
-    __slots__ = ("_vars", "_num", "_den", "_hash")
+    __slots__ = ("_vars", "_scale", "_num", "_den", "_hash")
 
-    def _init(self, vars: Tuple[str, ...], num: Terms, den: Terms, reduced: bool = False):
-        n, d = _normalize_pair(num, den, len(vars), reduced)
+    def _init(
+        self, vars: Tuple[str, ...], scale: Scale, num: Terms, den: Terms, reduced: bool = False
+    ):
+        scale, n, d = _normalize_pair(num, den, scale, reduced)
         object.__setattr__(self, "_vars", vars)
+        object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_num", tuple(sorted(n.items())))
         object.__setattr__(self, "_den", tuple(sorted(d.items())))
         object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _make(cls, vars: Tuple[str, ...], num: Terms, den: Terms, reduced: bool = False):
-        """The value num/den from term maps whose exponents and coefficients
-        are already Fractions, with no zero coefficient; nothing is parsed.
-        With reduced=True the caller vouches that num and den are coprime."""
+    def _make(
+        cls, vars: Tuple[str, ...], scale: Scale, num: Terms, den: Terms, reduced: bool = False
+    ):
+        """The value num/den from int term maps on the lattice scale, with no
+        zero coefficient; nothing is parsed.  With reduced=True the caller
+        vouches that num and den are coprime."""
         self = object.__new__(cls)
-        self._init(vars, num, den, reduced)
+        self._init(vars, scale, num, den, reduced)
         return self
+
+    @classmethod
+    def _monomial(cls, vars: Tuple[str, ...], exps: Tuple[Scalar, ...], coeff: Scalar):
+        """coeff * prod x_i^exps[i], parsed from int or Fraction input."""
+        exps = tuple(Fraction(e) for e in exps)
+        c = Fraction(coeff)
+        num = {tuple(e.numerator for e in exps): c.numerator} if c else {}
+        den = {(0,) * len(vars): c.denominator}
+        return cls._make(vars, tuple(e.denominator for e in exps), num, den, reduced=True)
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        return self._make, (self._vars, self._scale, dict(self._num), dict(self._den), True)
+
     # -- raw access -----------------------------------------------------
 
-    @property
-    def num_terms(self) -> Terms:
-        return dict(self._num)
+    def _exps(self, k: Exp) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(e, s) for e, s in zip(k, self._scale))
+
+    def _fraction_terms(self, terms) -> Dict[Tuple[Fraction, ...], Fraction]:
+        """terms with Fraction exponents and coefficients over the lex-least
+        denominator coefficient."""
+        lead = self._den[0][1]
+        return {self._exps(k): Fraction(c, lead) for k, c in terms}
 
     @property
-    def den_terms(self) -> Terms:
-        return dict(self._den)
+    def num_terms(self) -> Dict[Tuple[Fraction, ...], Fraction]:
+        return self._fraction_terms(self._num)
+
+    @property
+    def den_terms(self) -> Dict[Tuple[Fraction, ...], Fraction]:
+        return self._fraction_terms(self._den)
 
     @property
     def is_zero(self) -> bool:
@@ -572,52 +636,82 @@ class _RatFuncBase:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._num == o._num and self._den == o._den
+        return self._num == o._num and self._den == o._den and self._scale == o._scale
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self._vars, self._num, self._den))
+            zero = (0,) * len(self._vars)
+            if all(k == zero for k, _ in self._num + self._den):
+                # a constant hashes like the Fraction it equals
+                h = hash(Fraction(self._num[0][1] if self._num else 0, self._den[0][1]))
+            else:
+                h = hash((self._vars, self._scale, self._num, self._den))
             object.__setattr__(self, "_hash", h)
         return h
 
     # -- arithmetic -------------------------------------------------------
 
-    def _like(self, num: Terms, den: Terms, reduced: bool = False) -> "_RatFuncBase":
-        return self._make(self._vars, num, den, reduced)
+    def _like(self, scale: Scale, num: Terms, den: Terms, reduced: bool = False) -> "_RatFuncBase":
+        return self._make(self._vars, scale, num, den, reduced)
 
     def _coerce(self, other):
         """other as a value of this shape and these variables, or None."""
         if isinstance(other, (int, Fraction)):
+            c = Fraction(other)
             n = len(self._vars)
-            return self._like(_coerce_terms(other, n), _coerce_terms(1, n), reduced=True)
+            zero = (0,) * n
+            num = {zero: c.numerator} if c else {}
+            return self._like((1,) * n, num, {zero: c.denominator}, reduced=True)
         if type(other) is type(self) and self._vars == other._vars:
             return other
         return None
+
+    def _aligned(self, o):
+        """(scale, n1, d1, n2, d2): the term maps of self and o as dicts on one
+        lattice, the lcm of the two scales."""
+        s1, s2 = self._scale, o._scale
+        if s1 == s2:
+            return s1, dict(self._num), dict(self._den), dict(o._num), dict(o._den)
+        scale = tuple(map(lcm, s1, s2))
+        f1 = tuple(map(floordiv, scale, s1))
+        f2 = tuple(map(floordiv, scale, s2))
+        return (
+            scale,
+            _t_stretch(dict(self._num), f1),
+            _t_stretch(dict(self._den), f1),
+            _t_stretch(dict(o._num), f2),
+            _t_stretch(dict(o._den), f2),
+        )
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n1, d1 = dict(self._num), dict(self._den)
-        n2, d2 = dict(o._num), dict(o._den)
-        if self._den == o._den:
-            return self._like(_t_add(n1, n2), d1)
+        scale, n1, d1, n2, d2 = self._aligned(o)
+        if d1.keys() == d2.keys():
+            # proportional denominators d1 = a*P, d2 = b*P need no gcd
+            k0 = next(iter(d1))
+            a, b = d1[k0], d2[k0]
+            if all(v * b == d2[k] * a for k, v in d1.items()):
+                g = gcd(a, b)
+                num = _t_add(_t_scale(n1, b // g), _t_scale(n2, a // g))
+                return self._like(scale, num, _t_scale(d1, b // g))
         # pre-cancel the denominators' common factor to keep the final gcd small
-        g = _terms_gcd(d1, d2, len(self._vars))
+        g = _terms_gcd(d1, d2)
         if g is not None:
             d1r = _sparse_divexact(d1, g)
             d2r = _sparse_divexact(d2, g)
             num = _t_add(_t_mul(n1, d2r), _t_mul(n2, d1r))
-            return self._like(num, _t_mul(d1, d2r))
+            return self._like(scale, num, _t_mul(d1, d2r))
         num = _t_add(_t_mul(n1, d2), _t_mul(n2, d1))
-        return self._like(num, _t_mul(d1, d2))
+        return self._like(scale, num, _t_mul(d1, d2))
 
     __radd__ = __add__
 
     def __neg__(self):
         # negation keeps a normalized pair normalized
-        return self._like(_t_neg(dict(self._num)), dict(self._den), reduced=True)
+        return self._like(self._scale, _t_neg(dict(self._num)), dict(self._den), reduced=True)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -631,22 +725,20 @@ class _RatFuncBase:
             return NotImplemented
         return o + (-self)
 
-    def _cross_reduced_product(self, n1, d1, n2, d2):
-        """(n1/d1) * (n2/d2) for normalized operands: after cancelling the two
-        cross gcds the product pair is coprime, so normalization skips the gcd."""
+    def _cross_reduced_product(self, scale, n1, d1, n2, d2):
+        """(n1/d1) * (n2/d2) for normalized operands on one lattice: after
+        cancelling the two cross gcds the product pair is coprime, so
+        normalization skips the gcd."""
         if n1 and n2:
-            nvars = len(self._vars)
-            n1, d2 = _reduce_fraction(n1, d2, nvars)
-            n2, d1 = _reduce_fraction(n2, d1, nvars)
-        return self._like(_t_mul(n1, n2), _t_mul(d1, d2), reduced=True)
+            n1, d2 = _reduce_fraction(n1, d2)
+            n2, d1 = _reduce_fraction(n2, d1)
+        return self._like(scale, _t_mul(n1, n2), _t_mul(d1, d2), reduced=True)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._cross_reduced_product(
-            dict(self._num), dict(self._den), dict(o._num), dict(o._den)
-        )
+        return self._cross_reduced_product(*self._aligned(o))
 
     __rmul__ = __mul__
 
@@ -656,9 +748,8 @@ class _RatFuncBase:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("division by zero value")
-        return self._cross_reduced_product(
-            dict(self._num), dict(self._den), dict(o._den), dict(o._num)
-        )
+        scale, n1, d1, n2, d2 = self._aligned(o)
+        return self._cross_reduced_product(scale, n1, d1, d2, n2)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -681,9 +772,10 @@ class _RatFuncBase:
     # -- substitutions and evaluation ---------------------------------------
 
     def subs_inverse(self) -> "_RatFuncBase":
-        """Replace every variable x by 1/x (exponent negation)."""
+        """Replace every variable x by 1/x (exponent negation).  The map is an
+        automorphism of the Laurent ring, so the pair stays coprime."""
         neg = lambda terms: {tuple(-e for e in k): v for k, v in terms}
-        return self._like(neg(self._num), neg(self._den))
+        return self._like(self._scale, neg(self._num), neg(self._den), reduced=True)
 
     def evaluate(self, *point: Scalar) -> Fraction:
         """Exact evaluation at a rational point, one value per variable;
@@ -697,12 +789,12 @@ class _RatFuncBase:
         def ev(terms) -> Fraction:
             total = Fraction(0)
             for exps, c in terms:
-                for x, e in zip(point, exps):
-                    if e.denominator != 1:
+                for x, e, s in zip(point, exps, self._scale):
+                    if e % s:
                         raise NonIntegralExponentError(
-                            f"cannot evaluate fractional exponent {e} numerically"
+                            f"cannot evaluate fractional exponent {Fraction(e, s)} numerically"
                         )
-                    c *= x ** int(e)
+                    c *= x ** (e // s)
                 total += c
             return total
 
@@ -715,19 +807,18 @@ class _RatFuncBase:
 
     # -- display ------------------------------------------------------------
 
-    def as_integer_pair(self) -> Tuple[Terms, Terms]:
-        """num/den scaled so all coefficients are integers (for display)."""
-        m = 1
-        for _, c in self._num + self._den:
-            m = lcm(m, c.denominator)
-        num = {k: c * m for k, c in self._num}
-        den = {k: c * m for k, c in self._den}
-        return num, den
+    def as_integer_pair(self) -> Tuple[dict, dict]:
+        """num/den with int coefficients of joint content 1 and Fraction
+        exponents (for display)."""
+        return (
+            {self._exps(k): c for k, c in self._num},
+            {self._exps(k): c for k, c in self._den},
+        )
 
     def __str__(self):
         num, den = self.as_integer_pair()
         ns = _render_terms(num.items(), self._vars)
-        if den == {(Fraction(0),) * len(self._vars): 1}:
+        if self._den == (((0,) * len(self._vars), 1),):
             return ns
         ds = _render_terms(den.items(), self._vars)
         return f"({ns}) / ({ds})"
@@ -743,7 +834,7 @@ class FracPoly(_RatFuncBase):
     __slots__ = ()
 
     def __init__(self, num, den=1, var: str = "q"):
-        self._init((var,), _coerce_terms(num, 1), _coerce_terms(den, 1))
+        self._init((var,), *_parse(num, den, 1))
 
     @property
     def var(self) -> str:
@@ -751,11 +842,12 @@ class FracPoly(_RatFuncBase):
 
     @classmethod
     def monomial(cls, exponent: Scalar, coeff: Scalar = 1, var: str = "q") -> "FracPoly":
-        return cls({Fraction(exponent): Fraction(coeff)}, 1, var=var)
+        return cls._monomial((var,), (exponent,), coeff)
 
     @property
     def exponents(self) -> Tuple[Fraction, ...]:
-        return tuple(k[0] for k, _ in self._num) + tuple(k[0] for k, _ in self._den)
+        (s,) = self._scale
+        return tuple(Fraction(k[0], s) for k, _ in self._num + self._den)
 
     def __repr__(self):
         return f"FracPoly({self}, var={self.var!r})"
@@ -775,18 +867,22 @@ class GenFun(_RatFuncBase):
     VARS = ("p", "t")
 
     def __init__(self, num, den=1):
-        self._init(self.VARS, _coerce_terms(num, 2), _coerce_terms(den, 2))
+        self._init(self.VARS, *_parse(num, den, 2))
 
     @classmethod
     def monomial(cls, p_exp: Scalar = 0, t_exp: Scalar = 0, coeff: Scalar = 1) -> "GenFun":
-        return cls({(Fraction(p_exp), Fraction(t_exp)): Fraction(coeff)})
+        return cls._monomial(cls.VARS, (p_exp, t_exp), coeff)
 
     def substitute_t_power(self, n: int) -> "GenFun":
-        """t -> t^n on both numerator and denominator."""
+        """t -> t^n on both numerator and denominator.  The substitution is an
+        injective ring map, so the pair stays coprime."""
         if n <= 0:
             raise ValueError("power substitution needs a positive integer")
-        sub = lambda terms: {(pe, te * n): v for (pe, te), v in terms}
-        return self._like(sub(self._num), sub(self._den))
+        sp, st = self._scale
+        g = gcd(n, st)
+        m = n // g
+        sub = lambda terms: {(pe, te * m): v for (pe, te), v in terms}
+        return self._like((sp, st // g), sub(self._num), sub(self._den), reduced=True)
 
     def eval_t_as_p_power(self, r: Scalar) -> FracPoly:
         """Substitute t = p^r, collapsing to a univariate function of p.
@@ -794,29 +890,34 @@ class GenFun(_RatFuncBase):
         Exponents may be non-integers of p at this stage.
         """
         r = Fraction(r)
+        sp, st = self._scale
+        scale = lcm(sp, st * r.denominator)
+        fp = scale // sp
+        ft = scale // (st * r.denominator) * r.numerator
 
         def collapse(terms) -> Terms:
             out: Terms = {}
             for (pe, te), c in terms:
-                key = (pe + te * r,)
+                key = (pe * fp + te * ft,)
                 s = out.get(key, 0) + c
                 if s:
                     out[key] = s
                 else:
-                    out.pop(key, None)
+                    del out[key]
             return out
 
         num = collapse(self._num)
         den = collapse(self._den)
         if not den:
             raise ZeroDivisionError("denominator collapsed to zero under substitution")
-        return FracPoly._make(("p",), num, den)
+        return FracPoly._make(("p",), (scale,), num, den)
 
     def min_t_exponent(self) -> Fraction:
         """Order of vanishing in t at t = 0."""
         if self.is_zero:
             raise ValueError("zero has no minimal exponent")
-        return min(k[1] for k, _ in self._num) - min(k[1] for k, _ in self._den)
+        low = lambda terms: min(k[1] for k, _ in terms)
+        return Fraction(low(self._num) - low(self._den), self._scale[1])
 
     def series_coefficients(self, c_max: Scalar) -> Dict[Fraction, FracPoly]:
         """Power-series coefficients in t up to exponent c_max.
@@ -825,36 +926,33 @@ class GenFun(_RatFuncBase):
         function of p.  Requires the denominator to have a nonzero term at
         t-exponent zero.
         """
-        c_max = Fraction(c_max)
-        den_slices: Dict[Fraction, Terms] = {}
+        sp, st = self._scale
+        k_max = Fraction(c_max) * st  # t-exponents run over k / st
+        den_slices: Dict[int, Terms] = {}
         for (pe, te), c in self._den:
             den_slices.setdefault(te, {})[(pe,)] = c
-        if Fraction(0) not in den_slices:
+        if 0 not in den_slices:
             raise NoSeriesExpansionError("denominator vanishes at t = 0")
-        num_slices: Dict[Fraction, Terms] = {}
+        num_slices: Dict[int, Terms] = {}
         for (pe, te), c in self._num:
             num_slices.setdefault(te, {})[(pe,)] = c
-        grid = 1
-        for te in list(den_slices) + list(num_slices):
-            grid = lcm(grid, te.denominator)
-        one = {(Fraction(0),): Fraction(1)}
-        in_p = lambda terms: FracPoly._make(("p",), terms, one)
-        d0 = in_p(den_slices[Fraction(0)])
+        one = {(0,): 1}
+        in_p = lambda terms: FracPoly._make(("p",), (sp,), terms, one, reduced=True)
+        d0 = in_p(den_slices[0])
         higher = sorted((te, in_p(s)) for te, s in den_slices.items() if te != 0)
         out: Dict[Fraction, FracPoly] = {}
-        coeffs: Dict[Fraction, FracPoly] = {}
+        coeffs: Dict[int, FracPoly] = {}
         k = 0
-        while Fraction(k, grid) <= c_max:
-            c = Fraction(k, grid)
-            acc = in_p(num_slices.get(c, {}))
+        while k <= k_max:
+            acc = in_p(num_slices.get(k, {}))
             for te, slice_poly in higher:
-                prev = coeffs.get(c - te)
+                prev = coeffs.get(k - te)
                 if prev is not None:
                     acc = acc - slice_poly * prev
             s = acc / d0
             if not s.is_zero:
-                coeffs[c] = s
-                out[c] = s
+                coeffs[k] = s
+                out[Fraction(k, st)] = s
             k += 1
         return out
 
@@ -873,17 +971,21 @@ def rewrite_in_q(f: FracPoly, f_base: int) -> FracPoly:
     nonnegative integer multiple of f_base; this operationalizes the
     rationality guarantee and raises NonIntegralExponentError otherwise.
     """
+    (s,) = f._scale
+    step = s * f_base
+
     def convert(terms) -> Terms:
         out: Terms = {}
-        for (e,), c in terms:
-            if e.denominator != 1 or int(e) % f_base:
+        for (k,), c in terms:
+            if k % step:
                 raise NonIntegralExponentError(
-                    f"exponent {e} of {f.var} is not an integer multiple of {f_base}"
+                    f"exponent {Fraction(k, s)} of {f.var} is not an integer multiple of {f_base}"
                 )
-            out[(Fraction(int(e) // f_base),)] = c
+            out[(k // step,)] = c
         return out
 
-    return FracPoly._make(("q",), convert(f._num), convert(f._den))
+    # a renaming of the variable keeps the pair coprime
+    return FracPoly._make(("q",), (1,), convert(f._num), convert(f._den), reduced=True)
 
 
 def check_inversion_symmetry(f):
@@ -901,20 +1003,21 @@ def check_inversion_symmetry(f):
 # ---------------------------------------------------------------------------
 #
 # Each term is one row: the numerator and denominator of every exponent, in
-# variable order, then those of the coefficient.
+# variable order, then those of the coefficient, with the denominator's
+# lex-least coefficient scaled to 1.
 
 def to_json_obj(x) -> dict:
     if not isinstance(x, _RatFuncBase):
         raise TypeError(f"cannot serialize {type(x).__name__}")
     enc = lambda terms: [
-        [n for q in (*k, c) for n in (q.numerator, q.denominator)] for k, c in terms
+        [n for q in (*k, c) for n in (q.numerator, q.denominator)] for k, c in terms.items()
     ]
     head = {"var": x.var} if isinstance(x, FracPoly) else {"vars": list(x._vars)}
-    return {**head, "num": enc(x._num), "den": enc(x._den)}
+    return {**head, "num": enc(x.num_terms), "den": enc(x.den_terms)}
 
 
 def from_json_obj(obj: Mapping):
-    def dec(rows, nvars: int) -> Terms:
+    def dec(rows, nvars: int) -> dict:
         return {
             tuple(Fraction(r[2 * i], r[2 * i + 1]) for i in range(nvars)): Fraction(r[-2], r[-1])
             for r in rows

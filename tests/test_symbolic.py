@@ -363,3 +363,33 @@ def test_json_round_trip_fractional_exponents():
     s = dumps(g)
     assert loads(s) == g
     assert dumps(loads(s)) == s
+
+
+# -- value protocol ------------------------------------------------------------------
+
+_SHAPES = [
+    pytest.param(FracPoly({F(1, 2): F(3, 7), 0: -2}, {1: 1, 0: 1}), id="FracPoly"),
+    pytest.param((P - T**2) / (2 * P + GenFun.monomial(F(1, 2), F(3, 2))), id="GenFun"),
+]
+
+
+@pytest.mark.parametrize("value", _SHAPES)
+def test_pickle_and_copy_round_trip(value):
+    import copy
+    import pickle
+
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is type(value)
+        assert twin == value
+        assert hash(twin) == hash(value)
+        assert dumps(twin) == dumps(value)
+
+
+@pytest.mark.parametrize("make", [FracPoly, GenFun], ids=["FracPoly", "GenFun"])
+@pytest.mark.parametrize("c", [0, 2, -3, F(5, 7), F(-1, 2)], ids=str)
+def test_constant_hashes_like_its_scalar(make, c):
+    value = make(c)
+    assert value == c
+    assert hash(value) == hash(c) == hash(F(c))
+    assert {value: "v"}[c] == "v"
+    assert len({value, c}) == 1
