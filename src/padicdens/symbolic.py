@@ -658,11 +658,7 @@ class _RatFuncBase:
     def _coerce(self, other):
         """other as a value of this shape and these variables, or None."""
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            n = len(self._vars)
-            zero = (0,) * n
-            num = {zero: c.numerator} if c else {}
-            return self._like((1,) * n, num, {zero: c.denominator}, reduced=True)
+            return self._monomial(self._vars, (0,) * len(self._vars), other)
         if type(other) is type(self) and self._vars == other._vars:
             return other
         return None
