@@ -14,7 +14,7 @@ Exit codes:
   0  success
   2  bad input: parse error, invalid component or depth vector, negative
      --samples, --seed or --cmax, --degree-max below 1, unsupported oracle
-     base
+     base, an --emit path that cannot be written
   3  wild prime, or a -p that is not prime
   4  non-integral exponent
   5  verification failure, or the recursion guard tripped
@@ -143,10 +143,13 @@ def _emit(job: JobSpec, text: str) -> None:
     if not text.endswith("\n"):
         sys.stdout.write("\n")
     if job.emit:
-        with open(job.emit, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(job.emit, "w") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:
+            raise SigmaParseError(f"cannot write --emit {job.emit!r}: {exc.strerror}") from None
 
 
 def _render_csv(rows: List[List[str]]) -> str:
@@ -392,7 +395,7 @@ _OPTIONS = {
 def job_from_args(args: argparse.Namespace) -> JobSpec:
     job = JobSpec(command=args.command, fmt=args.fmt, emit=args.emit)
     base = _parse_pair(args.base, "base") if args.base else None
-    if getattr(args, "sigma", None):
+    if getattr(args, "sigma", None) is not None:
         sigma = parse_sigma(args.sigma)
         if base:
             sigma = SplittingType(sigma.components, *base)

@@ -21,6 +21,16 @@ Two values built along different arithmetic paths from the same rational
 function therefore compare equal with ``==``, and a constant value equals,
 and hashes like, its Fraction.
 
+The gcd behind the coprime pair is the heuristic gcd of Char, Geddes and
+Gonnet, on the same sparse int term maps: set the first variable to an
+integer xi, take the gcd of the images (recursively, down to an integer
+gcd), read a candidate off the balanced base-xi digits of its coefficients,
+and keep the candidate's primitive part once trial division shows that it
+divides both inputs; otherwise grow xi.  For xi > 2 min(|f|, |g|) + 2 a
+candidate that divides both inputs is their gcd, and every xi past finitely
+many unlucky ones yields it, so the result is exact and the loop ends.  The
+block comment above ``_z_gcd`` gives both proofs.
+
 The printed and serialized form is a bijective image of the stored one.  A
 positive scale per axis keeps the lexicographic term order, so dividing each
 exponent by its scale gives the exponents, in the same order, and the stored
@@ -49,7 +59,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add, floordiv, mul, sub
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
@@ -147,300 +157,115 @@ def _sparse_divexact(a: Terms, b: Terms) -> Terms | None:
 
 
 # ---------------------------------------------------------------------------
-# gcd over the integer exponent lattice
+# gcd over the integer exponent lattice: the heuristic gcd
 # ---------------------------------------------------------------------------
 #
-# Univariate polynomials over Z are dense coefficient lists (index = degree).
-# Bivariate polynomials are dicts {t_degree: dense p-coefficient list}.
-# The univariate gcd is a primitive pseudo-remainder sequence, which keeps
-# coefficient growth under control at the sizes this engine produces.  The
-# bivariate gcd removes the content in Z[p] and then interpolates in p: it
-# takes univariate gcds in t at integer points p = x and interpolates them,
-# and a trial division certifies the result.
+# _z_gcd is the heuristic gcd GCDHEU of Char, Geddes and Gonnet (J. Symbolic
+# Computation 7, 1989), on the sparse term maps used everywhere else.  Write
+# f, g in Z[x, y] for nonzero inputs, x the first variable and y the others
+# (possibly none), and |f| for the largest absolute coefficient of f.
+#
+#   * With no variable, the gcd is the integer gcd.
+#   * Otherwise divide f and g by their integer contents, let c be the gcd of
+#     the two contents, and start at xi = 2 min(|f|, |g|) + 3.
+#   * Evaluate x = xi.  If f(xi) and g(xi) are both nonzero, take their gcd
+#     gamma in Z[y] by recursion.  Lift it to the G in Z[x, y] whose
+#     x-coefficients are the balanced base-xi digits, in (-xi/2, xi/2], of
+#     gamma's coefficients, so that G(xi) = gamma.  Let P be the primitive
+#     part of G with a positive leading coefficient.
+#   * Return c P if P = 1 or if P divides both f and g (trial division).
+#     Otherwise grow xi and repeat.
+#
+# Correctness.  Let f, g be primitive, h = gcd(f, g), say |g| <= |f|, so that
+# xi >= 2|g| + 3, and suppose P divides f and g.  Then P divides h; write
+# h = P D.  Now h(xi) divides f(xi) and g(xi), hence also their gcd, which
+# the recursion computes exactly (by induction on the number of variables):
+# gamma = G(xi) = cont(G) P(xi).  So D(xi) divides cont(G): an integer,
+# nonzero, and at most xi/2 in absolute value because it divides a digit.  Cauchy's bound puts every complex root
+# of a nonzero integer polynomial u at absolute value at most 1 + |u|.  So
+# lc_y(g), the leading coefficient of g in y (lexicographic order), a
+# polynomial in x with |lc_y(g)| <= |g|, does not vanish at xi > 1 + |g|.
+# Since D divides g, lc_y(D) does not vanish at xi either, so D(xi) keeps
+# the leading y-monomial of D; D(xi) is constant, so D is y-free.  Then every
+# root a of D is a root of lc_y(g), so |xi - a| >= xi - 1 - |g| >= (xi + 1)/2,
+# and a D of positive degree would have |D(xi)| > xi/2 >= |cont(G)|.  So D is
+# an integer, D = +-1 because h is primitive, P = h, and by Gauss's lemma
+# c h is the gcd of the inputs.  P = 1 divides anything, so the shortcut for
+# a constant P is the same test.
+#
+# Termination.  Write f = h F and g = h H with F, H coprime.  Where f(xi)
+# and g(xi) are nonzero, gamma = +-h(xi) Delta with Delta = gcd(F(xi), H(xi)).  If F and H are both
+# x-free, Delta = 1.  Otherwise S = Res_x(F, H) in Z[y] is nonzero and
+# A F + B H = S for some A, B in Z[x, y], so Delta divides S at every xi.  An
+# irreducible factor r of S of positive y-degree divides F(xi) and H(xi) for
+# finitely many xi only: it does not divide both F and H, and if it does not
+# divide F, then F mod r is a nonzero polynomial in x over the domain
+# Z[y]/(r), with finitely many roots.  f(xi) or g(xi) vanishes for finitely
+# many xi as well.  Past all of these, Delta is an integer that divides the
+# content of S, a bound independent of xi.  Once xi > 2 cont(S) |h|, every
+# coefficient of Delta h lies in (-xi/2, xi/2), so by the uniqueness of the
+# digits G = +-Delta h, P = h, and the trial division succeeds.  xi grows
+# without bound, so the loop ends; it needs no iteration cap.
 
-def _u_trim(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _u_content(a: list) -> int:
-    c = 0
-    for x in a:
-        c = gcd(c, x)
-    return c
-
-
-def _u_primitive(a: list) -> list:
-    a = _u_trim(list(a))
-    if not a:
-        return a
-    c = _u_content(a)
-    if a[-1] < 0:
-        c = -c
-    if c != 1:
-        a = [x // c for x in a]
-    return a
-
-
-def _u_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _u_trim(out)
-
-
-def _u_scale(a: list, c: int) -> list:
-    if not c:
-        return []
-    return [x * c for x in a]
-
-
-def _u_prem(a: list, b: list) -> list:
-    """Pseudo-remainder of a by b over Z (b nonzero)."""
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while r and len(r) - 1 >= db:
-        lr = r[-1]
-        shift = len(r) - 1 - db
-        r = _u_scale(r, lb)
-        for i, y in enumerate(b):
-            r[shift + i] -= lr * y
-        r = _u_trim(r)
-    return r
+def _eval_first(f: Terms, xi: int) -> Terms:
+    """f at first variable = xi, a term map on the other variables."""
+    out: Terms = {}
+    get = out.get
+    for k, v in f.items():
+        rest = k[1:]
+        out[rest] = get(rest, 0) + v * xi ** k[0]
+    return {k: v for k, v in out.items() if v}
 
 
-def _u_gcd(a: list, b: list) -> list:
-    a = _u_primitive(a)
-    b = _u_primitive(b)
-    if not a:
-        return b
-    if not b:
-        return a
-    while b:
-        r = _u_prem(a, b)
-        a, b = b, _u_primitive(r)
-    return _u_primitive(a)
-
-
-def _u_divexact(a: list, b: list) -> list | None:
-    """Exact division over Z, or None when it does not divide."""
-    a = _u_trim(list(a))
-    if not a:
-        return []
-    if not b:
-        return None
-    out = [0] * (len(a) - len(b) + 1) if len(a) >= len(b) else None
-    if out is None:
-        return None
-    r = list(a)
-    lb = b[-1]
-    while r and len(r) >= len(b):
-        q, rem = divmod(r[-1], lb)
-        if rem:
-            return None
-        shift = len(r) - len(b)
-        out[shift] = q
-        for i, y in enumerate(b):
-            r[shift + i] -= q * y
-        r = _u_trim(r)
-    if r:
-        return None
+def _lift(image: Terms, xi: int) -> Terms:
+    """The polynomial whose first-variable coefficients are the balanced
+    base-xi digits, in (-xi/2, xi/2], of the coefficients of image."""
+    half = xi // 2
+    out: Terms = {}
+    for k, v in image.items():
+        i = 0
+        while v:
+            d = v % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[(i, *k)] = d
+            v = (v - d) // xi
+            i += 1
     return out
 
 
-BiPoly = Dict[int, list]  # t-degree -> dense p-coefficient list over Z
-
-
-def _b_trim(a: BiPoly) -> BiPoly:
-    return {j: c for j, c in a.items() if c}
-
-
-def _b_content(a: BiPoly) -> list:
-    c: list = []
-    for coeff in sorted(a.values(), key=len):  # the shortest settle it soonest
-        c = _u_gcd(c, coeff)
-        if c == [1]:
-            break
-    return c
-
-
-def _b_div_content(a: BiPoly, c: list) -> BiPoly:
-    if c == [1]:
-        return a
-    out: BiPoly = {}
-    for j, coeff in a.items():
-        q = _u_divexact(coeff, c)
-        assert q is not None
-        out[j] = q
-    return out
-
-
-def _u_eval_int(a: list, x: int) -> int:
-    out = 0
-    for c in reversed(a):
-        out = out * x + c
-    return out
-
-
-def _b_specialize(f: BiPoly, x: int) -> list:
-    out = [0] * (max(f) + 1)
-    for j, c in f.items():
-        out[j] = _u_eval_int(c, x)
-    return _u_trim(out)
-
-
-def _b_divides(g: BiPoly, f: BiPoly) -> bool:
-    """Whether the primitive g divides f in Q[p, t]."""
-    def sparse(h: BiPoly) -> Terms:
-        return {(i, j): c for j, coeff in h.items() for i, c in enumerate(coeff) if c}
-
-    return _sparse_divexact(sparse(f), sparse(g)) is not None
-
-
-def _b_interpolate(xs: list, values: list, f: BiPoly, g: BiPoly) -> BiPoly | None:
-    """The primitive part over Z of the polynomial whose t-coefficients take
-    the values values[k] at p = xs[k] (Newton interpolation, exact over Q),
-    when it divides both f and g; None otherwise."""
-    n = len(xs)
-    coeffs: Dict[int, list] = {}
-    for j in range(len(values[0])):
-        c = [v[j] for v in values]  # divided differences, computed in place
-        for k in range(1, n):
-            for i in range(n - 1, k - 1, -1):
-                c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - k])
-        poly = [c[-1]]  # Horner on the Newton form: poly * (p - xs[k]) + c[k]
-        for k in range(n - 2, -1, -1):
-            nxt = [Fraction(0)] + poly
-            for i, v in enumerate(poly):
-                nxt[i] -= xs[k] * v
-            nxt[0] += c[k]
-            poly = nxt
-        coeffs[j] = poly
-    denom = 1
-    for c in coeffs.values():
-        for v in c:
-            denom = lcm(denom, v.denominator)
-    cand = _b_trim({j: _u_trim([int(v * denom) for v in c]) for j, c in coeffs.items()})
-    cand = _b_div_content(cand, _b_content(cand))
-    content = gcd(*(v for c in cand.values() for v in c))
-    if content != 1:
-        cand = {j: [v // content for v in c] for j, c in cand.items()}
-    if _b_divides(cand, f) and _b_divides(cand, g):
-        return cand
-    return None
-
-
-def _b_gcd_by_interpolation(f: BiPoly, g: BiPoly) -> BiPoly:
-    """gcd of two polynomials with no content in Z[p], by evaluation at
-    integer points p = x and interpolation.
-
-    Let h be the gcd and gamma = gcd(lc_t f, lc_t g); lc_t h divides gamma.
-    At a point x where both leading coefficients survive, the univariate gcd
-    u_x of f(x, t) and g(x, t) has t-degree at least deg_t h, and x is lucky
-    when the degrees are equal.  Then u_x, scaled to the leading coefficient
-    gamma(x), is the value at x of H = (gamma / lc_t h) * h, whose p-degree is
-    at most min(deg_p f, deg_p g) + deg gamma.  The loop keeps the points of
-    the lowest t-degree seen so far; once it has enough of them to determine
-    H, it interpolates and returns the primitive part if that divides both f
-    and g.  A candidate that fails the trial division came from unlucky
-    points only (once the lowest degree is deg_t h every kept point is
-    lucky), so the points are dropped and sampling goes on.  A degree-0
-    u_x proves f and g coprime at once.
-
-    Termination: a point is skipped or unlucky only if it is a root of
-    lc_t f, of lc_t g or of Res_t(f/h, g/h), which is a nonzero polynomial in
-    p because f/h and g/h are coprime.  So only finitely many integers are
-    skipped or unlucky.  Past the last of them every point is lucky, and the
-    next batch of points gives H, which passes the trial division.
-    """
-    lf = f[max(f)]
-    lg = g[max(g)]
-    gamma = _u_gcd(lf, lg)
-    dpf = max(len(c) for c in f.values()) - 1
-    dpg = max(len(c) for c in g.values()) - 1
-    n_points = min(dpf, dpg) + len(gamma)  # exceeds deg_p H
-    xs: list = []
-    values: list = []
-    deg_min = None
-    x = -1
+def _z_gcd(f: Terms, g: Terms) -> Terms:
+    """gcd, content included, of two nonzero int term maps with nonnegative
+    exponents; the heuristic gcd of the block comment above."""
+    if not next(iter(f)):  # no variables left
+        return {(): gcd(f[()], g[()])}
+    cf = gcd(*f.values())
+    cg = gcd(*g.values())
+    f = {k: v // cf for k, v in f.items()}
+    g = {k: v // cg for k, v in g.items()}
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 3
     while True:
-        x = -x if x > 0 else 1 - x  # 2, -2, 3, -3, ...
-        if _u_eval_int(lf, x) == 0 or _u_eval_int(lg, x) == 0:
-            continue
-        ux = _u_gcd(_b_specialize(f, x), _b_specialize(g, x))
-        dx = len(ux) - 1
-        if dx == 0:
-            return {0: [1]}
-        if deg_min is None or dx < deg_min:
-            deg_min, xs, values = dx, [], []
-        elif dx > deg_min:
-            continue
-        scale = Fraction(_u_eval_int(gamma, x), ux[-1])
-        xs.append(x)
-        values.append([c * scale for c in ux])
-        if len(xs) == n_points:
-            cand = _b_interpolate(xs, values, f, g)
-            if cand is not None:
-                return cand
-            xs, values = [], []
-
-
-def _b_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
-    cont_a = _b_content(a)
-    cont_b = _b_content(b)
-    cont = _u_gcd(cont_a, cont_b)
-    pp = _b_gcd_by_interpolation(_b_div_content(a, cont_a), _b_div_content(b, cont_b))
-    if cont != [1]:
-        pp = {j: _u_mul(c, cont) for j, c in pp.items()}
-    return pp
-
-
-def _lattice_gcd(a: Dict[tuple, int], b: Dict[tuple, int], nvars: int) -> Dict[tuple, int] | None:
-    """Primitive gcd of two integer-coefficient polynomials on the nonneg
-    integer lattice.
-
-    Returns None when the gcd is a constant (nothing to cancel).
-    """
-    if nvars == 1:
-        da = max(k[0] for k in a)
-        db = max(k[0] for k in b)
-        la = [0] * (da + 1)
-        for k, v in a.items():
-            la[k[0]] = v
-        lb = [0] * (db + 1)
-        for k, v in b.items():
-            lb[k[0]] = v
-        g = _u_gcd(la, lb)
-        if len(g) <= 1:
-            return None
-        return {(i,): c for i, c in enumerate(g) if c}
-    # two variables: p is axis 0 (the interpolation variable), t is axis 1
-    def to_bi(d: Dict[tuple, int]) -> BiPoly:
-        out: BiPoly = {}
-        for (i, j), v in d.items():
-            coeff = out.setdefault(j, [])
-            if len(coeff) <= i:
-                coeff.extend([0] * (i + 1 - len(coeff)))
-            coeff[i] = v
-        return {j: _u_trim(c) for j, c in out.items()}
-
-    g = _b_gcd(to_bi(a), to_bi(b))
-    out = {(i, j): c for j, coeff in g.items() for i, c in enumerate(coeff) if c}
-    if len(out) == 1 and (0, 0) in out:
-        return None
-    return out
+        fx = _eval_first(f, xi)
+        gx = _eval_first(g, xi)
+        if fx and gx:
+            cand = _lift(_z_gcd(fx, gx), xi)
+            content = gcd(*cand.values())
+            if cand[max(cand)] < 0:
+                content = -content
+            cand = {k: v // content for k, v in cand.items()}
+            if (len(cand) == 1 and not any(next(iter(cand)))) or (
+                _sparse_divexact(f, cand) is not None and _sparse_divexact(g, cand) is not None
+            ):
+                return _t_scale(cand, gcd(cf, cg))
+        # sympy's growth, about 2.73 xi^(5/4): on the d <= 6 catalogs no call
+        # needs more than five values of xi, where doubling needed up to 21
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
 
 
 def _terms_gcd(a: Terms, b: Terms) -> Terms | None:
     """Primitive polynomial gcd of two int term maps with nonnegative
-    exponents; None when no non-monomial common factor exists."""
+    exponents; None when the gcd is a constant."""
     if len(a) == 1 or len(b) == 1:
         return None
     # the coarsest lattice holding both: divide each axis by the gcd of its
@@ -450,10 +275,12 @@ def _terms_gcd(a: Terms, b: Terms) -> Terms | None:
     if coarse:
         down = lambda t: {tuple(map(floordiv, k, steps)): v for k, v in t.items()}
         a, b = down(a), down(b)
-    g = _lattice_gcd(a, b, len(steps))
-    if g is not None and coarse:
-        g = _t_stretch(g, steps)
-    return g
+    g = _z_gcd(a, b)
+    if len(g) == 1 and not any(next(iter(g))):
+        return None
+    content = gcd(*g.values())
+    g = {k: v // content for k, v in g.items()}
+    return _t_stretch(g, steps) if coarse else g
 
 
 def _reduce_fraction(num: Terms, den: Terms) -> Tuple[Terms, Terms]:

@@ -1,10 +1,13 @@
 """Command-line surface: parsing, report formats, determinism, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from padicdens import engine
 from padicdens.cli import (
@@ -216,6 +219,15 @@ ORACLE_11 = ["oracle", "--sigma", "e1f1,e1f1", "-p", "5"]
             ["oracle", "--sigma", "e2f2@e1f2", "-p", "5"], None, EXIT_PARSE, id="oracle-base"
         ),
         pytest.param(["compute", "--sigma", "e1f2", "-p", "-1"], None, EXIT_WILD, id="p-not-prime"),
+        pytest.param(["compute", "--sigma", ""], None, EXIT_PARSE, id="sigma-empty"),
+        pytest.param(["oracle", "--sigma", "", "-p", "5"], None, EXIT_PARSE, id="oracle-sigma-empty"),
+        pytest.param(
+            ["table", "--degree-max", "1", "--emit", "{tmp}/missing/report.txt"], None, EXIT_PARSE,
+            id="emit-missing-dir",
+        ),
+        pytest.param(
+            ["table", "--degree-max", "1", "--emit", "{tmp}"], None, EXIT_PARSE, id="emit-directory"
+        ),
         pytest.param(
             ["compute", "--sigma", "e1f2"],
             ("splitting_density", VerificationError("forced mismatch")), EXIT_VERIFY,
@@ -228,10 +240,75 @@ ORACLE_11 = ["oracle", "--sigma", "e1f1,e1f1", "-p", "5"]
         ),
     ],
 )
-def test_failures_exit_with_documented_code(argv, patch, code, monkeypatch, capsys):
+def test_failures_exit_with_documented_code(argv, patch, code, monkeypatch, capsys, tmp_path):
     if patch is not None:
         monkeypatch.setattr(engine, patch[0], _raising(patch[1]))
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert main(argv) == code
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+# malformed and empty items sit next to good ones; "" comes first, so it is
+# among the first values tried
+_ITEMS = ["", "e1f1", "e2f1", "e1f2", "e0f1", "e1f0", "ef", "x"]
+_PAIRS = st.lists(st.sampled_from(_ITEMS), min_size=1, max_size=2).map(",".join)
+_VALUES = {
+    "--sigma": _PAIRS | st.tuples(_PAIRS, st.sampled_from(_ITEMS)).map("@".join),
+    "--base": st.sampled_from(_ITEMS),
+    "--bases": _PAIRS,
+    "-p": st.integers(-1, 5),
+    "--cmax": st.integers(-1, 2),
+    "--degree-max": st.integers(-1, 3),
+    "--samples": st.integers(-1, 200),
+    "--seed": st.integers(-1, 5),
+    "--depths": st.sampled_from(["", "0", "1", "0,0", "1,0", "0,-1", "x"]),
+    "--format": st.sampled_from(["text", "json", "csv"]),
+    # relative to a temporary directory: a file, a file in a missing
+    # directory, and the directory itself
+    "--emit": st.sampled_from(["report.txt", "missing/report.txt", "."]),
+    "--bivariate": st.none(),
+}
+_COMMANDS = {
+    "compute": ["--sigma", "--base", "-p", "--format", "--emit", "--bivariate"],
+    "table": ["--base", "--degree-max", "--format", "--emit"],
+    "verify": ["--base", "--degree-max", "--bases", "--format", "--emit"],
+    "oracle": [
+        "--sigma", "--base", "-p", "--cmax", "--samples", "--seed", "--depths", "--format",
+        "--emit",
+    ],
+    "conjecture": ["--base", "--degree-max", "--bases", "--format", "--emit"],
+    "frobnicate": ["--sigma", "--degree-max"],
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command]
+    for option in draw(st.lists(st.sampled_from(_COMMANDS[command]), unique=True)):
+        value = draw(_VALUES[option])
+        argv += [option] if value is None else [option, str(value)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def emit_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("emit")
+
+
+@given(argv=_argv())
+def test_any_argv_exits_with_documented_code(argv, emit_dir):
+    argv = [
+        str(emit_dir / arg) if prev == "--emit" else arg for prev, arg in zip([None, *argv], argv)
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the command line
+            code = exc.code
+    # an exception that escapes main fails the test by itself
+    assert code in {0, 2, 3, 4, 5, 6}
+    assert "Traceback" not in err.getvalue()

@@ -2,8 +2,8 @@
 
 tests/data/golden_d5.txt (d <= 5) and golden_d6.txt (d = 6) hold one line
 per (base, sigma, kind) with the sha256 of ``symbolic.dumps(value)``; they
-are written by scripts/golden.py.  Tier 1 checks d <= 4 on the three bases
-and d = 5 on e1f1; the rest is marked slow (``pytest -m slow``).
+are written by scripts/golden.py.  Tier 1 checks d <= 5 on the three bases;
+d = 6 is marked slow (``pytest -m slow``).
 """
 
 import pathlib
@@ -29,8 +29,7 @@ SNAPSHOT = _snapshot()
 
 
 def _group(base, degree):
-    slow = degree == 6 or (degree == 5 and base != "e1f1")
-    marks = [pytest.mark.slow] if slow else []
+    marks = [pytest.mark.slow] if degree == 6 else []
     return pytest.param(base, degree, marks=marks, id=f"{base}-d{degree}")
 
 

@@ -11,6 +11,7 @@ from padicdens.errors import NonIntegralExponentError, NoSeriesExpansionError
 from padicdens.symbolic import (
     FracPoly,
     GenFun,
+    _terms_gcd,
     check_inversion_symmetry,
     dumps,
     loads,
@@ -348,10 +349,45 @@ def _product(factors):
         ),
         pytest.param(P + 1, P**2 - 3, P**2 + 2, id="t-free"),
         pytest.param(T + 2, T**2 + 1, T**3 - 2 * T + 5, id="p-free"),
+        # both cofactors are even at every integer p, so every image gcd
+        # carries a spurious factor 2
+        pytest.param(P**2 + P, P**2 + P + 2, T + P, id="fixed-divisor"),
+        pytest.param(6 * (P + T), 4 * (P - T), P * T + 1, id="shared-content"),
+        # the first xi is 9, where (P + 2)(P + 1) and (2P - 7)(P + 1) both
+        # take the value 110, so the first candidate is (P + 2)(P + 1) itself
+        # and fails the trial division by (2P - 7)(P + 1)
+        pytest.param(P + 2, 2 * P - 7, P + 1, id="xi-grows"),
     ],
 )
 def test_common_factor_cancels(a, b, c):
     assert (a * c) / (b * c) == a / b
+
+
+_BIPOLYS = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.integers(-(10**6), 10**6).filter(bool),
+    min_size=1,
+    max_size=5,
+)
+
+
+@given(_BIPOLYS, _BIPOLYS, _BIPOLYS, st.booleans())
+def test_gcd_matches_sympy(a, b, c, fixed_divisor):
+    sympy = pytest.importorskip("sympy")
+    p, t = sympy.symbols("p t")
+    poly = lambda terms: sympy.Poly.from_dict(terms, p, t)
+    a, b, c = poly(a), poly(b), poly(c)
+    if fixed_divisor:
+        a, b = a * poly({(2, 0): 1, (1, 0): 1}), b * poly({(2, 0): 1, (1, 0): 1, (0, 0): 2})
+    f, g = a * c, b * c
+    terms = lambda h: {k: int(v) for k, v in h.as_dict().items()}
+    assume(len(terms(f)) > 1 and len(terms(g)) > 1)  # _terms_gcd skips monomials
+    got = _terms_gcd(terms(f), terms(g))
+    want = sympy.gcd(f, g).primitive()[1]
+    if got is None:
+        assert want.is_ground
+    else:
+        assert poly(got) in (want, -want)
 
 
 def test_json_round_trip_fractional_exponents():
