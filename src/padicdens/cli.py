@@ -14,7 +14,8 @@ Exit codes:
   0  success
   2  bad input: parse error, invalid component or depth vector, negative
      --samples, --seed or --cmax, --degree-max below 1, unsupported oracle
-     base, an --emit path that cannot be written
+     base, an --emit path that cannot be written, a standard output closed
+     before the report is written (e.g. piped into head)
   3  wild prime, or a -p that is not prime
   4  non-integral exponent
   5  verification failure, or the recursion guard tripped
@@ -30,6 +31,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -139,15 +141,20 @@ def _csv_rows(sigma: SplittingType) -> List[List[str]]:
 
 
 def _emit(job: JobSpec, text: str) -> None:
-    sys.stdout.write(text)
     if not text.endswith("\n"):
-        sys.stdout.write("\n")
+        text += "\n"
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at the null device so that the
+        # interpreter's final flush of the buffered rest stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SigmaParseError("cannot write the report: standard output was closed") from None
     if job.emit:
         try:
             with open(job.emit, "w") as fh:
                 fh.write(text)
-                if not text.endswith("\n"):
-                    fh.write("\n")
         except OSError as exc:
             raise SigmaParseError(f"cannot write --emit {job.emit!r}: {exc.strerror}") from None
 
@@ -394,7 +401,7 @@ _OPTIONS = {
 
 def job_from_args(args: argparse.Namespace) -> JobSpec:
     job = JobSpec(command=args.command, fmt=args.fmt, emit=args.emit)
-    base = _parse_pair(args.base, "base") if args.base else None
+    base = _parse_pair(args.base, "base") if args.base is not None else None
     if getattr(args, "sigma", None) is not None:
         sigma = parse_sigma(args.sigma)
         if base:

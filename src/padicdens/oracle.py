@@ -13,9 +13,12 @@ are exercised indirectly: the engine's recursion visits them through its
 sub-calls while the oracle pins down the top level for every small splitting
 type.
 
-Enumeration is embarrassingly parallel over coefficient patterns; the
-implementation vectorizes it with numpy in fixed chunk order, so reports are
-byte-stable for a fixed seed.
+The exact masses are counted slot by slot rather than pattern by pattern: a
+dynamic program over the common slots refines the partition of the
+conjugates into classes that agree so far (see exact_disc_masses), so the
+work grows with the digit tuples of one slot, not with their product.  The
+Monte Carlo sampler draws whole patterns and evaluates them with numpy; it
+is deterministic for a fixed seed, so its reports are byte-stable.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -260,18 +263,20 @@ def _slot_codes(dig, n, j, r, s, comp, p, M):
     return np.where(dig == 0, ZERO, code)
 
 
+def _conjugate_rows(per) -> list:
+    """One (component i, Frobenius power r, uniformizer twist s) per conjugate."""
+    return [(i, r, s) for i, comp in enumerate(per) for r in range(comp["f"]) for s in range(comp["e"])]
+
+
 def _valuations_for_digits(digit_arrays, jays, layout, p):
-    """Sum of ordered pairwise first-difference slots, in units of 1/E.
+    """Sum of ordered pairwise first-difference slots, in units of 1/E, for
+    whole sampled patterns.
 
     Returns (v_times_E int array, resolved bool array).
     """
     E, M, n_common, per = layout
     n = len(next(iter(digit_arrays.values())))
-    conj_rows = []
-    for i, comp in enumerate(per):
-        for r in range(comp["f"]):
-            for s in range(comp["e"]):
-                conj_rows.append((i, r, s))
+    conj_rows = _conjugate_rows(per)
     codes = np.full((n, len(conj_rows), n_common), ZERO, dtype=np.int64)
     for row, (i, r, s) in enumerate(conj_rows):
         comp = per[i]
@@ -292,62 +297,107 @@ def _valuations_for_digits(digit_arrays, jays, layout, p):
     return v, resolved
 
 
+def _equality_pattern(codes: Iterable[Hashable]) -> Tuple[int, ...]:
+    """Label each row by the order in which its code first appears (0, 1, ...)."""
+    first: Dict[Hashable, int] = {}
+    return tuple(first.setdefault(c, len(first)) for c in codes)
+
+
+def _slot_patterns(active, rows, jvec, per, p, M) -> Dict[Tuple[int, ...], int]:
+    """Equality patterns of the row codes at one common slot, each with the
+    number of digit tuples of the components (i, slot) active there that
+    give it."""
+    n = math.prod(per[i]["radix"] for i, _ in active)
+    idx = np.arange(n, dtype=np.int64)
+    codes = np.full((n, len(rows)), ZERO, dtype=np.int64)
+    stride = 1
+    for i, slot in active:
+        comp = per[i]
+        dig = (idx // stride) % comp["radix"]
+        stride *= comp["radix"]
+        for row, (k, r, s) in enumerate(rows):
+            if k == i:
+                codes[:, row] = _slot_codes(dig, slot, jvec[i], r, s, comp, p, M)
+    distinct, tallies = np.unique(codes, axis=0, return_counts=True)
+    patterns: Dict[Tuple[int, ...], int] = {}
+    for row_codes, tally in zip(distinct.tolist(), tallies.tolist()):
+        key = _equality_pattern(row_codes)
+        patterns[key] = patterns.get(key, 0) + tally
+    return patterns
+
+
 def exact_disc_masses(
     sigma: SplittingType,
     b: BVector,
     c_max: int,
     p: int,
     pattern_guard: int = 40_000_000,
-    chunk: int = 1 << 18,
 ) -> Dict[int, Fraction]:
     """Exact masses {c: measure of tuples with discriminant valuation c} for
-    all c <= c_max, by exhausting truncated coefficient patterns and averaging
-    over the isomorphism classes of each component.
+    all c <= c_max, over every truncated coefficient pattern, averaged over
+    the isomorphism classes of each component.
 
-    Base must be (1, 1); the prime must be tame for sigma.
+    The patterns are counted by a dynamic program over the common slots
+    mc = 0 .. n_common - 1 instead of one by one.  A state is a partition of
+    the conjugate rows into the classes that agree on every slot so far,
+    with the accumulated v = sum over split pairs of 2 * (their first
+    differing slot), carried with the number of patterns that reach it.  It
+    is exact: the row codes at slot mc depend only on the digits at mc, the
+    digits of different slots range independently, and a pair's first
+    differing slot is the slot at which its class splits.  So refining every
+    state by the equality pattern of each slot's digit tuples, and adding
+    2 * mc per pair split there, counts the same multiset of (v, resolved)
+    as enumerating every pattern.  A state whose v exceeds c_max * E is
+    dropped, since v never decreases; a state whose rows are all separated
+    at the end has valuation c = v / E.
+
+    Base must be (1, 1); the prime must be tame for sigma.  pattern_guard
+    bounds the digit tuples visited, summed over slots and classes.
     """
     if (sigma.e_base, sigma.f_base) != (1, 1):
         raise ValueError("the enumeration oracle works over the base (1,1) only")
     if len(b) != sigma.m or any(x < 0 for x in b):
         raise ValueError("bad depth vector")
     _require_tame_prime(p, [e for e, _ in sigma.components])
-    layout = _layout(sigma, b, c_max, p)
-    E, M, n_common, per = layout
+    E, M, n_common, per = _layout(sigma, b, c_max, p)
 
-    slots = [(i, slot) for i, comp in enumerate(per) for slot in range(comp["b"], comp["n_slots"])]
-    total_patterns = 1
-    for i, _ in slots:
-        total_patterns *= per[i]["radix"]
-    n_jvecs = 1
-    for comp in per:
-        n_jvecs *= comp["gcd_j"]
-    if total_patterns * n_jvecs > pattern_guard:
-        raise TooLargeError(
-            f"{total_patterns} patterns x {n_jvecs} classes exceeds the guard"
-        )
+    rows = _conjugate_rows(per)
+    by_slot: Dict[int, list] = {mc: [] for mc in range(n_common)}
+    for i, comp in enumerate(per):
+        for slot in range(comp["b"], comp["n_slots"]):
+            # _layout ends every component below the common depth, so no
+            # stored digit is left out of the row codes
+            by_slot[slot * comp["step"]].append((i, slot))
+    n_jvecs = math.prod(comp["gcd_j"] for comp in per)
+    tuples = sum(math.prod(per[i]["radix"] for i, _ in active) for active in by_slot.values())
+    if tuples * n_jvecs > pattern_guard:
+        raise TooLargeError(f"{tuples} digit tuples x {n_jvecs} classes exceeds the guard")
 
+    pairs = list(combinations(range(len(rows)), 2))
+    v_max = c_max * E
     counts: Dict[int, int] = {}
     for jvec in product(*(range(comp["gcd_j"]) for comp in per)):
-        lo = 0
-        while lo < total_patterns:
-            hi = min(lo + chunk, total_patterns)
-            idx = np.arange(lo, hi, dtype=np.int64)
-            digit_arrays = {}
-            stride = 1
-            for key in slots:
-                radix = per[key[0]]["radix"]
-                digit_arrays[key] = (idx // stride) % radix
-                stride *= radix
-            if not slots:
-                digit_arrays = {(-1, -1): np.zeros(len(idx), dtype=np.int64)}
-            v, resolved = _valuations_for_digits(digit_arrays, jvec, layout, p)
-            assert (v[resolved] % E == 0).all(), "resolved valuation not integral"
-            cs = v[resolved] // E
-            keep = cs <= c_max
-            vals, tallies = np.unique(cs[keep], return_counts=True)
-            for c, tally in zip(vals.tolist(), tallies.tolist()):
-                counts[c] = counts.get(c, 0) + tally
-            lo = hi
+        # partition labels -> {v: number of patterns}
+        states: Dict[Tuple[int, ...], Dict[int, int]] = {(0,) * len(rows): {0: 1}}
+        for mc, active in by_slot.items():
+            patterns = _slot_patterns(active, rows, jvec, per, p, M)
+            refined: Dict[Tuple[int, ...], Dict[int, int]] = {}
+            for labels, by_v in states.items():
+                for pattern, tally in patterns.items():
+                    new = _equality_pattern(zip(labels, pattern))
+                    split = sum(labels[a] == labels[c] and pattern[a] != pattern[c] for a, c in pairs)
+                    dv = 2 * mc * split
+                    target = refined.setdefault(new, {})
+                    for v, n in by_v.items():
+                        if v + dv <= v_max:
+                            target[v + dv] = target.get(v + dv, 0) + n * tally
+            states = {k: d for k, d in refined.items() if d}
+        for labels, by_v in states.items():
+            if len(set(labels)) < len(rows):
+                continue  # some pair agrees on every stored slot
+            for v, n in by_v.items():
+                assert v % E == 0, "resolved valuation not integral"
+                counts[v // E] = counts.get(v // E, 0) + n
 
     mass_exp = sum(comp["f"] * comp["n_slots"] for comp in per)
     unit = Fraction(1, p**mass_exp * n_jvecs)

@@ -8,7 +8,7 @@ Tolerances are pinned here and nowhere else:
   3. functional equation         exact, relative degree <= 4, three bases
   4. duality alpha/beta          exact, degree <= 3
   5. asymptotics                 |dev| <= 10/q at q = 10^4
-  6. oracle equivalence          exact on the d <= 3 grid; Monte Carlo 3 sigma
+  6. oracle equivalence          exact on the d <= 4 grid; Monte Carlo 3 sigma
   7. orbit-count identities      exact on the full grid
   8. rationality                 no non-integral exponent across the catalog
   9. minimal discriminant        exact valuation match on the degree <= 4
@@ -80,7 +80,7 @@ def test_criterion_5_asymptotics():
 
 def test_criterion_6_oracle_equivalence():
     ok = True
-    for sigma in catalog(3):
+    for sigma in catalog(4):
         for p in (3, 5):
             if not sigma.is_tame_at(p):
                 continue
@@ -95,7 +95,7 @@ def test_criterion_6_oracle_equivalence():
     s21 = SplittingType(((2, 1),))
     est = sampled_disc_masses(s21, (0,), 1, 5, 100_000, seed=2024)[1]
     ok &= abs(est.estimate - 4 / 5) <= 3 * est.stderr
-    _report("criterion 6 (oracle = engine on the d <= 3 grid; MC 3-sigma)", ok)
+    _report("criterion 6 (oracle = engine on the d <= 4 grid; MC 3-sigma)", ok)
 
 
 def test_criterion_7_orbit_counts():

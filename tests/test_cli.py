@@ -4,11 +4,15 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import padicdens
 from padicdens import engine
 from padicdens.cli import (
     EXIT_OK,
@@ -221,6 +225,7 @@ ORACLE_11 = ["oracle", "--sigma", "e1f1,e1f1", "-p", "5"]
         pytest.param(["compute", "--sigma", "e1f2", "-p", "-1"], None, EXIT_WILD, id="p-not-prime"),
         pytest.param(["compute", "--sigma", ""], None, EXIT_PARSE, id="sigma-empty"),
         pytest.param(["oracle", "--sigma", "", "-p", "5"], None, EXIT_PARSE, id="oracle-sigma-empty"),
+        pytest.param(["table", "--degree-max", "2", "--base", ""], None, EXIT_PARSE, id="base-empty"),
         pytest.param(
             ["table", "--degree-max", "1", "--emit", "{tmp}/missing/report.txt"], None, EXIT_PARSE,
             id="emit-missing-dir",
@@ -248,6 +253,23 @@ def test_failures_exit_with_documented_code(argv, patch, code, monkeypatch, caps
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_closed_stdout_exits_with_one_error_line():
+    """A reader that has gone (`padicdens table | head -1`) is an unwritable
+    report: exit 2, one error line, and a quiet interpreter shutdown."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(padicdens.__file__)))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "padicdens.cli", "table", "--degree-max", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_PARSE
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
 
 
 # malformed and empty items sit next to good ones; "" comes first, so it is

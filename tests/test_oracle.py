@@ -1,7 +1,9 @@
 """Oracle internals: conjugates, valuations, enumeration, orbit counting."""
 
 from fractions import Fraction as F
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +14,8 @@ from padicdens.oracle import (
     MassEstimate,
     TameFieldDesc,
     TeichExpansion,
+    _layout,
+    _valuations_for_digits,
     check_index_parity,
     conjugates,
     count_orbit_choices,
@@ -144,6 +148,40 @@ def test_exact_masses_depth_conditioning():
     masses = exact_disc_masses(s, (1,), 4, 3)
     assert masses == engine_masses_at(s, (1,), 4, 3)
     assert sum(masses.values()) <= F(1, 9)
+
+
+def _brute_force_masses(sigma, b, c_max, p):
+    """The masses by visiting every digit pattern and every class vector."""
+    layout = _layout(sigma, b, c_max, p)
+    E, _, _, per = layout
+    keys = [(i, slot) for i, comp in enumerate(per) for slot in range(comp["b"], comp["n_slots"])]
+    patterns = np.array(list(product(*(range(per[i]["radix"]) for i, _ in keys))), dtype=np.int64)
+    digit_arrays = {key: patterns[:, k] for k, key in enumerate(keys)}
+    jvecs = list(product(*(range(comp["gcd_j"]) for comp in per)))
+    counts = {}
+    for jvec in jvecs:
+        v, resolved = _valuations_for_digits(digit_arrays, jvec, layout, p)
+        for c in (v[resolved] // E).tolist():
+            counts[c] = counts.get(c, 0) + 1
+    unit = F(1, p ** sum(comp["f"] * comp["n_slots"] for comp in per) * len(jvecs))
+    return {c: counts[c] * unit for c in sorted(counts) if c <= c_max}
+
+
+@pytest.mark.parametrize(
+    "comps,b,p,c_max",
+    [
+        (((1, 1), (1, 1)), (0, 0), 3, 3),
+        (((2, 1),), (0,), 5, 3),
+        (((1, 2),), (1,), 3, 3),
+        (((2, 2),), (0,), 3, 2),      # two isomorphism classes
+        (((1, 1), (2, 1)), (1, 0), 3, 3),
+        (((1, 1), (1, 1), (1, 1)), (0, 0, 0), 3, 2),
+    ],
+)
+def test_exact_masses_match_brute_force(comps, b, p, c_max):
+    sigma = SplittingType(comps)
+    masses = exact_disc_masses(sigma, b, c_max, p)
+    assert masses and masses == _brute_force_masses(sigma, b, c_max, p)
 
 
 def test_exact_masses_guard():
