@@ -21,6 +21,18 @@ The engine is prime-symbolic: tameness cannot be checked symbolically, so the
 output is valid at every prime not dividing any relative ramification index;
 concrete primes are validated wherever one is supplied.
 
+Every value is computed once and kept in one memo, ``_CACHE`` behind
+``_cached``; ``clear_memo()`` empties it.  Its keys, where ``rkey`` is
+``(e_base, f_base, sorted (component, b_i) pairs)``:
+
+  rkey                              disc_gen_fun(sigma, b)
+  ("branch",) + rkey                branch_sum(sigma, b)
+  ("t_star",) + rkey                G(sigma, b) at t = p^(-e_base f_base / 2)
+  ("weight",) + plan signature      plan_weight, shared by every plan with
+                                    that splitting.plan_signature
+  (kind, sigma.key())               the densities, kind one of rho_q,
+                                    alpha_q, beta_q and rho_pt
+
 Concurrency: the memo table is shared; concurrent calls may duplicate a
 bounded amount of work on cache races but always produce value-identical
 results.  All returned values are immutable.
@@ -30,8 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import ceil, prod
+from itertools import product
+from math import ceil, comb, prod
 from typing import Dict, Iterator, Tuple
 
 from .errors import RecursionGuardError, VerificationError
@@ -44,6 +56,7 @@ from .splitting import (
     head_plan,
     is_prime,
     perm_factor,
+    plan_signature,
     plan_weight,
     slope_data,
 )
@@ -53,6 +66,7 @@ _CACHE: Dict[tuple, object] = {}
 
 
 def clear_memo() -> None:
+    """Forget every memoized value."""
     _CACHE.clear()
 
 
@@ -132,17 +146,24 @@ def _recurse(sigma: SplittingType, b: BVector, _depth: int, _limit: int | None) 
     d = sigma.degree
     f_base = sigma.f_base
     t_step = Fraction(d * (d - 1), sigma.e_base)
+    zero_b = (0,) * sigma.m
 
+    if b == zero_b:
+        # the head plan adds p^f_base * G(sigma, bump(0)), which the identity
+        # below turns into the chain up to e_rel plus a rescaled G(sigma, 0);
+        # solving for G(sigma, 0) closes the geometric tail
+        head = branch_sum(sigma, zero_b, _depth + 1, _limit)
+        tail = _chain_sum(sigma, bump_argmin(sigma, zero_b), tuple(e_rel), _depth, _limit)
+        closure_den = GenFun(1) - GenFun.monomial(p_exp=f_base * (1 - d), t_exp=t_step)
+        return (head + GenFun.monomial(p_exp=f_base) * tail) / closure_den
+
+    # G(sigma, b) = chain from b up to k_lim * e_rel + rescale * G(sigma, 0).
+    # At b = 0 it is trivial (k_lim = 0, empty chain, rescale 1), so only the
+    # branch above builds the closure, and g_zero = G(sigma, 0) is cached.
     k_lim = max(ceil(Fraction(bi, ei)) for bi, ei in zip(b, e_rel))
     target = tuple(k_lim * ei for ei in e_rel)
     chain_sum = _chain_sum(sigma, b, target, _depth, _limit)
-
-    zero_b = (0,) * sigma.m
-    head = branch_sum(sigma, zero_b, _depth + 1, _limit)
-    tail = _chain_sum(sigma, bump_argmin(sigma, zero_b), tuple(e_rel), _depth, _limit)
-    closure_den = GenFun(1) - GenFun.monomial(p_exp=f_base * (1 - d), t_exp=t_step)
-    g_zero = (head + GenFun.monomial(p_exp=f_base) * tail) / closure_den
-
+    g_zero = disc_gen_fun(sigma, zero_b, _depth + 1, _limit)
     rescale = GenFun.monomial(p_exp=-f_base * d * k_lim, t_exp=t_step * k_lim)
     return chain_sum + rescale * g_zero
 
@@ -168,21 +189,30 @@ def branch_sum(
     sigma: SplittingType, b: BVector, _depth: int = 0, _limit: int = 10**6
 ) -> GenFun:
     """One recursion step: the sum over non-head partition plans of
-    weight * t^(pair-separation exponent) * product of rescaled sub-values."""
-    m = sigma.m
+    weight * t^(pair-separation exponent) * product of rescaled sub-values.
+
+    Memoized like disc_gen_fun, on the same canonical key."""
+    return _cached(
+        ("branch",) + _recursion_key(sigma, b), lambda: _branch(sigma, b, _depth, _limit)
+    )
+
+
+def _branch(sigma: SplittingType, b: BVector, _depth: int, _limit: int) -> GenFun:
+    """The uncached value of branch_sum."""
     sd = slope_data(sigma, b)
     arg = set(sd.argmin)
     degs = sigma.rel_degrees
     d = sigma.degree
-    head = head_plan(m)
+    head = head_plan(sigma.m)
     terms = []
-    parent_degree = sigma.degree
     for plan in enumerate_plans(sigma, b):
         if plan == head:
             continue
-        weight = plan_weight(sigma, b, plan)
-        if weight.is_zero:
+        signature = plan_signature(sigma, b, plan)
+        if signature is None:
             continue
+        # the weight depends on the plan's signature only, so plans share it
+        weight = _cached(("weight",) + signature, lambda: plan_weight(sigma, b, plan))
         sep = d * (d - 1)
         for bl, n in zip(plan.blocks, plan.orbit_sizes):
             block_deg = sum(degs[i] for i in bl)
@@ -198,7 +228,7 @@ def branch_sum(
                 sigma.f_base * n // h,
             )
             sub_b = tuple(b[i] + (1 if i in arg else 0) for i in bl)
-            assert sub_sigma.degree < parent_degree, "branch must shrink the degree"
+            assert sub_sigma.degree < d, "branch must shrink the degree"
             sub = disc_gen_fun(sub_sigma, sub_b, _depth + 1, _limit)
             subs = subs * sub.substitute_t_power(n)
         terms.append(_p_to_genfun(weight) * GenFun.monomial(t_exp=t_exp) * subs)
@@ -222,28 +252,27 @@ def _tree_sum(items, zero):
     return items[0]
 
 
-def _subset_products(sigma: SplittingType):
-    """G(sigma_A, all-0) * G(sigma_Ac, all-1) for every subset A of components."""
-    m = sigma.m
-    for r in range(m + 1):
-        for picked in combinations(range(m), r):
-            rest = tuple(i for i in range(m) if i not in picked)
-            ga = (
-                disc_gen_fun(sigma.restrict(picked), (0,) * len(picked))
-                if picked
-                else GenFun(1)
-            )
-            gb = (
-                disc_gen_fun(sigma.restrict(rest), (1,) * len(rest))
-                if rest
-                else GenFun(1)
-            )
-            yield ga, gb
+def _subset_products(sigma: SplittingType, value):
+    """(n, value(sigma_A, all-0), value(sigma_Ac, all-1)) once per sub-multiset
+    A of the components, where n = prod C(mult_i, k_i) counts the subsets
+    that share A's multiset; the empty type's value is 1."""
+    by_comp: Dict[tuple, list] = {}
+    for i, comp in enumerate(sigma.components):
+        by_comp.setdefault(comp, []).append(i)
+    groups = list(by_comp.values())
+    for ks in product(*(range(len(g) + 1) for g in groups)):
+        picked = [i for g, k in zip(groups, ks) for i in g[:k]]
+        rest = [i for g, k in zip(groups, ks) for i in g[k:]]
+        va = value(sigma.restrict(picked), (0,) * len(picked)) if picked else 1
+        vb = value(sigma.restrict(rest), (1,) * len(rest)) if rest else 1
+        yield prod(comb(len(g), k) for g, k in zip(groups, ks)), va, vb
 
 
 def _subset_masses(sigma: SplittingType) -> GenFun:
     """Sum over subsets A of components of G(sigma_A, all-0) * G(sigma_Ac, all-1)."""
-    return _tree_sum((ga * gb for ga, gb in _subset_products(sigma)), GenFun(0))
+    return _tree_sum(
+        (n * ga * gb for n, ga, gb in _subset_products(sigma, disc_gen_fun)), GenFun(0)
+    )
 
 
 def _rel_disc_exponent(sigma: SplittingType) -> int:
@@ -272,9 +301,15 @@ def density_gen_fun(sigma: SplittingType) -> GenFun:
     return _cached(("rho_pt", sigma.key()), build)
 
 
-def _at_t_star(sigma: SplittingType, g: GenFun) -> FracPoly:
-    """g at t = p^(-e_base f_base / 2), where the univariate densities live."""
-    return g.eval_t_as_p_power(Fraction(-sigma.e_base * sigma.f_base, 2))
+def _at_t_star(sigma: SplittingType, b: BVector) -> FracPoly:
+    """G(sigma, b) at t = p^(-e_base f_base / 2), where the univariate
+    densities live; memoized on the recursion key."""
+    return _cached(
+        ("t_star",) + _recursion_key(sigma, b),
+        lambda: disc_gen_fun(sigma, b).eval_t_as_p_power(
+            Fraction(-sigma.e_base * sigma.f_base, 2)
+        ),
+    )
 
 
 def _univariate(kind: str, sigma: SplittingType, start, shift: int) -> FracPoly:
@@ -297,7 +332,7 @@ def splitting_density(sigma: SplittingType) -> FracPoly:
     """
     def start():
         masses = _tree_sum(
-            (_at_t_star(sigma, ga) * _at_t_star(sigma, gb) for ga, gb in _subset_products(sigma)),
+            (n * ga * gb for n, ga, gb in _subset_products(sigma, _at_t_star)),
             FracPoly(0, var="p"),
         )
         return _q_as_p(leading_coeff_weight(sigma.degree), sigma.f_base) * masses
@@ -308,7 +343,7 @@ def splitting_density(sigma: SplittingType) -> FracPoly:
 def monic_density(sigma: SplittingType) -> FracPoly:
     """Density among monic degree-d polynomials (all roots integral)."""
     return _univariate(
-        "alpha_q", sigma, lambda: _at_t_star(sigma, disc_gen_fun(sigma, (0,) * sigma.m)), 0
+        "alpha_q", sigma, lambda: _at_t_star(sigma, (0,) * sigma.m), 0
     )
 
 
@@ -318,7 +353,7 @@ def centered_monic_density(sigma: SplittingType) -> FracPoly:
     return _univariate(
         "beta_q",
         sigma,
-        lambda: _at_t_star(sigma, disc_gen_fun(sigma, (1,) * sigma.m)),
+        lambda: _at_t_star(sigma, (1,) * sigma.m),
         sigma.f_base * sigma.degree,
     )
 

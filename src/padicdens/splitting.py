@@ -274,12 +274,10 @@ def enumerate_plans(sigma: SplittingType, b: BVector) -> Tuple[PartitionPlan, ..
     return tuple(plans)
 
 
-def plan_weight(sigma: SplittingType, b: BVector, plan: PartitionPlan) -> FracPoly:
-    """Normalized count of leading-coefficient/uniformizer choices realizing
-    the plan's orbit structure, as a polynomial in p.
-
-    Returns the zero polynomial whenever any admissibility condition fails.
-    """
+def plan_signature(sigma: SplittingType, b: BVector, plan: PartitionPlan) -> tuple | None:
+    """Everything plan_weight depends on, or None when an admissibility
+    condition fails: (f_base, slope denominator, whether the argmin set is
+    proper, the sorted (orbit size, (blocks, components)) counts)."""
     m = sigma.m
     sd = slope_data(sigma, b)
     arg = set(sd.argmin)
@@ -289,46 +287,55 @@ def plan_weight(sigma: SplittingType, b: BVector, plan: PartitionPlan) -> FracPo
     if covered != list(range(m)) or len(plan.orbit_sizes) != len(plan.blocks):
         raise ValueError("plan does not partition the component indices")
 
-    zero = FracPoly(0, var="p")
     ones = [bi for bi, n in enumerate(plan.orbit_sizes) if n == 1]
     if sd.denom != 1 and len(ones) > 1:
-        return zero
+        return None
     outside = set(range(m)) - arg
     if outside:
         holding = [bi for bi, bl in enumerate(plan.blocks) if outside <= set(bl)]
         if not holding or plan.orbit_sizes[holding[0]] != 1:
-            return zero
+            return None
     for bl, n in zip(plan.blocks, plan.orbit_sizes):
         if n == 1:
             continue
         if n % sd.denom:
-            return zero
+            return None
         if not set(bl) <= arg:
-            return zero
+            return None
         if any(f_rel[i] % (n // sd.denom) for i in bl):
-            return zero
+            return None
 
     by_size: dict = {}
     for bl, n in zip(plan.blocks, plan.orbit_sizes):
         cnt, comps = by_size.get(n, (0, 0))
         by_size[n] = (cnt + 1, comps + len(bl))
+    return (sigma.f_base, sd.denom, bool(outside), tuple(sorted(by_size.items())))
 
+
+def plan_weight(sigma: SplittingType, b: BVector, plan: PartitionPlan) -> FracPoly:
+    """Normalized count of leading-coefficient/uniformizer choices realizing
+    the plan's orbit structure, as a polynomial in p.
+
+    Returns the zero polynomial whenever any admissibility condition fails.
+    """
+    signature = plan_signature(sigma, b, plan)
+    if signature is None:
+        return FracPoly(0, var="p")
+    f_base, denom, outside, by_size = signature
     weight = FracPoly(1, var="p")
-    for k, (n_blocks, n_comps) in sorted(by_size.items()):
+    for k, (n_blocks, n_comps) in by_size:
         if k == 1:
-            if sd.denom != 1:
+            if denom != 1:
                 continue
-            base_count = FracPoly.monomial(sigma.f_base, var="p")
+            base_count = FracPoly.monomial(f_base, var="p")
             if not outside:
                 weight = weight * falling_factorial(base_count, n_blocks)
             else:
                 weight = weight * falling_factorial(base_count - 1, n_blocks - 1)
         else:
-            kk = k // sd.denom
+            kk = k // denom
             weight = weight * Fraction(kk) ** n_comps
-            weight = weight * falling_factorial(
-                mobius_orbit_count(sigma.f_base, kk), n_blocks
-            )
+            weight = weight * falling_factorial(mobius_orbit_count(f_base, kk), n_blocks)
     return weight
 
 

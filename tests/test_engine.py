@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from padicdens import engine
 from padicdens.engine import (
     branch_sum,
     catalog,
@@ -22,7 +23,13 @@ from padicdens.engine import (
     splitting_density,
 )
 from padicdens.errors import RecursionGuardError
-from padicdens.splitting import SplittingType
+from padicdens.splitting import (
+    SplittingType,
+    enumerate_plans,
+    head_plan,
+    plan_signature,
+    plan_weight,
+)
 from padicdens.symbolic import FracPoly, GenFun, check_inversion_symmetry
 
 P = GenFun.monomial(p_exp=1)
@@ -167,6 +174,64 @@ def test_memoization_call_order_independent():
     disc_gen_fun(S11, (1,))
     top_second = splitting_density(SplittingType(((1, 1), (2, 1))))
     assert top_first == top_second
+
+
+@pytest.mark.parametrize("base", [(1, 1), (2, 1)], ids=["e1f1", "e2f1"])
+def test_branch_memo_key_is_permutation_invariant(base):
+    """branch_sum is memoized on the sorted (component, b) pairs, so its value
+    must not depend on the order of the components."""
+    for sigma in catalog(4, *base):
+        order = tuple(reversed(range(sigma.m)))
+        for b in itertools.product((0, 1), repeat=sigma.m):
+            clear_memo()
+            got = branch_sum(sigma, b)
+            clear_memo()
+            permuted = branch_sum(sigma.restrict(order), tuple(b[i] for i in order))
+            assert got == permuted, (sigma, b)
+    clear_memo()
+
+
+def test_multiset_splits_match_subset_sum():
+    """The assembly over sub-multisets equals the sum over all 2^m subsets."""
+    repeated = [s for s in catalog(5) if len(set(s.components)) < s.m]
+    assert repeated
+    for sigma in repeated:
+        total = GenFun(0)
+        for r in range(sigma.m + 1):
+            for picked in itertools.combinations(range(sigma.m), r):
+                rest = [i for i in range(sigma.m) if i not in picked]
+                ga = disc_gen_fun(sigma.restrict(picked), (0,) * r) if picked else 1
+                gb = disc_gen_fun(sigma.restrict(rest), (1,) * len(rest)) if rest else 1
+                total = total + ga * gb
+        assert engine._subset_masses(sigma) == total, sigma
+
+
+def test_cached_plan_weights_match_plan_weight():
+    """Every weight the recursion read from the cache by plan signature is
+    the plan_weight of each plan that read it."""
+    clear_memo()
+    for base in ((1, 1), (2, 1), (1, 2)):
+        for sigma in catalog(4, *base):
+            for b in itertools.product(range(3), repeat=sigma.m):
+                disc_gen_fun(sigma, b)
+    cached = dict(engine._CACHE)
+    clear_memo()
+    checked = set()
+    for key in cached:
+        if key[0] != "branch":
+            continue
+        e_base, f_base, parts = key[1:]
+        sigma = SplittingType(tuple(c for c, _ in parts), e_base, f_base)
+        b = tuple(bi for _, bi in parts)
+        for plan in enumerate_plans(sigma, b):
+            signature = plan_signature(sigma, b, plan)
+            if plan == head_plan(sigma.m) or signature is None:
+                continue
+            weight = cached[("weight",) + signature]
+            assert weight == plan_weight(sigma, b, plan), (sigma, b, plan)
+            checked.add(("weight",) + signature)
+    assert checked == {key for key in cached if key[0] == "weight"}
+    assert not engine._CACHE
 
 
 def test_concurrent_calls_agree():

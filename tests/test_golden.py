@@ -2,8 +2,8 @@
 
 tests/data/golden_d5.txt (d <= 5) and golden_d6.txt (d = 6) hold one line
 per (base, sigma, kind) with the sha256 of ``symbolic.dumps(value)``; they
-are written by scripts/golden.py.  Tier 1 checks d <= 5 on the three bases;
-d = 6 is marked slow (``pytest -m slow``).
+are written by scripts/golden.py.  Every (base, degree) group is a case of
+its own, so a failure names the values that differ.
 """
 
 import pathlib
@@ -28,12 +28,10 @@ def _snapshot():
 SNAPSHOT = _snapshot()
 
 
-def _group(base, degree):
-    marks = [pytest.mark.slow] if degree == 6 else []
-    return pytest.param(base, degree, marks=marks, id=f"{base}-d{degree}")
-
-
-@pytest.mark.parametrize("base, degree", [_group(b, d) for b in BASES for d in range(1, 7)])
+@pytest.mark.parametrize(
+    "base, degree",
+    [pytest.param(b, d, id=f"{b}-d{d}") for b in BASES for d in range(1, 7)],
+)
 def test_golden_values(base, degree):
     want = SNAPSHOT[base, degree]
     assert want, f"no snapshot lines for {base} d={degree}"
