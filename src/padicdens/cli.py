@@ -468,15 +468,10 @@ def run(job: JobSpec) -> int:
         return _fail(exc)
 
 
-_PARSER: Optional[argparse.ArgumentParser] = None
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    global _PARSER
-    if _PARSER is None:  # built on the first call, then reused
-        _PARSER = build_parser()
+    ap = build_parser()
     try:
-        args = _PARSER.parse_args(argv)
+        args = ap.parse_args(argv)
         job = job_from_args(args)
     except (SigmaParseError, DivisibilityError) as exc:
         return _fail(exc)

@@ -28,8 +28,8 @@ Every value is computed once and kept in one memo, ``_CACHE`` behind
   rkey                              disc_gen_fun(sigma, b)
   ("branch",) + rkey                branch_sum(sigma, b)
   ("t_star",) + rkey                G(sigma, b) at t = p^(-e_base f_base / 2)
-  ("weight",) + plan signature      plan_weight, shared by every plan with
-                                    that splitting.plan_signature
+  ("weight",) + plan signature      splitting.signature_weight, the weight
+                                    of every plan with that plan_signature
   (kind, sigma.key())               the densities, kind one of rho_q,
                                     alpha_q, beta_q and rho_pt
 
@@ -57,7 +57,7 @@ from .splitting import (
     is_prime,
     perm_factor,
     plan_signature,
-    plan_weight,
+    signature_weight,
     slope_data,
 )
 from .symbolic import FracPoly, GenFun, check_inversion_symmetry, rewrite_in_q
@@ -212,7 +212,7 @@ def _branch(sigma: SplittingType, b: BVector, _depth: int, _limit: int) -> GenFu
         if signature is None:
             continue
         # the weight depends on the plan's signature only, so plans share it
-        weight = _cached(("weight",) + signature, lambda: plan_weight(sigma, b, plan))
+        weight = _cached(("weight",) + signature, lambda: signature_weight(signature))
         sep = d * (d - 1)
         for bl, n in zip(plan.blocks, plan.orbit_sizes):
             block_deg = sum(degs[i] for i in bl)

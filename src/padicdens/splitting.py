@@ -321,6 +321,12 @@ def plan_weight(sigma: SplittingType, b: BVector, plan: PartitionPlan) -> FracPo
     signature = plan_signature(sigma, b, plan)
     if signature is None:
         return FracPoly(0, var="p")
+    return signature_weight(signature)
+
+
+def signature_weight(signature: tuple) -> FracPoly:
+    """The weight polynomial of every plan with this (admissible)
+    plan_signature."""
     f_base, denom, outside, by_size = signature
     weight = FracPoly(1, var="p")
     for k, (n_blocks, n_comps) in by_size:

@@ -26,9 +26,11 @@ from padicdens.errors import RecursionGuardError
 from padicdens.splitting import (
     SplittingType,
     enumerate_plans,
+    falling_factorial,
     head_plan,
+    mobius_orbit_count,
     plan_signature,
-    plan_weight,
+    slope_data,
 )
 from padicdens.symbolic import FracPoly, GenFun, check_inversion_symmetry
 
@@ -206,9 +208,32 @@ def test_multiset_splits_match_subset_sum():
         assert engine._subset_masses(sigma) == total, sigma
 
 
-def test_cached_plan_weights_match_plan_weight():
-    """Every weight the recursion read from the cache by plan signature is
-    the plan_weight of each plan that read it."""
+def _reference_weight(sigma, b, plan):
+    """The plan weight as a polynomial in p, written out from sigma, b and
+    the plan directly, without the plan signature."""
+    sd = slope_data(sigma, b)
+    outside = set(range(sigma.m)) - set(sd.argmin)
+    weight = FracPoly(1, var="p")
+    for k in sorted(set(plan.orbit_sizes)):
+        blocks = [bl for bl, n in zip(plan.blocks, plan.orbit_sizes) if n == k]
+        if k == 1:
+            if sd.denom != 1:
+                continue
+            count = FracPoly.monomial(sigma.f_base, var="p")
+            if outside:
+                weight = weight * falling_factorial(count - 1, len(blocks) - 1)
+            else:
+                weight = weight * falling_factorial(count, len(blocks))
+        else:
+            kk = k // sd.denom
+            weight = weight * F(kk) ** sum(len(bl) for bl in blocks)
+            weight = weight * falling_factorial(mobius_orbit_count(sigma.f_base, kk), len(blocks))
+    return weight
+
+
+def test_cached_plan_weights_match_reference():
+    """Every weight the recursion read from the cache by plan signature
+    equals the reference weight of each admissible plan that read it."""
     clear_memo()
     for base in ((1, 1), (2, 1), (1, 2)):
         for sigma in catalog(4, *base):
@@ -228,7 +253,7 @@ def test_cached_plan_weights_match_plan_weight():
             if plan == head_plan(sigma.m) or signature is None:
                 continue
             weight = cached[("weight",) + signature]
-            assert weight == plan_weight(sigma, b, plan), (sigma, b, plan)
+            assert weight == _reference_weight(sigma, b, plan), (sigma, b, plan)
             checked.add(("weight",) + signature)
     assert checked == {key for key in cached if key[0] == "weight"}
     assert not engine._CACHE
