@@ -19,7 +19,8 @@ Exit codes:
   3  wild prime, or a -p that is not prime
   4  non-integral exponent
   5  verification failure, or the recursion guard tripped
-  6  enumeration too large
+  6  enumeration too large, or --samples x conjugates x common slots above
+     the oracle's 40,000,000 bound
 
 Identical job specifications (including seeds) produce byte-identical
 reports; catalog entries are emitted in a canonical order.

@@ -16,25 +16,30 @@ type.
 The exact masses are counted slot by slot rather than pattern by pattern: a
 dynamic program over the common slots refines the partition of the
 conjugates into classes that agree so far (see exact_disc_masses), so the
-work grows with the digit tuples of one slot, not with their product.  The
-Monte Carlo sampler draws whole patterns and evaluates them with numpy; it
-is deterministic for a fixed seed, so its reports are byte-stable.
+work grows with the digit tuples of one slot, not with their product.  It
+runs on plain ints.  The Monte Carlo sampler draws whole patterns and
+evaluates them with numpy; it is deterministic for a fixed seed, so its
+reports are byte-stable.  numpy is imported inside the sampler and
+check_index_parity only, so the exact commands never load it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .errors import LengthMismatchError, TooLargeError, WildInputError
 from .splitting import BVector, SplittingType, is_prime, mobius_orbit_count
 
 ZERO = -1  # sentinel for a zero coefficient in exponent arrays
+
+# bound on one oracle call: the digit tuples the exact count visits, or the
+# code entries (samples x conjugates x common slots) the sampler holds
+GUARD = 40_000_000
 
 
 def _require_tame_prime(p: int, es: Sequence[int]) -> None:
@@ -127,6 +132,20 @@ class CommonExpansion:
     slots: Tuple[Optional[int], ...]
 
 
+def _common_code(a, n, j, r, s, p, e, f, M):
+    """Exponent, mod M, of the (r, s) conjugate of the slot-n coefficient
+    with local lattice exponent a (a multiple of e) in the (e, f, j) field.
+
+    Frobenius multiplies the exponent by p^r, pi_j^n = zeta^(nj) p^(n/e)
+    brings in n*j, and the s-th twist of the uniformizer root adds
+    n*s*(p^f - 1).  The arithmetic is plain, so a and j may be ints or
+    numpy arrays alike.
+    """
+    m_local = e * (p**f - 1)
+    code = ((a + n * j) * pow(p, r, m_local) + n * s * (p**f - 1)) % m_local
+    return code * (M // m_local) % M
+
+
 def _conjugate_common_slots(
     x: TeichExpansion, r: int, s: int, E: int, M: int, depth: int
 ) -> Tuple[Optional[int], ...]:
@@ -137,11 +156,7 @@ def _conjugate_common_slots(
     pi_j^n = zeta^(nj) p^(n/e).
     """
     fld = x.field
-    p, e, f, j = fld.p, fld.e, fld.f, fld.j
-    m_local = fld.lattice
-    scale = M // m_local
-    step = E // e
-    pr = pow(p, r, m_local)
+    step = E // fld.e
     out: list = [None] * depth
     for n, a in enumerate(x.slots):
         mc = n * step
@@ -149,8 +164,7 @@ def _conjugate_common_slots(
             break
         if a is None:
             continue
-        code = ((a + n * j) * pr + n * s * (p**f - 1)) % m_local
-        out[mc] = (code * scale) % M
+        out[mc] = _common_code(a, n, fld.j, r, s, fld.p, fld.e, fld.f, M)
     return tuple(out)
 
 
@@ -239,28 +253,11 @@ def _layout(sigma: SplittingType, b: BVector, c_max: int, p: int):
                 b=bi,
                 n_slots=n_slots,
                 radix=p**f,
-                scale=M // (e * (p**f - 1)),
                 step=E // e,
                 gcd_j=math.gcd(p**f - 1, e),
             )
         )
     return E, M, n_common, per
-
-
-def _slot_codes(dig, n, j, r, s, comp, p, M):
-    """Vectorized common-lattice exponent for one (slot, conjugate) choice;
-    (r, s) picks the conjugate.
-
-    dig is an integer array of Teichmuller digits (0 = zero coefficient,
-    v >= 1 encodes the root-of-unity exponent v - 1); j may be scalar or an
-    array aligned with dig.
-    """
-    e, f = comp["e"], comp["f"]
-    m_local = e * (p**f - 1)
-    pr = pow(p, r, m_local)
-    code = ((e * (dig - 1) + n * j) * pr + n * s * (p**f - 1)) % m_local
-    code = code * comp["scale"] % M
-    return np.where(dig == 0, ZERO, code)
 
 
 def _conjugate_rows(per) -> list:
@@ -274,6 +271,8 @@ def _valuations_for_digits(digit_arrays, jays, layout, p):
 
     Returns (v_times_E int array, resolved bool array).
     """
+    import numpy as np
+
     E, M, n_common, per = layout
     n = len(next(iter(digit_arrays.values())))
     conj_rows = _conjugate_rows(per)
@@ -285,7 +284,9 @@ def _valuations_for_digits(digit_arrays, jays, layout, p):
             if mc >= n_common:
                 continue
             dig = digit_arrays[(i, slot)]
-            codes[:, row, mc] = _slot_codes(dig, slot, jays[i], r, s, comp, p, M)
+            e, f = comp["e"], comp["f"]
+            code = _common_code(e * (dig - 1), slot, jays[i], r, s, p, e, f, M)
+            codes[:, row, mc] = np.where(dig == 0, ZERO, code)
     v = np.zeros(n, dtype=np.int64)
     resolved = np.ones(n, dtype=bool)
     for a, bb in combinations(range(len(conj_rows)), 2):
@@ -300,30 +301,39 @@ def _valuations_for_digits(digit_arrays, jays, layout, p):
 def _equality_pattern(codes: Iterable[Hashable]) -> Tuple[int, ...]:
     """Label each row by the order in which its code first appears (0, 1, ...)."""
     first: Dict[Hashable, int] = {}
-    return tuple(first.setdefault(c, len(first)) for c in codes)
+    return tuple([first.setdefault(c, len(first)) for c in codes])
 
 
-def _slot_patterns(active, rows, jvec, per, p, M) -> Dict[Tuple[int, ...], int]:
-    """Equality patterns of the row codes at one common slot, each with the
-    number of digit tuples of the components (i, slot) active there that
-    give it."""
-    n = math.prod(per[i]["radix"] for i, _ in active)
-    idx = np.arange(n, dtype=np.int64)
-    codes = np.full((n, len(rows)), ZERO, dtype=np.int64)
-    stride = 1
-    for i, slot in active:
-        comp = per[i]
-        dig = (idx // stride) % comp["radix"]
-        stride *= comp["radix"]
-        for row, (k, r, s) in enumerate(rows):
-            if k == i:
-                codes[:, row] = _slot_codes(dig, slot, jvec[i], r, s, comp, p, M)
-    distinct, tallies = np.unique(codes, axis=0, return_counts=True)
-    patterns: Dict[Tuple[int, ...], int] = {}
-    for row_codes, tally in zip(distinct.tolist(), tallies.tolist()):
-        key = _equality_pattern(row_codes)
-        patterns[key] = patterns.get(key, 0) + tally
-    return patterns
+def _slot_blocks(slot_of, jvec, per, p, M) -> tuple:
+    """Per component, the codes of its conjugate rows at one common slot:
+    one tuple per digit, ZERO for digit 0.
+
+    slot_of maps each component active at the slot to its local slot; an
+    inactive component has the one all-ZERO tuple.  The rows of a component
+    run r-major, s-minor as in _conjugate_rows, so the blocks concatenate in
+    row order.
+    """
+    blocks = []
+    for i, comp in enumerate(per):
+        e, f = comp["e"], comp["f"]
+        block = [(ZERO,) * (e * f)]
+        if i in slot_of:
+            n = slot_of[i]
+            block += [
+                tuple(_common_code(e * (d - 1), n, jvec[i], r, s, p, e, f, M)
+                      for r in range(f) for s in range(e))
+                for d in range(1, comp["radix"])
+            ]
+        blocks.append(tuple(block))
+    return tuple(blocks)
+
+
+def _slot_patterns(blocks) -> Counter:
+    """Equality patterns of the row codes at one slot, each with the number
+    of digit tuples that give it.  Within a block the tuples differ (p^r is
+    a unit modulo e*(p^f - 1)), so every digit tuple gives its own code
+    tuple, and its pattern is tallied directly."""
+    return Counter(_equality_pattern(chain.from_iterable(codes)) for codes in product(*blocks))
 
 
 def exact_disc_masses(
@@ -331,7 +341,7 @@ def exact_disc_masses(
     b: BVector,
     c_max: int,
     p: int,
-    pattern_guard: int = 40_000_000,
+    pattern_guard: int = GUARD,
 ) -> Dict[int, Fraction]:
     """Exact masses {c: measure of tuples with discriminant valuation c} for
     all c <= c_max, over every truncated coefficient pattern, averaged over
@@ -349,7 +359,8 @@ def exact_disc_masses(
     2 * mc per pair split there, counts the same multiset of (v, resolved)
     as enumerating every pattern.  A state whose v exceeds c_max * E is
     dropped, since v never decreases; a state whose rows are all separated
-    at the end has valuation c = v / E.
+    at the end has valuation c = v / E.  Slots and classes with the same
+    code blocks (see _slot_blocks) share one tally of equality patterns.
 
     Base must be (1, 1); the prime must be tame for sigma.  pattern_guard
     bounds the digit tuples visited, summed over slots and classes.
@@ -362,25 +373,30 @@ def exact_disc_masses(
     E, M, n_common, per = _layout(sigma, b, c_max, p)
 
     rows = _conjugate_rows(per)
-    by_slot: Dict[int, list] = {mc: [] for mc in range(n_common)}
+    # common slot -> {component active there: its local slot}
+    by_slot: Dict[int, Dict[int, int]] = {mc: {} for mc in range(n_common)}
     for i, comp in enumerate(per):
         for slot in range(comp["b"], comp["n_slots"]):
             # _layout ends every component below the common depth, so no
             # stored digit is left out of the row codes
-            by_slot[slot * comp["step"]].append((i, slot))
+            by_slot[slot * comp["step"]][i] = slot
     n_jvecs = math.prod(comp["gcd_j"] for comp in per)
-    tuples = sum(math.prod(per[i]["radix"] for i, _ in active) for active in by_slot.values())
+    tuples = sum(math.prod(per[i]["radix"] for i in active) for active in by_slot.values())
     if tuples * n_jvecs > pattern_guard:
         raise TooLargeError(f"{tuples} digit tuples x {n_jvecs} classes exceeds the guard")
 
     pairs = list(combinations(range(len(rows)), 2))
     v_max = c_max * E
     counts: Dict[int, int] = {}
+    tallies: Dict[tuple, Counter] = {}  # blocks -> patterns, shared by slots and classes
     for jvec in product(*(range(comp["gcd_j"]) for comp in per)):
         # partition labels -> {v: number of patterns}
         states: Dict[Tuple[int, ...], Dict[int, int]] = {(0,) * len(rows): {0: 1}}
         for mc, active in by_slot.items():
-            patterns = _slot_patterns(active, rows, jvec, per, p, M)
+            blocks = _slot_blocks(active, jvec, per, p, M)
+            if blocks not in tallies:
+                tallies[blocks] = _slot_patterns(blocks)
+            patterns = tallies[blocks]
             refined: Dict[Tuple[int, ...], Dict[int, int]] = {}
             for labels, by_v in states.items():
                 for pattern, tally in patterns.items():
@@ -421,13 +437,21 @@ def sampled_disc_masses(
     """Monte Carlo version of :func:`exact_disc_masses`.
 
     Unbiased estimates of the same unconditional masses, with standard
-    errors; deterministic for a fixed seed.
+    errors; deterministic for a fixed seed.  Raises TooLargeError, before
+    any draw, when samples x conjugates x common slots exceeds GUARD.
     """
     if (sigma.e_base, sigma.f_base) != (1, 1):
         raise ValueError("the sampling oracle works over the base (1,1) only")
     _require_tame_prime(p, [e for e, _ in sigma.components])
     layout = _layout(sigma, b, c_max, p)
     E, M, n_common, per = layout
+    n_rows = len(_conjugate_rows(per))
+    if samples * n_rows * n_common > GUARD:
+        raise TooLargeError(
+            f"{samples} samples x {n_rows} conjugates x {n_common} slots exceeds the guard"
+        )
+    import numpy as np
+
     rng = np.random.default_rng(seed)
 
     digit_arrays = {}
@@ -509,6 +533,8 @@ def check_index_parity(
     valuation exceeds the field discriminant (e-1)f by a nonnegative even
     integer.  Degenerate samples (not generating, or unresolved at the stored
     depth) are discarded and counted."""
+    import numpy as np
+
     e, f, p = field.e, field.f, field.p
     depth = depth if depth is not None else 4 * e * f + 4
     rng = np.random.default_rng(seed)

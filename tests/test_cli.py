@@ -17,6 +17,7 @@ from padicdens import engine
 from padicdens.cli import (
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_TOO_LARGE,
     EXIT_VERIFY,
     EXIT_WILD,
     JobSpec,
@@ -223,6 +224,10 @@ ORACLE_11 = ["oracle", "--sigma", "e1f1,e1f1", "-p", "5"]
             ["oracle", "--sigma", "e2f2@e1f2", "-p", "5"], None, EXIT_PARSE, id="oracle-base"
         ),
         pytest.param(["compute", "--sigma", "e1f2", "-p", "-1"], None, EXIT_WILD, id="p-not-prime"),
+        pytest.param(
+            ["oracle", "--sigma", "e1f1,e1f1", "-p", "3", "--cmax", "2", "--samples", str(10**12)],
+            None, EXIT_TOO_LARGE, id="samples-too-many",
+        ),
         pytest.param(["compute", "--sigma", ""], None, EXIT_PARSE, id="sigma-empty"),
         pytest.param(["oracle", "--sigma", "", "-p", "5"], None, EXIT_PARSE, id="oracle-sigma-empty"),
         pytest.param(["table", "--degree-max", "2", "--base", ""], None, EXIT_PARSE, id="base-empty"),
@@ -270,6 +275,36 @@ def test_closed_stdout_exits_with_one_error_line():
         os.close(write_end)
     assert proc.returncode == EXIT_PARSE
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+from padicdens import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    print(code, "numpy" in sys.modules)
+"""
+
+
+def test_only_sampling_imports_numpy():
+    """The exact commands run on plain ints, so numpy (about half of the
+    interpreter start-up) is loaded by --samples alone."""
+    exact = [
+        ["table", "--degree-max", "2"],
+        ["verify", "--degree-max", "2"],
+        ["conjecture", "--degree-max", "2"],
+        ["compute", "--sigma", "e1f1,e2f1", "-p", "5", "--bivariate"],
+        ["oracle", "--sigma", "e2f1,e1f1", "-p", "5", "--cmax", "3", "--depths", "1,0"],
+    ]
+    sampled = ["oracle", "--sigma", "e2f1,e1f1", "-p", "5", "--cmax", "3", "--samples", "2000"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(padicdens.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(exact + [sampled])],
+        capture_output=True, env=env, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0 False"] * len(exact) + ["0 True"]
 
 
 # malformed and empty items sit next to good ones; "" comes first, so it is

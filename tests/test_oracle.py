@@ -176,6 +176,9 @@ def _brute_force_masses(sigma, b, c_max, p):
         (((2, 2),), (0,), 3, 2),      # two isomorphism classes
         (((1, 1), (2, 1)), (1, 0), 3, 3),
         (((1, 1), (1, 1), (1, 1)), (0, 0, 0), 3, 2),
+        (((2, 1), (2, 1)), (0, 0), 3, 3),  # class vectors on both: four of them
+        (((1, 2), (2, 1)), (0, 0), 5, 2),  # mixed e and f on shared slots
+        (((1, 1),) * 4, (0,) * 4, 3, 2),   # four components
     ],
 )
 def test_exact_masses_match_brute_force(comps, b, p, c_max):
