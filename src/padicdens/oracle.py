@@ -35,7 +35,7 @@ from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple
 from .errors import LengthMismatchError, TooLargeError, WildInputError
 from .splitting import BVector, SplittingType, is_prime, mobius_orbit_count
 
-ZERO = -1  # sentinel for a zero coefficient in exponent arrays
+ZERO = -1  # sentinel for a zero coefficient in code tuples and arrays
 
 # bound on one oracle call: the digit tuples the exact count visits, or the
 # code entries (samples x conjugates x common slots) the sampler holds
