@@ -3,13 +3,13 @@
 The package computes, as closed-form rational functions of the residue field
 size, the density of polynomials over a local field that generate an etale
 extension with a prescribed tame splitting type, together with an independent
-combinatorial oracle that re-derives the same masses by direct enumeration of
-truncated Teichmuller expansions.
+combinatorial oracle that re-derives the same masses by counting over
+truncated Teichmuller expansions.  It exports what the CLI runs: the engine,
+the oracle's exact and sampled masses, and the symbolic values they return.
 """
 
 from .errors import (
     DivisibilityError,
-    LengthMismatchError,
     NonIntegralExponentError,
     NoSeriesExpansionError,
     PadicDensError,
@@ -33,15 +33,6 @@ from .engine import (
     monic_density,
     splitting_density,
 )
-from .oracle import (
-    TameFieldDesc,
-    TeichExpansion,
-    conjugates,
-    count_orbit_choices,
-    disc_valuation,
-    exact_disc_masses,
-    pair_valuation,
-    sampled_disc_masses,
-)
+from .oracle import exact_disc_masses, sampled_disc_masses
 
 __version__ = "0.1.0"

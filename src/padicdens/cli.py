@@ -348,10 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_sigma=False, with_prime=False):
+    def common(sp, with_sigma=False, with_prime=False, with_base=True):
         if with_sigma:
             sp.add_argument("--sigma", required=True, help="e.g. e1f2 or e2f1,e1f1 or e4f1@e2f1")
-        sp.add_argument("--base", default=None, help="base e<int>f<int> (overrides @suffix)")
+        if with_base:
+            sp.add_argument("--base", default=None, help="base e<int>f<int> (overrides @suffix)")
         if with_prime:
             sp.add_argument("-p", type=int, default=None, help="concrete tame prime")
         sp.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
@@ -368,8 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--degree-max", type=int, default=5)
 
-    sp = sub.add_parser("verify", help="run the invariant suite")
-    common(sp)
+    # the catalog commands read --bases only; without abbreviations a --base
+    # there is an error rather than a short --bases
+    sp = sub.add_parser("verify", help="run the invariant suite", allow_abbrev=False)
+    common(sp, with_base=False)
     sp.add_argument("--degree-max", type=int, default=3)
     sp.add_argument("--bases", default="e1f1", help="comma list, e.g. e1f1,e2f1,e1f2")
 
@@ -380,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--depths", default=None, help="comma list of b_i, default all 0")
 
-    sp = sub.add_parser("conjecture", help="two-variable symmetry report")
-    common(sp)
+    sp = sub.add_parser("conjecture", help="two-variable symmetry report", allow_abbrev=False)
+    common(sp, with_base=False)
     sp.add_argument("--degree-max", type=int, default=3)
     sp.add_argument("--bases", default="e1f1,e2f1,e1f2")
     return ap
@@ -402,7 +405,8 @@ _OPTIONS = {
 
 def job_from_args(args: argparse.Namespace) -> JobSpec:
     job = JobSpec(command=args.command, fmt=args.fmt, emit=args.emit)
-    base = _parse_pair(args.base, "base") if args.base is not None else None
+    raw_base = getattr(args, "base", None)
+    base = _parse_pair(raw_base, "base") if raw_base is not None else None
     if getattr(args, "sigma", None) is not None:
         sigma = parse_sigma(args.sigma)
         if base:

@@ -209,8 +209,6 @@ def _branch(sigma: SplittingType, b: BVector, _depth: int, _limit: int) -> GenFu
         if plan == head:
             continue
         signature = plan_signature(sigma, b, plan)
-        if signature is None:
-            continue
         # the weight depends on the plan's signature only, so plans share it
         weight = _cached(("weight",) + signature, lambda: signature_weight(signature))
         sep = d * (d - 1)

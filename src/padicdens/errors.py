@@ -24,10 +24,6 @@ class TooLargeError(PadicDensError):
     """An exact enumeration would exceed the configured size guard."""
 
 
-class LengthMismatchError(PadicDensError):
-    """Two expansions do not live over the same common uniformizer / slot layout."""
-
-
 class SigmaParseError(PadicDensError):
     """A splitting-type string could not be parsed.
 

@@ -1,12 +1,13 @@
-"""Independent verification by direct manipulation of truncated Teichmuller expansions.
+"""Independent verification by counting over truncated Teichmuller expansions.
 
-Elements of a tame extension are modeled as truncated expansions
+An element of a tame extension is modeled as a truncated expansion
 sum a_n pi_j^n where each coefficient is zero or a root of unity of order
 p^f - 1, encoded purely by its exponent.  In a tame extension the difference
 of two distinct stored coefficients is automatically a p-adic unit (both are
 prime-to-p roots of unity), so valuations of differences reduce to
 first-differing-slot comparisons on exponents; no field arithmetic is needed
-and every computed valuation is exact.
+and every computed valuation is exact.  One formula, _common_code, gives the
+exponent of each conjugate's coefficient on the common lattice.
 
 The oracle works over the base (e_base, f_base) = (1, 1) only.  Deeper bases
 are exercised indirectly: the engine's recursion visits them through its
@@ -19,8 +20,8 @@ conjugates into classes that agree so far (see exact_disc_masses), so the
 work grows with the digit tuples of one slot, not with their product.  It
 runs on plain ints.  The Monte Carlo sampler draws whole patterns and
 evaluates them with numpy; it is deterministic for a fixed seed, so its
-reports are byte-stable.  numpy is imported inside the sampler and
-check_index_parity only, so the exact commands never load it.
+reports are byte-stable.  numpy is imported inside the sampler only, so the
+exact commands never load it.
 """
 
 from __future__ import annotations
@@ -30,106 +31,17 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
-from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Tuple
 
-from .errors import LengthMismatchError, TooLargeError, WildInputError
-from .splitting import BVector, SplittingType, is_prime, mobius_orbit_count
+from .errors import TooLargeError
+from .splitting import BVector, SplittingType
 
 ZERO = -1  # sentinel for a zero coefficient in code tuples and arrays
 
-# bound on one oracle call: the digit tuples the exact count visits, or the
-# code entries (samples x conjugates x common slots) the sampler holds
+# bound on one oracle call: the digit tuples and dynamic-program entries the
+# exact count visits, or the code entries (samples x conjugates x common
+# slots) the sampler holds
 GUARD = 40_000_000
-
-
-def _require_tame_prime(p: int, es: Sequence[int]) -> None:
-    if not is_prime(p):
-        raise WildInputError(f"{p} is not prime")
-    for e in es:
-        if math.gcd(p, e) != 1:
-            raise WildInputError(f"p={p} divides ramification index {e}")
-
-
-@dataclass(frozen=True)
-class TameFieldDesc:
-    """A tame extension of Q_p: unramified of degree f, then the e-th root of
-    zeta^j * p, with j indexing the isomorphism class."""
-
-    p: int
-    e: int
-    f: int
-    j: int = 0
-
-    def __post_init__(self):
-        _require_tame_prime(self.p, (self.e,))
-        if not 0 <= self.j < math.gcd(self.p**self.f - 1, self.e):
-            raise ValueError("class index j out of range")
-
-    @property
-    def root_order(self) -> int:
-        return self.p**self.f - 1
-
-    @property
-    def lattice(self) -> int:
-        """Order of the root-of-unity lattice the slot exponents live in."""
-        return self.e * (self.p**self.f - 1)
-
-
-@dataclass(frozen=True)
-class TeichExpansion:
-    """Truncated expansion of an element: per-slot coefficient exponent.
-
-    Slot n holds the coefficient of pi_j^n, encoded as an exponent modulo
-    e*(p^f - 1) that is a multiple of e (so the coefficient is an honest
-    (p^f - 1)-th root of unity), or None for a zero coefficient.  Slots
-    before start_slot are zero.
-    """
-
-    field: TameFieldDesc
-    slots: Tuple[Optional[int], ...]
-    start_slot: int = 0
-
-    def __post_init__(self):
-        e = self.field.e
-        m = self.field.lattice
-        cleaned = []
-        for n, s in enumerate(self.slots):
-            if n < self.start_slot:
-                if s is not None:
-                    raise ValueError("nonzero slot before start_slot")
-                cleaned.append(None)
-            elif s is None:
-                cleaned.append(None)
-            else:
-                s = int(s) % m
-                if s % e:
-                    raise ValueError(f"slot {n} exponent {s} is not a root of unity code")
-                cleaned.append(s)
-        object.__setattr__(self, "slots", tuple(cleaned))
-
-    @classmethod
-    def from_root_exponents(
-        cls, field: TameFieldDesc, coeffs: Dict[int, Optional[int]], length: int
-    ) -> "TeichExpansion":
-        """coeffs maps slot -> exponent of the (p^f - 1)-th root of unity."""
-        slots: list = [None] * length
-        for n, c in coeffs.items():
-            if c is not None:
-                slots[n] = (field.e * (c % field.root_order)) % field.lattice
-        return cls(field, tuple(slots))
-
-
-@dataclass(frozen=True)
-class CommonExpansion:
-    """Expansion over the shared uniformizer p^(1/E) with exponents mod M.
-
-    Slot m holds the coefficient of p^(m/E) as an exponent of the order-M
-    root of unity, or None.  Comparable slot-by-slot across components.
-    """
-
-    E: int
-    M: int
-    slots: Tuple[Optional[int], ...]
 
 
 def _common_code(a, n, j, r, s, p, e, f, M):
@@ -144,88 +56,6 @@ def _common_code(a, n, j, r, s, p, e, f, M):
     m_local = e * (p**f - 1)
     code = ((a + n * j) * pow(p, r, m_local) + n * s * (p**f - 1)) % m_local
     return code * (M // m_local) % M
-
-
-def _conjugate_common_slots(
-    x: TeichExpansion, r: int, s: int, E: int, M: int, depth: int
-) -> Tuple[Optional[int], ...]:
-    """Common-lattice slot exponents of the (r, s) conjugate of x.
-
-    Frobenius acts r times on every coefficient; the uniformizer root is
-    twisted by the s-th e-th root of unity; the class twist j enters through
-    pi_j^n = zeta^(nj) p^(n/e).
-    """
-    fld = x.field
-    step = E // fld.e
-    out: list = [None] * depth
-    for n, a in enumerate(x.slots):
-        mc = n * step
-        if mc >= depth:
-            break
-        if a is None:
-            continue
-        out[mc] = _common_code(a, n, fld.j, r, s, fld.p, fld.e, fld.f, M)
-    return tuple(out)
-
-
-def conjugates(
-    x: TeichExpansion, E: int | None = None, M: int | None = None,
-    depth: int | None = None,
-) -> list:
-    """The e*f formal conjugates of x as common expansions.
-
-    The multiset is indexed by (Frobenius power r, uniformizer twist s);
-    duplicates are kept, distinctness is the caller's concern.
-    """
-    fld = x.field
-    if E is None:
-        E = fld.e
-    if M is None:
-        M = fld.lattice
-    if E % fld.e or M % fld.lattice:
-        raise LengthMismatchError("common lattice does not refine the field lattice")
-    if depth is None:
-        depth = len(x.slots) * E // fld.e
-    return [
-        CommonExpansion(E, M, _conjugate_common_slots(x, r, s, E, M, depth))
-        for r in range(fld.f)
-        for s in range(fld.e)
-    ]
-
-
-def pair_valuation(x: CommonExpansion, y: CommonExpansion) -> Optional[Fraction]:
-    """Valuation of the difference: (first differing slot)/E.
-
-    None means unresolved: the stored slots agree, so the difference has
-    valuation at least len(slots)/E.
-    """
-    if (x.E, x.M, len(x.slots)) != (y.E, y.M, len(y.slots)):
-        raise LengthMismatchError("expansions live over different lattices")
-    for n, (a, b) in enumerate(zip(x.slots, y.slots)):
-        if a != b:
-            return Fraction(n, x.E)
-    return None
-
-
-def disc_valuation(parts: Sequence[TeichExpansion]) -> Optional[Fraction]:
-    """Valuation of the product of pairwise differences of all conjugates.
-
-    A single conjugate gives the empty product, valuation 0.  None when any
-    needed pair is unresolved within the stored slots.
-    """
-    E = math.lcm(*(x.field.e for x in parts))
-    M = math.lcm(*(x.field.lattice for x in parts))
-    depth = min(len(x.slots) * E // x.field.e for x in parts)
-    conj: list = []
-    for x in parts:
-        conj.extend(conjugates(x, E, M, depth))
-    total = Fraction(0)
-    for a, b in combinations(conj, 2):
-        v = pair_valuation(a, b)
-        if v is None:
-            return None
-        total += 2 * v
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -363,40 +193,51 @@ def exact_disc_masses(
     code blocks (see _slot_blocks) share one tally of equality patterns.
 
     Base must be (1, 1); the prime must be tame for sigma.  pattern_guard
-    bounds the digit tuples visited, summed over slots and classes.
+    bounds the steps taken, summed over slots and classes: the digit tuples
+    of each slot's blocks and the (state, v) entries times the equality
+    patterns each slot refines them by.  Every slot of every class takes at
+    least one step, so n_common x classes above the guard fails at once; any
+    other excess stops the count before the slot that would pass the guard.
     """
     if (sigma.e_base, sigma.f_base) != (1, 1):
         raise ValueError("the enumeration oracle works over the base (1,1) only")
     if len(b) != sigma.m or any(x < 0 for x in b):
         raise ValueError("bad depth vector")
-    _require_tame_prime(p, [e for e, _ in sigma.components])
+    sigma.require_tame(p)
     E, M, n_common, per = _layout(sigma, b, c_max, p)
+    n_jvecs = math.prod(comp["gcd_j"] for comp in per)
+    if n_common * n_jvecs > pattern_guard:
+        raise TooLargeError(f"{n_common} common slots x {n_jvecs} classes exceeds the guard")
 
     rows = _conjugate_rows(per)
-    # common slot -> {component active there: its local slot}
-    by_slot: Dict[int, Dict[int, int]] = {mc: {} for mc in range(n_common)}
-    for i, comp in enumerate(per):
-        for slot in range(comp["b"], comp["n_slots"]):
-            # _layout ends every component below the common depth, so no
-            # stored digit is left out of the row codes
-            by_slot[slot * comp["step"]][i] = slot
-    n_jvecs = math.prod(comp["gcd_j"] for comp in per)
-    tuples = sum(math.prod(per[i]["radix"] for i in active) for active in by_slot.values())
-    if tuples * n_jvecs > pattern_guard:
-        raise TooLargeError(f"{tuples} digit tuples x {n_jvecs} classes exceeds the guard")
-
     pairs = list(combinations(range(len(rows)), 2))
     v_max = c_max * E
     counts: Dict[int, int] = {}
     tallies: Dict[tuple, Counter] = {}  # blocks -> patterns, shared by slots and classes
+    steps = 0
+    too_large = f"the exact count of {sigma.display_pairs()} at b={list(b)} exceeds the guard"
     for jvec in product(*(range(comp["gcd_j"]) for comp in per)):
         # partition labels -> {v: number of patterns}
         states: Dict[Tuple[int, ...], Dict[int, int]] = {(0,) * len(rows): {0: 1}}
-        for mc, active in by_slot.items():
+        for mc in range(n_common):
+            # {component active at mc: its local slot}; _layout ends every
+            # component below the common depth, so no stored digit is left
+            # out of the row codes
+            active = {}
+            for i, comp in enumerate(per):
+                slot, off = divmod(mc, comp["step"])
+                if not off and comp["b"] <= slot < comp["n_slots"]:
+                    active[i] = slot
+            steps += math.prod(per[i]["radix"] for i in active)
+            if steps > pattern_guard:
+                raise TooLargeError(f"{too_large} at common slot {mc}")
             blocks = _slot_blocks(active, jvec, per, p, M)
             if blocks not in tallies:
                 tallies[blocks] = _slot_patterns(blocks)
             patterns = tallies[blocks]
+            steps += len(patterns) * sum(map(len, states.values()))
+            if steps > pattern_guard:
+                raise TooLargeError(f"{too_large} at common slot {mc}")
             refined: Dict[Tuple[int, ...], Dict[int, int]] = {}
             for labels, by_v in states.items():
                 for pattern, tally in patterns.items():
@@ -442,7 +283,7 @@ def sampled_disc_masses(
     """
     if (sigma.e_base, sigma.f_base) != (1, 1):
         raise ValueError("the sampling oracle works over the base (1,1) only")
-    _require_tame_prime(p, [e for e, _ in sigma.components])
+    sigma.require_tame(p)
     layout = _layout(sigma, b, c_max, p)
     E, M, n_common, per = layout
     n_rows = len(_conjugate_rows(per))
@@ -481,79 +322,3 @@ def sampled_disc_masses(
         stderr = math.sqrt(phat * (1 - phat) / samples)
         out[c] = MassEstimate(phat * float(cond), stderr * float(cond))
     return out
-
-
-# ---------------------------------------------------------------------------
-# conjugate-orbit counting and discriminant parity
-# ---------------------------------------------------------------------------
-
-def orbit_size(e: int, f: int, b: int, p: int, j: int, a_exp: int) -> int:
-    """Number of Galois conjugates of (root of unity a) * pi_j^b, computed on
-    exponents modulo e*(p^f - 1)."""
-    m = e * (p**f - 1)
-    x = (a_exp * e + j * b) % m
-    seen = set()
-    for r in range(f):
-        base = x * pow(p, r, m) % m
-        for s in range(e):
-            seen.add((base + b * s * (p**f - 1)) % m)
-    return len(seen)
-
-
-def count_orbit_choices(e: int, f: int, b: int, k: int, p: int) -> int:
-    """Brute-force count of pairs (nonzero Teichmuller a, class index j) whose
-    element a * pi_j^b has exactly k Galois conjugates."""
-    _require_tame_prime(p, (e,))
-    g = math.gcd(p**f - 1, e)
-    total = 0
-    for a_exp in range(p**f - 1):
-        for j in range(g):
-            if orbit_size(e, f, b, p, j, a_exp) == k:
-                total += 1
-    return total
-
-
-def orbit_choices_closed_form(e: int, f: int, b: int, k: int, p: int) -> int:
-    """The closed-form count: gcd * (k/denom) * (orbit-count polynomial at p),
-    vanishing unless denom | k and (k/denom) | f."""
-    denom = e // math.gcd(b, e) if b else 1
-    if k % denom or f % (k // denom):
-        return 0
-    g = math.gcd(p**f - 1, e)
-    kk = k // denom
-    val = mobius_orbit_count(1, kk).evaluate(p)
-    assert val.denominator == 1
-    return g * kk * int(val)
-
-
-def check_index_parity(
-    field: TameFieldDesc, n_samples: int = 200, seed: int = 0, depth: int | None = None
-) -> Dict[str, int]:
-    """Sample elements of the extension and assert that the discriminant
-    valuation exceeds the field discriminant (e-1)f by a nonnegative even
-    integer.  Degenerate samples (not generating, or unresolved at the stored
-    depth) are discarded and counted."""
-    import numpy as np
-
-    e, f, p = field.e, field.f, field.p
-    depth = depth if depth is not None else 4 * e * f + 4
-    rng = np.random.default_rng(seed)
-    v_field = (e - 1) * f
-    report = {"checked": 0, "discarded": 0, "parity_ok": 0}
-    for _ in range(n_samples):
-        digits = rng.integers(0, p**f, size=depth)
-        slots = tuple(
-            None if d == 0 else (e * (int(d) - 1)) % field.lattice for d in digits
-        )
-        x = TeichExpansion(field, slots)
-        conj = conjugates(x)
-        distinct = len({c.slots for c in conj}) == e * f
-        v = disc_valuation((x,))
-        if not distinct or v is None:
-            report["discarded"] += 1
-            continue
-        report["checked"] += 1
-        diff = v - v_field
-        if diff >= 0 and diff.denominator == 1 and int(diff) % 2 == 0:
-            report["parity_ok"] += 1
-    return report

@@ -239,12 +239,19 @@ def _divisors(n: int) -> Tuple[int, ...]:
 
 
 def enumerate_plans(sigma: SplittingType, b: BVector) -> Tuple[PartitionPlan, ...]:
-    """All partition plans with potentially nonzero weight, head plan included.
+    """All admissible partition plans, head plan included.
 
-    Blocks with orbit size n != 1 must consist of argmin components, carry an
-    orbit size denom * t with t dividing every relative inertia degree in the
-    block, and when the argmin set is proper, the single block holding its
-    complement is forced to orbit size 1.
+    This is the one place that states admissibility.  With denom the
+    denominator of the minimal slope, a plan is admissible when:
+
+      1. the components outside the argmin set, if any, lie in one block;
+      2. that block has orbit size 1, so every block of orbit size n != 1
+         consists of argmin components;
+      3. every other orbit size is 1 or denom * t with t dividing the
+         relative inertia degree of each component in its block;
+      4. at most one block has orbit size 1 when denom != 1.
+
+    Every other plan has weight zero.
     """
     m = sigma.m
     sd = slope_data(sigma, b)
@@ -256,7 +263,7 @@ def enumerate_plans(sigma: SplittingType, b: BVector) -> Tuple[PartitionPlan, ..
         holder = None
         if outside:
             holding = [bi for bi, bl in enumerate(blocks) if any(i in outside for i in bl)]
-            if len(holding) != 1 or not outside <= set(blocks[holding[0]]):
+            if len(holding) != 1:
                 continue
             holder = holding[0]
         options = []
@@ -274,59 +281,23 @@ def enumerate_plans(sigma: SplittingType, b: BVector) -> Tuple[PartitionPlan, ..
     return tuple(plans)
 
 
-def plan_signature(sigma: SplittingType, b: BVector, plan: PartitionPlan) -> tuple | None:
-    """Everything plan_weight depends on, or None when an admissibility
-    condition fails: (f_base, slope denominator, whether the argmin set is
-    proper, the sorted (orbit size, (blocks, components)) counts)."""
-    m = sigma.m
+def plan_signature(sigma: SplittingType, b: BVector, plan: PartitionPlan) -> tuple:
+    """Everything the weight of an admissible plan (one that
+    enumerate_plans returns) depends on: (f_base, slope denominator, whether
+    the argmin set is proper, the sorted (orbit size, (blocks, components))
+    counts)."""
     sd = slope_data(sigma, b)
-    arg = set(sd.argmin)
-    f_rel = sigma.f_rel
-
-    covered = sorted(i for bl in plan.blocks for i in bl)
-    if covered != list(range(m)) or len(plan.orbit_sizes) != len(plan.blocks):
-        raise ValueError("plan does not partition the component indices")
-
-    ones = [bi for bi, n in enumerate(plan.orbit_sizes) if n == 1]
-    if sd.denom != 1 and len(ones) > 1:
-        return None
-    outside = set(range(m)) - arg
-    if outside:
-        holding = [bi for bi, bl in enumerate(plan.blocks) if outside <= set(bl)]
-        if not holding or plan.orbit_sizes[holding[0]] != 1:
-            return None
-    for bl, n in zip(plan.blocks, plan.orbit_sizes):
-        if n == 1:
-            continue
-        if n % sd.denom:
-            return None
-        if not set(bl) <= arg:
-            return None
-        if any(f_rel[i] % (n // sd.denom) for i in bl):
-            return None
-
     by_size: dict = {}
     for bl, n in zip(plan.blocks, plan.orbit_sizes):
         cnt, comps = by_size.get(n, (0, 0))
         by_size[n] = (cnt + 1, comps + len(bl))
-    return (sigma.f_base, sd.denom, bool(outside), tuple(sorted(by_size.items())))
-
-
-def plan_weight(sigma: SplittingType, b: BVector, plan: PartitionPlan) -> FracPoly:
-    """Normalized count of leading-coefficient/uniformizer choices realizing
-    the plan's orbit structure, as a polynomial in p.
-
-    Returns the zero polynomial whenever any admissibility condition fails.
-    """
-    signature = plan_signature(sigma, b, plan)
-    if signature is None:
-        return FracPoly(0, var="p")
-    return signature_weight(signature)
+    return (sigma.f_base, sd.denom, len(sd.argmin) < sigma.m, tuple(sorted(by_size.items())))
 
 
 def signature_weight(signature: tuple) -> FracPoly:
-    """The weight polynomial of every plan with this (admissible)
-    plan_signature."""
+    """Normalized count of leading-coefficient/uniformizer choices realizing
+    the orbit structure of every admissible plan with this plan_signature,
+    as a polynomial in p."""
     f_base, denom, outside, by_size = signature
     weight = FracPoly(1, var="p")
     for k, (n_blocks, n_comps) in by_size:
@@ -347,21 +318,3 @@ def signature_weight(signature: tuple) -> FracPoly:
 
 def head_plan(m: int) -> PartitionPlan:
     return PartitionPlan((tuple(range(m)),), (1,))
-
-
-@dataclass(frozen=True)
-class TameClassCount:
-    classes: int
-    aut_order: int
-
-
-def tame_class_count(e0: int, p: int, f0: int = 1) -> TameClassCount:
-    """Isomorphism classes of tame (e0, f0) extensions over a base with
-    residue field of size p, and the automorphism order of each.
-
-    Raises WildInputError when p divides e0.
-    """
-    if math.gcd(p, e0) != 1:
-        raise WildInputError(f"p={p} divides ramification index {e0}")
-    g = math.gcd(p**f0 - 1, e0)
-    return TameClassCount(classes=g, aut_order=f0 * g)

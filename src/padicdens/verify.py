@@ -1,18 +1,19 @@
 """Cross-checks tying the engine, the oracle, and the closed-form targets together.
 
-Every function returns plain data (lists of record dicts or (name, ok) pairs)
-so the CLI can render them as text, JSON, or CSV; nothing here prints.
+These are the checks that the verify, oracle and conjecture commands run.
+Every function returns plain data (lists of record dicts or (name, ok, note)
+triples) so the CLI can render them as text, JSON, or CSV; nothing here
+prints.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import engine, oracle
 from .errors import VerificationError
-from .splitting import SplittingType, mobius_orbit_count
+from .splitting import SplittingType
 from .symbolic import FracPoly, check_inversion_symmetry
 
 Check = Tuple[str, bool, str]
@@ -176,11 +177,14 @@ def oracle_records(
     seed: int = 0,
 ) -> List[dict]:
     """Comparison records {sigma, b, p, c, exact_mass | estimate, stderr,
-    engine_value, match} for every c up to c_max."""
-    eng = engine_masses_at(sigma, b, c_max, p)
+    engine_value, match} for every c up to c_max.
+
+    The oracle runs first: its guard bounds c_max, and the engine's series
+    has no guard of its own."""
     records: List[dict] = []
     if samples:
         est = oracle.sampled_disc_masses(sigma, b, c_max, p, samples, seed)
+        eng = engine_masses_at(sigma, b, c_max, p)
         for c in range(c_max + 1):
             ev = eng.get(c, Fraction(0))
             e = est.get(c)
@@ -201,6 +205,7 @@ def oracle_records(
             )
     else:
         exact = oracle.exact_disc_masses(sigma, b, c_max, p)
+        eng = engine_masses_at(sigma, b, c_max, p)
         for c in sorted(set(exact) | set(eng)):
             ev = eng.get(c, Fraction(0))
             ov = exact.get(c, Fraction(0))
@@ -216,79 +221,3 @@ def oracle_records(
                 )
             )
     return records
-
-
-def brute_frobenius_orbit_count(f: int, k: int, p: int) -> int:
-    """Orbits of exact size k of x -> x^(p^f) on the nonzero elements of the
-    field with p^(f*k) elements, counted on discrete-log exponents."""
-    modulus = p ** (f * k) - 1
-    mult = pow(p, f, modulus)
-    seen = [False] * modulus
-    count = 0
-    for x in range(modulus):
-        if seen[x]:
-            continue
-        size = 0
-        y = x
-        while not seen[y]:
-            seen[y] = True
-            size += 1
-            y = y * mult % modulus
-        if size == k:
-            count += 1
-    return count
-
-
-def orbit_count_checks(
-    e_max: int = 6,
-    f_max: int = 3,
-    b_max: int = 3,
-    primes: Sequence[int] = (3, 5, 7),
-    mobius_limit: int = 5**6,
-) -> List[Check]:
-    """Brute-forced conjugate-orbit counts against their closed forms, plus
-    the Mobius orbit-count polynomial against direct Frobenius-orbit counting."""
-    out = []
-    bad = []
-    total = 0
-    for p in primes:
-        for e in range(1, e_max + 1):
-            if e % p == 0:
-                continue
-            for f in range(1, f_max + 1):
-                for b in range(0, b_max + 1):
-                    denom = e // math.gcd(b, e) if b else 1
-                    for k in range(1, denom * f + 1):
-                        got = oracle.count_orbit_choices(e, f, b, k, p)
-                        want = oracle.orbit_choices_closed_form(e, f, b, k, p)
-                        total += 1
-                        if got != want:
-                            bad.append((e, f, b, k, p, got, want))
-    out.append(
-        (
-            f"orbit_choices grid ({total} cases)",
-            not bad,
-            f"first mismatch {bad[0]}" if bad else "all equal",
-        )
-    )
-
-    mob_bad = []
-    mob_total = 0
-    for p in (2, 3, 5):
-        for f in range(1, 4):
-            for k in range(1, 7):
-                if p ** (f * k) > mobius_limit:
-                    continue
-                val = mobius_orbit_count(f, k).evaluate(p)
-                count = brute_frobenius_orbit_count(f, k, p)
-                mob_total += 1
-                if val != count:
-                    mob_bad.append((f, k, p, val, count))
-    out.append(
-        (
-            f"mobius_orbit_count grid ({mob_total} cases)",
-            not mob_bad,
-            f"first mismatch {mob_bad[0]}" if mob_bad else "all equal",
-        )
-    )
-    return out

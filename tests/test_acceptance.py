@@ -9,7 +9,9 @@ Tolerances are pinned here and nowhere else:
   4. duality alpha/beta          exact, degree <= 3
   5. asymptotics                 |dev| <= 10/q at q = 10^4
   6. oracle equivalence          exact on the d <= 4 grid; Monte Carlo 3 sigma
-  7. orbit-count identities      exact on the full grid
+  7. orbit-count identities      exact on the full grid; the brute forces
+                                 are test references (oracle_reference.py),
+                                 since no CLI command runs them
   8. rationality                 no non-integral exponent across the catalog
   9. minimal discriminant        exact valuation match on the degree <= 4
                                  catalog; |a(c0)(10^3) - 1| <= 5/10^3 on the
@@ -21,6 +23,7 @@ Tolerances are pinned here and nowhere else:
 import itertools
 from fractions import Fraction as F
 
+from oracle_reference import orbit_count_checks
 from padicdens import engine, verify
 from padicdens.engine import catalog, degree_slice
 from padicdens.oracle import exact_disc_masses, sampled_disc_masses
@@ -99,7 +102,7 @@ def test_criterion_6_oracle_equivalence():
 
 
 def test_criterion_7_orbit_counts():
-    checks = verify.orbit_count_checks(
+    checks = orbit_count_checks(
         e_max=6, f_max=3, b_max=3, primes=(3, 5, 7), mobius_limit=5**6
     )
     _report("criterion 7 (orbit-count identities on the full grid)", all(ok for _, ok, _ in checks))

@@ -228,6 +228,10 @@ ORACLE_11 = ["oracle", "--sigma", "e1f1,e1f1", "-p", "5"]
             ["oracle", "--sigma", "e1f1,e1f1", "-p", "3", "--cmax", "2", "--samples", str(10**12)],
             None, EXIT_TOO_LARGE, id="samples-too-many",
         ),
+        pytest.param(
+            ["oracle", "--sigma", "e1f1,e1f1", "-p", "3", "--cmax", str(10**8)],
+            None, EXIT_TOO_LARGE, id="cmax-too-large",
+        ),
         pytest.param(["compute", "--sigma", ""], None, EXIT_PARSE, id="sigma-empty"),
         pytest.param(["oracle", "--sigma", "", "-p", "5"], None, EXIT_PARSE, id="oracle-sigma-empty"),
         pytest.param(["table", "--degree-max", "2", "--base", ""], None, EXIT_PARSE, id="base-empty"),
@@ -258,6 +262,16 @@ def test_failures_exit_with_documented_code(argv, patch, code, monkeypatch, caps
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "conjecture"])
+def test_catalog_checks_take_bases_not_base(command, capsys):
+    """verify and conjecture read --bases only; a --base they would ignore
+    is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--degree-max", "2", "--base", "e2f1", "--bases", "e1f1"])
+    assert exc.value.code == EXIT_PARSE
+    assert "--base" in capsys.readouterr().err
 
 
 def test_closed_stdout_exits_with_one_error_line():
@@ -330,12 +344,12 @@ _VALUES = {
 _COMMANDS = {
     "compute": ["--sigma", "--base", "-p", "--format", "--emit", "--bivariate"],
     "table": ["--base", "--degree-max", "--format", "--emit"],
-    "verify": ["--base", "--degree-max", "--bases", "--format", "--emit"],
+    "verify": ["--degree-max", "--bases", "--format", "--emit"],
     "oracle": [
         "--sigma", "--base", "-p", "--cmax", "--samples", "--seed", "--depths", "--format",
         "--emit",
     ],
-    "conjecture": ["--base", "--degree-max", "--bases", "--format", "--emit"],
+    "conjecture": ["--degree-max", "--bases", "--format", "--emit"],
     "frobnicate": ["--sigma", "--degree-max"],
 }
 

@@ -1,4 +1,7 @@
-"""Oracle internals: conjugates, valuations, enumeration, orbit counting."""
+"""Oracle internals: conjugates, valuations, enumeration, orbit counting.
+
+The per-element model and the orbit brute forces are the references in
+oracle_reference.py; the exact and sampled masses are the package's."""
 
 from fractions import Fraction as F
 from itertools import product
@@ -8,21 +11,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padicdens.errors import LengthMismatchError, TooLargeError, WildInputError
-from padicdens.oracle import (
+from oracle_reference import (
     CommonExpansion,
-    MassEstimate,
+    LengthMismatchError,
     TameFieldDesc,
     TeichExpansion,
-    _layout,
-    _valuations_for_digits,
     check_index_parity,
     conjugates,
     count_orbit_choices,
     disc_valuation,
-    exact_disc_masses,
     orbit_choices_closed_form,
     pair_valuation,
+)
+from padicdens.errors import TooLargeError, WildInputError
+from padicdens.oracle import (
+    MassEstimate,
+    _layout,
+    _valuations_for_digits,
+    exact_disc_masses,
     sampled_disc_masses,
 )
 from padicdens.splitting import SplittingType
@@ -191,6 +197,14 @@ def test_exact_masses_guard():
     s = SplittingType(((1, 3), (1, 3)))
     with pytest.raises(TooLargeError):
         exact_disc_masses(s, (0, 0), 8, 5, pattern_guard=10**4)
+
+
+def test_exact_masses_guard_counts_states():
+    """Nine digit tuples per slot stay far below the guard; the (state, v)
+    entries of the dynamic program, which grow with c_max, do not."""
+    s = SplittingType(((1, 1), (1, 1)))
+    with pytest.raises(TooLargeError):
+        exact_disc_masses(s, (0, 0), 4000, 3, pattern_guard=10**6)
 
 
 def test_exact_masses_wild_prime():

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padicdens.errors import DivisibilityError, WildInputError
+from oracle_reference import brute_frobenius_orbit_count
+from padicdens.errors import DivisibilityError
 from padicdens.splitting import (
     PartitionPlan,
     SplittingType,
@@ -17,13 +18,12 @@ from padicdens.splitting import (
     head_plan,
     mobius_orbit_count,
     perm_factor,
-    plan_weight,
+    plan_signature,
     set_partitions,
+    signature_weight,
     slope_data,
-    tame_class_count,
 )
 from padicdens.symbolic import FracPoly
-from padicdens.verify import brute_frobenius_orbit_count
 
 
 def test_component_divisibility_validated():
@@ -143,34 +143,45 @@ def test_enumerate_plans_ramified_quadratic_depth1():
     }
 
 
+def _weight(sigma, b, plan):
+    return signature_weight(plan_signature(sigma, b, plan))
+
+
 def test_plan_weight_examples():
     s2 = SplittingType(((1, 1), (1, 1)))
-    assert plan_weight(s2, (0, 0), PartitionPlan(((0,), (1,)), (1, 1))) == FracPoly(
+    assert _weight(s2, (0, 0), PartitionPlan(((0,), (1,)), (1, 1))) == FracPoly(
         {2: 1, 1: -1}, var="p"
     )
     # the head plan at depth zero contributes one free residue choice
     any_sigma = SplittingType(((2, 1), (4, 1)))
-    assert plan_weight(any_sigma, (0, 0), head_plan(2)) == FracPoly({1: 1}, var="p")
+    assert _weight(any_sigma, (0, 0), head_plan(2)) == FracPoly({1: 1}, var="p")
     s21 = SplittingType(((2, 1),))
-    assert plan_weight(s21, (1,), PartitionPlan(((0,),), (2,))) == FracPoly(
+    assert _weight(s21, (1,), PartitionPlan(((0,),), (2,))) == FracPoly(
         {1: 1, 0: -1}, var="p"
     )
 
 
 def test_plan_weight_zero_on_failed_conditions():
-    s = SplittingType(((2, 1), (2, 1)))
-    # denom(beta)=2 at b=(1,1): two orbit-1 blocks are impossible
-    assert plan_weight(s, (1, 1), PartitionPlan(((0,), (1,)), (1, 1))).is_zero
-    # orbit size not a multiple of denom(beta)
-    assert plan_weight(s, (1, 1), PartitionPlan(((0,), (1,)), (3, 1))).is_zero
-    # block with n != 1 containing a non-argmin component
+    """Plans that fail an admissibility rule have weight zero, and
+    enumerate_plans, the one place that states the rules, leaves them out;
+    a control plan that differs only where the rule bites is kept."""
+    s = SplittingType(((2, 1), (2, 1)))  # denom(beta) = 2 at b = (1, 1)
     s_mixed = SplittingType(((1, 2), (2, 2)))
-    assert plan_weight(s_mixed, (0, 1), PartitionPlan(((0, 1),), (2,))).is_zero
-    # complement of the argmin set split across blocks
     s3 = SplittingType(((1, 1), (2, 1), (2, 1)))
-    assert plan_weight(
-        s3, (0, 1, 1), PartitionPlan(((0, 1), (2,)), (1, 1))
-    ).is_zero
+    cases = [
+        # rule 4: two orbit-1 blocks while denom(beta) = 2
+        (s, (1, 1), PartitionPlan(((0,), (1,)), (1, 1)), PartitionPlan(((0,), (1,)), (2, 1))),
+        # rule 3: an orbit size that is not a multiple of denom(beta)
+        (s, (1, 1), PartitionPlan(((0,), (1,)), (3, 1)), PartitionPlan(((0,), (1,)), (2, 2))),
+        # rule 2: a block with n != 1 holding a non-argmin component
+        (s_mixed, (0, 1), PartitionPlan(((0, 1),), (2,)), PartitionPlan(((0, 1),), (1,))),
+        # rule 1: the complement of the argmin set split across blocks
+        (s3, (0, 1, 1), PartitionPlan(((0, 1), (2,)), (1, 1)), PartitionPlan(((0,), (1, 2)), (1, 1))),
+    ]
+    for sigma, b, absent, control in cases:
+        plans = enumerate_plans(sigma, b)
+        assert absent not in plans, (sigma, b, absent)
+        assert control in plans, (sigma, b, control)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -188,19 +199,11 @@ def test_plan_weights_sum_to_free_choices(p):
             sd = slope_data(sigma, b)
             total = F(0)
             for plan in enumerate_plans(sigma, b):
-                total += plan_weight(sigma, b, plan).evaluate(p)
+                total += _weight(sigma, b, plan).evaluate(p)
             expected = F(1)
             for i in sd.argmin:
                 expected *= F(p) ** sigma.components[i][1]
             assert total == expected, (sigma, b)
-
-
-def test_tame_class_count():
-    assert tame_class_count(2, 5, 1).classes == 2
-    assert tame_class_count(3, 5, 1).classes == 1
-    assert tame_class_count(3, 5, 1).aut_order == 1
-    with pytest.raises(WildInputError):
-        tame_class_count(2, 2)
 
 
 def test_display_conventions():
