@@ -22,12 +22,10 @@ from .errors import (
 from .symbolic import FracPoly, GenFun, check_inversion_symmetry, rewrite_in_q
 from .splitting import SplittingType
 from .engine import (
-    DensityResult,
     catalog,
     centered_monic_density,
     density_asymptotic,
     density_gen_fun,
-    density_result,
     disc_gen_fun,
     min_disc_valuation,
     monic_density,

@@ -50,7 +50,7 @@ from .errors import (
     WildInputError,
 )
 from .splitting import SplittingType
-from .symbolic import FracPoly, _render_terms, check_inversion_symmetry, to_json_obj
+from .symbolic import FracPoly, GenFun, _render_terms, check_inversion_symmetry, to_json_obj
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -124,18 +124,20 @@ def _quantity_rows(sigma: SplittingType) -> List[Tuple[str, FracPoly]]:
     ]
 
 
-def _csv_rows(sigma: SplittingType) -> List[List[str]]:
+def _csv_rows(sigma: SplittingType, values) -> List[List[str]]:
+    """One row per (name, value) of values, a FracPoly or a GenFun."""
     rows = []
-    for name, value in _quantity_rows(sigma):
+    for name, value in values:
         num, den = value.as_integer_pair()
+        names = GenFun.VARS if isinstance(value, GenFun) else (value.var,)
         rows.append(
             [
                 sigma.display_pairs(),
                 str(sigma.e_base),
                 str(sigma.f_base),
                 name,
-                _render_terms(num.items(), (value.var,)),
-                _render_terms(den.items(), (value.var,)),
+                _render_terms(num.items(), names),
+                _render_terms(den.items(), names),
             ]
         )
     return rows
@@ -183,14 +185,18 @@ def run_compute(job: JobSpec) -> int:
     assert sigma is not None
     if job.p is not None:
         sigma.require_tame(job.p)
-    if job.bivariate:
-        result = engine.density_result(sigma)
-    else:
-        result = None
     values = dict(_quantity_rows(sigma))
+    rho_pt = engine.density_gen_fun(sigma) if job.bivariate else None
+    p0 = engine.smallest_tame_prime(sigma)
+    rho0 = values["rho"].evaluate(Fraction(p0) ** sigma.f_base)
+    if not 0 < rho0 <= 1:
+        raise VerificationError(
+            f"density out of range at p={p0}: {rho0} for {sigma.display_pairs()}"
+        )
     fe_holds, _ = check_inversion_symmetry(values["rho"])
     if job.fmt == "csv":
-        _emit(job, _render_csv(_csv_rows(sigma)))
+        bivariate = [("rho_bivariate", rho_pt)] if rho_pt is not None else []
+        _emit(job, _render_csv(_csv_rows(sigma, [*values.items(), *bivariate])))
         return EXIT_OK
     if job.fmt == "json":
         payload = {
@@ -200,8 +206,8 @@ def run_compute(job: JobSpec) -> int:
             **{name: to_json_obj(value) for name, value in values.items()},
             "functional_eq_holds": fe_holds,
         }
-        if result is not None:
-            payload["rho_bivariate"] = to_json_obj(result.rho_bivariate)
+        if rho_pt is not None:
+            payload["rho_bivariate"] = to_json_obj(rho_pt)
         if job.p is not None:
             q0 = Fraction(job.p) ** sigma.f_base
             payload["numeric"] = {"p": job.p, "q": str(q0)} | {
@@ -212,8 +218,8 @@ def run_compute(job: JobSpec) -> int:
     lines = [_sigma_header(sigma)]
     for name, value in values.items():
         lines.append(f"{name:12s} = {value}")
-    if result is not None:
-        lines.append(f"{'rho(p,t)':12s} = {result.rho_bivariate}")
+    if rho_pt is not None:
+        lines.append(f"{'rho(p,t)':12s} = {rho_pt}")
     lines.append(
         "functional equation rho(q) = rho(1/q): "
         + ("PASS" if fe_holds else "FAIL")
@@ -232,7 +238,7 @@ def run_table(job: JobSpec) -> int:
     if job.fmt == "csv":
         rows: List[List[str]] = []
         for sigma in sigmas:
-            rows.extend(_csv_rows(sigma))
+            rows.extend(_csv_rows(sigma, _quantity_rows(sigma)))
         _emit(job, _render_csv(rows))
         return EXIT_OK
     if job.fmt == "json":

@@ -40,7 +40,6 @@ results.  All returned values are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import ceil, comb, prod
@@ -60,7 +59,7 @@ from .splitting import (
     signature_weight,
     slope_data,
 )
-from .symbolic import FracPoly, GenFun, check_inversion_symmetry, rewrite_in_q
+from .symbolic import FracPoly, GenFun, rewrite_in_q
 
 _CACHE: Dict[tuple, object] = {}
 
@@ -381,41 +380,6 @@ def smallest_tame_prime(sigma: SplittingType) -> int:
     while not (is_prime(p) and sigma.is_tame_at(p)):
         p += 1
     return p
-
-
-@dataclass(frozen=True)
-class DensityResult:
-    """All densities attached to one splitting type, plus the symmetry report."""
-
-    sigma: SplittingType
-    rho_q: FracPoly
-    alpha_q: FracPoly
-    beta_q: FracPoly
-    rho_bivariate: GenFun
-    asymptotic: FracPoly
-    functional_eq_holds: bool
-
-
-def density_result(sigma: SplittingType, validate: bool = True) -> DensityResult:
-    rho = splitting_density(sigma)
-    holds, _ = check_inversion_symmetry(rho)
-    result = DensityResult(
-        sigma=sigma,
-        rho_q=rho,
-        alpha_q=monic_density(sigma),
-        beta_q=centered_monic_density(sigma),
-        rho_bivariate=density_gen_fun(sigma),
-        asymptotic=density_asymptotic(sigma),
-        functional_eq_holds=holds,
-    )
-    if validate:
-        p0 = smallest_tame_prime(sigma)
-        val = rho.evaluate(Fraction(p0) ** sigma.f_base)
-        if not (0 < val <= 1):
-            raise VerificationError(
-                f"density out of range at p={p0}: {val} for {sigma.display_pairs()}"
-            )
-    return result
 
 
 # ---------------------------------------------------------------------------

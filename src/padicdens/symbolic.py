@@ -29,7 +29,9 @@ and keep the candidate's primitive part once trial division shows that it
 divides both inputs; otherwise grow xi.  For xi > 2 min(|f|, |g|) + 2 a
 candidate that divides both inputs is their gcd, and every xi past finitely
 many unlucky ones yields it, so the result is exact and the loop ends.  The
-block comment above ``_z_gcd`` gives both proofs.
+block comment above ``_z_gcd`` gives both proofs.  The gcd also returns the
+quotients of its trial division, the two cofactors, so cancelling a common
+factor divides each operand once.
 
 The printed and serialized form is a bijective image of the stored one.  A
 positive scale per axis keeps the lexicographic term order, so dividing each
@@ -174,7 +176,9 @@ def _sparse_divexact(a: Terms, b: Terms) -> Terms | None:
 #     gamma's coefficients, so that G(xi) = gamma.  Let P be the primitive
 #     part of G with a positive leading coefficient.
 #   * Return c P if P = 1 or if P divides both f and g (trial division).
-#     Otherwise grow xi and repeat.
+#     Otherwise grow xi and repeat.  The cofactors returned with it are the
+#     quotients of that trial division (f and g themselves for P = 1) times
+#     cont(f)/c and cont(g)/c.
 #
 # Correctness.  Let f, g be primitive, h = gcd(f, g), say |g| <= |f|, so that
 # xi >= 2|g| + 3, and suppose P divides f and g.  Then P divides h; write
@@ -235,13 +239,16 @@ def _lift(image: Terms, xi: int) -> Terms:
     return out
 
 
-def _z_gcd(f: Terms, g: Terms) -> Terms:
-    """gcd, content included, of two nonzero int term maps with nonnegative
-    exponents; the heuristic gcd of the block comment above."""
+def _z_gcd(f: Terms, g: Terms) -> Tuple[Terms, Terms, Terms]:
+    """(h, f/h, g/h): h the gcd, content included, of two nonzero int term
+    maps with nonnegative exponents, and the two cofactors; the heuristic gcd
+    of the block comment above."""
     if not next(iter(f)):  # no variables left
-        return {(): gcd(f[()], g[()])}
+        h = gcd(f[()], g[()])
+        return {(): h}, {(): f[()] // h}, {(): g[()] // h}
     cf = gcd(*f.values())
     cg = gcd(*g.values())
+    c = gcd(cf, cg)
     f = {k: v // cf for k, v in f.items()}
     g = {k: v // cg for k, v in g.items()}
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 3
@@ -249,49 +256,42 @@ def _z_gcd(f: Terms, g: Terms) -> Terms:
         fx = _eval_first(f, xi)
         gx = _eval_first(g, xi)
         if fx and gx:
-            cand = _lift(_z_gcd(fx, gx), xi)
+            cand = _lift(_z_gcd(fx, gx)[0], xi)
             content = gcd(*cand.values())
             if cand[max(cand)] < 0:
                 content = -content
             cand = {k: v // content for k, v in cand.items()}
-            if (len(cand) == 1 and not any(next(iter(cand)))) or (
-                _sparse_divexact(f, cand) is not None and _sparse_divexact(g, cand) is not None
-            ):
-                return _t_scale(cand, gcd(cf, cg))
+            if len(cand) == 1 and not any(next(iter(cand))):
+                fq, gq = f, g  # P = 1 divides both
+            else:
+                fq = _sparse_divexact(f, cand)
+                gq = None if fq is None else _sparse_divexact(g, cand)
+            if gq is not None:
+                return _t_scale(cand, c), _t_scale(fq, cf // c), _t_scale(gq, cg // c)
         # sympy's growth, about 2.73 xi^(5/4): on the d <= 6 catalogs no call
         # needs more than five values of xi, where doubling needed up to 21
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
 
 
-def _terms_gcd(a: Terms, b: Terms) -> Terms | None:
-    """Primitive polynomial gcd of two int term maps with nonnegative
-    exponents; None when the gcd is a constant."""
+def _cancel(a: Terms, b: Terms) -> Tuple[Terms, Terms] | None:
+    """(a/g, b/g) for g the primitive polynomial gcd of two int term maps
+    with nonnegative exponents; None when g is a constant."""
     if len(a) == 1 or len(b) == 1:
         return None
     # the coarsest lattice holding both: divide each axis by the gcd of its
-    # exponents (x -> x^k commutes with the gcd)
+    # exponents (x -> x^k commutes with the gcd and with exact division)
     steps = tuple(gcd(*col) or 1 for col in zip(*a, *b))
     coarse = any(s != 1 for s in steps)
     if coarse:
         down = lambda t: {tuple(map(floordiv, k, steps)): v for k, v in t.items()}
         a, b = down(a), down(b)
-    g = _z_gcd(a, b)
-    if len(g) == 1 and not any(next(iter(g))):
+    h, a, b = _z_gcd(a, b)
+    if len(h) == 1 and not any(next(iter(h))):
         return None
-    content = gcd(*g.values())
-    g = {k: v // content for k, v in g.items()}
-    return _t_stretch(g, steps) if coarse else g
-
-
-def _reduce_fraction(num: Terms, den: Terms) -> Tuple[Terms, Terms]:
-    """Cancel the polynomial gcd of num and den (nonnegative exponents)."""
-    g = _terms_gcd(num, den)
-    if g is None:
-        return num, den
-    num2 = _sparse_divexact(num, g)
-    den2 = _sparse_divexact(den, g)
-    assert num2 is not None and den2 is not None
-    return num2, den2
+    # h is its content times g, so a/g is that content times a/h
+    content = gcd(*h.values())
+    a, b = _t_scale(a, content), _t_scale(b, content)
+    return (_t_stretch(a, steps), _t_stretch(b, steps)) if coarse else (a, b)
 
 
 def _normalize_pair(
@@ -311,7 +311,7 @@ def _normalize_pair(
         num = _t_shift(num, shift)
         den = _t_shift(den, shift)
     if not reduced:
-        num, den = _reduce_fraction(num, den)
+        num, den = _cancel(num, den) or (num, den)
     content = gcd(*num.values(), *den.values())
     if den[min(den)] < 0:
         content = -content
@@ -521,14 +521,9 @@ class _RatFuncBase:
                 num = _t_add(_t_scale(n1, b // g), _t_scale(n2, a // g))
                 return self._like(scale, num, _t_scale(d1, b // g))
         # pre-cancel the denominators' common factor to keep the final gcd small
-        g = _terms_gcd(d1, d2)
-        if g is not None:
-            d1r = _sparse_divexact(d1, g)
-            d2r = _sparse_divexact(d2, g)
-            num = _t_add(_t_mul(n1, d2r), _t_mul(n2, d1r))
-            return self._like(scale, num, _t_mul(d1, d2r))
-        num = _t_add(_t_mul(n1, d2), _t_mul(n2, d1))
-        return self._like(scale, num, _t_mul(d1, d2))
+        d1r, d2r = _cancel(d1, d2) or (d1, d2)
+        num = _t_add(_t_mul(n1, d2r), _t_mul(n2, d1r))
+        return self._like(scale, num, _t_mul(d1, d2r))
 
     __radd__ = __add__
 
@@ -553,8 +548,8 @@ class _RatFuncBase:
         cancelling the two cross gcds the product pair is coprime, so
         normalization skips the gcd."""
         if n1 and n2:
-            n1, d2 = _reduce_fraction(n1, d2)
-            n2, d1 = _reduce_fraction(n2, d1)
+            n1, d2 = _cancel(n1, d2) or (n1, d2)
+            n2, d1 = _cancel(n2, d1) or (n2, d1)
         return self._like(scale, _t_mul(n1, n2), _t_mul(d1, d2), reduced=True)
 
     def __mul__(self, other):

@@ -18,6 +18,10 @@ from .symbolic import FracPoly, check_inversion_symmetry
 
 Check = Tuple[str, bool, str]
 
+ASYMPTOTIC_Q0 = 10**4
+ASYMPTOTIC_TOL_NUM = 10
+LEADING_TOL_NUM = 5
+
 GOLDEN = (
     (SplittingType(((1, 1), (1, 1))), FracPoly(1, 2)),
     (SplittingType(((1, 2),)), FracPoly({2: 1, 1: -1, 0: 1}, {2: 2, 1: 2, 0: 2})),
@@ -90,12 +94,12 @@ def duality_checks(sigmas: Iterable[SplittingType]) -> List[Check]:
     return out
 
 
-def asymptotic_checks(
-    sigmas: Iterable[SplittingType], q0: int = 10**4, tol_num: int = 10
-) -> List[Check]:
-    """|rho(q) * perm * prod f_rel * q^(sum (e_rel-1) f_rel) - 1| <= tol_num/q0."""
+def asymptotic_checks(sigmas: Iterable[SplittingType]) -> List[Check]:
+    """|rho(q) * perm * prod f_rel * q^(sum (e_rel-1) f_rel) - 1| <=
+    ASYMPTOTIC_TOL_NUM/q at q = ASYMPTOTIC_Q0."""
     out = []
-    tol = Fraction(tol_num, q0)
+    q0 = ASYMPTOTIC_Q0
+    tol = Fraction(ASYMPTOTIC_TOL_NUM, q0)
     for sigma in sigmas:
         rho = engine.splitting_density(sigma).evaluate(q0)
         dev = abs(rho / engine.density_asymptotic(sigma).evaluate(q0) - 1)
@@ -110,12 +114,11 @@ def asymptotic_checks(
 
 
 def min_disc_checks(
-    sigmas: Iterable[SplittingType],
-    leading_p: int | None = None,
-    leading_tol_num: int = 5,
+    sigmas: Iterable[SplittingType], leading_p: int | None = None
 ) -> List[Check]:
     """Minimal discriminant valuation vs the generating function's lowest
-    exponent; optionally the near-1 bound on the leading coefficient."""
+    exponent; optionally the near-1 bound LEADING_TOL_NUM/p on the leading
+    coefficient at p = leading_p."""
     out = []
     for sigma in sigmas:
         try:
@@ -133,7 +136,7 @@ def min_disc_checks(
             out.append(
                 (
                     f"leading_coeff {sigma.display_pairs()}",
-                    dev <= Fraction(leading_tol_num, leading_p),
+                    dev <= Fraction(LEADING_TOL_NUM, leading_p),
                     f"|a(c0)-1|={float(dev):.3e} at p={leading_p}",
                 )
             )

@@ -77,7 +77,7 @@ def test_criterion_4_duality():
 
 
 def test_criterion_5_asymptotics():
-    checks = verify.asymptotic_checks(_catalog_three_bases(4), q0=10**4, tol_num=10)
+    checks = verify.asymptotic_checks(_catalog_three_bases(4))
     _report("criterion 5 (asymptotics within 10/q at q = 10^4)", all(ok for _, ok, _ in checks))
 
 
@@ -127,8 +127,6 @@ def test_criterion_9_minimal_discriminant():
         ok &= c0 == F(
             sum(f * (e - 1) for e, f in zip(sigma.e_rel, sigma.f_rel)), sigma.e_base
         )
-    checks = verify.min_disc_checks(
-        _catalog_three_bases(3), leading_p=10**3, leading_tol_num=5
-    )
+    checks = verify.min_disc_checks(_catalog_three_bases(3), leading_p=10**3)
     ok &= all(passed for _, passed, _ in checks)
     _report("criterion 9 (minimal discriminant valuation and leading mass)", ok)

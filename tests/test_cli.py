@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
@@ -32,7 +33,7 @@ from padicdens.errors import (
     VerificationError,
 )
 from padicdens.splitting import SplittingType
-from padicdens.symbolic import from_json_obj
+from padicdens.symbolic import FracPoly, from_json_obj
 
 
 def test_parse_sigma_basic():
@@ -129,6 +130,35 @@ def test_compute_json_round_trips(capsys):
     from padicdens.engine import density_gen_fun
 
     assert biv == density_gen_fun(SplittingType(((2, 1),)))
+
+
+def test_compute_json_bundle(capsys):
+    assert main(
+        ["compute", "--sigma", "e1f2", "--format", "json", "--bivariate"]
+    ) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["functional_eq_holds"]
+    rho = from_json_obj(payload["rho"])
+    assert rho == FracPoly({2: 1, 1: -1, 0: 1}, {2: 2, 1: 2, 0: 2})
+    assert from_json_obj(payload["asymptotic"]) == FracPoly(F(1, 2))
+    # all q-exponents integral by construction
+    assert all(e.denominator == 1 for e in rho.exponents)
+    assert from_json_obj(payload["rho_bivariate"]) == engine.density_gen_fun(
+        SplittingType(((1, 2),))
+    )
+
+
+def test_compute_csv_prints_bivariate_row(capsys):
+    assert main(
+        ["compute", "--sigma", "e2f1", "--format", "csv", "--bivariate"]
+    ) == EXIT_OK
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert [r[3] for r in rows[1:]] == [
+        "rho", "alpha", "beta_monic", "asymptotic", "rho_bivariate"
+    ]
+    biv = rows[-1]
+    assert biv[:3] == ["e2f1", "1", "1"]
+    assert f"({biv[4]}) / ({biv[5]})" == str(engine.density_gen_fun(SplittingType(((2, 1),))))
 
 
 def test_table_csv_schema(capsys):
@@ -248,6 +278,11 @@ ORACLE_11 = ["oracle", "--sigma", "e1f1,e1f1", "-p", "5"]
             id="verification",
         ),
         pytest.param(
+            ["compute", "--sigma", "e1f2"],
+            ("splitting_density", lambda sigma: FracPoly(2)), EXIT_VERIFY,
+            id="density-out-of-range",
+        ),
+        pytest.param(
             ["conjecture", "--degree-max", "1", "--bases", "e1f1"],
             ("density_gen_fun", RecursionGuardError("forced guard")), EXIT_VERIFY,
             id="recursion-guard",
@@ -256,7 +291,8 @@ ORACLE_11 = ["oracle", "--sigma", "e1f1,e1f1", "-p", "5"]
 )
 def test_failures_exit_with_documented_code(argv, patch, code, monkeypatch, capsys, tmp_path):
     if patch is not None:
-        monkeypatch.setattr(engine, patch[0], _raising(patch[1]))
+        stub = patch[1] if callable(patch[1]) else _raising(patch[1])
+        monkeypatch.setattr(engine, patch[0], stub)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert main(argv) == code
     err = capsys.readouterr().err

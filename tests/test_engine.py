@@ -15,7 +15,6 @@ from padicdens.engine import (
     degree_slice,
     density_asymptotic,
     density_gen_fun,
-    density_result,
     disc_gen_fun,
     leading_coeff_weight,
     min_disc_valuation,
@@ -272,15 +271,6 @@ def test_recursion_guard_trips():
     with pytest.raises(RecursionGuardError):
         disc_gen_fun(SplittingType(((2, 1), (3, 1))), (0, 0), _depth=10**7, _limit=1)
     clear_memo()
-
-
-def test_density_result_bundle():
-    res = density_result(S12)
-    assert res.functional_eq_holds
-    assert res.rho_q == GOLDEN_RHO[1][1]
-    assert res.asymptotic == FracPoly(F(1, 2))
-    # all q-exponents integral by construction
-    assert all(e.denominator == 1 for e in res.rho_q.exponents)
 
 
 def test_leading_coeff_boundary_at_four_split_factors():

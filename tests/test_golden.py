@@ -1,9 +1,12 @@
-"""Golden snapshot: every exact value of the d <= 6 catalogs, bit for bit.
+"""Golden snapshot: every exact value of the d <= 6 catalogs and of the
+d = 7 slice over e1f1, bit for bit.
 
-tests/data/golden_d5.txt (d <= 5) and golden_d6.txt (d = 6) hold one line
-per (base, sigma, kind) with the sha256 of ``symbolic.dumps(value)``; they
-are written by scripts/golden.py.  Every (base, degree) group is a case of
-its own, so a failure names the values that differ.
+tests/data/golden_d5.txt (d <= 5), golden_d6.txt (d = 6) and golden_d7.txt
+(d = 7) hold one line per (base, sigma, kind) with the sha256 of
+``symbolic.dumps(value)``; they are written by scripts/golden.py.  Every
+(base, degree) group is a case of its own, so a failure names the values that
+differ.  The d = 7 lines of e2f1 and e1f2 are not a test case, since each
+base adds about 10 s; check them with ``golden.digest_lines``.
 """
 
 import pathlib
@@ -18,7 +21,7 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 def _snapshot():
     groups = defaultdict(list)
-    for name in ("golden_d5.txt", "golden_d6.txt"):
+    for name in ("golden_d5.txt", "golden_d6.txt", "golden_d7.txt"):
         for line in (DATA / name).read_text().splitlines():
             base, degree = line.split()[:2]
             groups[base, int(degree)].append(line)
@@ -30,7 +33,8 @@ SNAPSHOT = _snapshot()
 
 @pytest.mark.parametrize(
     "base, degree",
-    [pytest.param(b, d, id=f"{b}-d{d}") for b in BASES for d in range(1, 7)],
+    [pytest.param(b, d, id=f"{b}-d{d}") for b in BASES for d in range(1, 7)]
+    + [pytest.param("e1f1", 7, id="e1f1-d7")],
 )
 def test_golden_values(base, degree):
     want = SNAPSHOT[base, degree]

@@ -11,7 +11,7 @@ from padicdens.errors import NonIntegralExponentError, NoSeriesExpansionError
 from padicdens.symbolic import (
     FracPoly,
     GenFun,
-    _terms_gcd,
+    _cancel,
     check_inversion_symmetry,
     dumps,
     loads,
@@ -371,6 +371,25 @@ _BIPOLYS = st.dictionaries(
 )
 
 
+def _check_cancel(f, g):
+    """_cancel on the term maps of sympy polys f and g (two or more terms
+    each): the cofactors times sympy's primitive gcd give back f and g, up to
+    one common sign, and the cofactors have a constant gcd."""
+    sympy = pytest.importorskip("sympy")
+    p, t = f.gens
+    terms = lambda h: {k: int(v) for k, v in h.as_dict().items()}
+    poly = lambda terms: sympy.Poly.from_dict(terms, p, t)
+    got = _cancel(terms(f), terms(g))
+    want = sympy.gcd(f, g).primitive()[1]
+    if got is None:
+        assert want.is_ground
+        return
+    assert not want.is_ground
+    fc, gc = map(poly, got)
+    assert (fc * want, gc * want) in ((f, g), (-f, -g))
+    assert sympy.gcd(fc, gc).is_ground
+
+
 @given(_BIPOLYS, _BIPOLYS, _BIPOLYS, st.booleans())
 def test_gcd_matches_sympy(a, b, c, fixed_divisor):
     sympy = pytest.importorskip("sympy")
@@ -380,14 +399,22 @@ def test_gcd_matches_sympy(a, b, c, fixed_divisor):
     if fixed_divisor:
         a, b = a * poly({(2, 0): 1, (1, 0): 1}), b * poly({(2, 0): 1, (1, 0): 1, (0, 0): 2})
     f, g = a * c, b * c
-    terms = lambda h: {k: int(v) for k, v in h.as_dict().items()}
-    assume(len(terms(f)) > 1 and len(terms(g)) > 1)  # _terms_gcd skips monomials
-    got = _terms_gcd(terms(f), terms(g))
-    want = sympy.gcd(f, g).primitive()[1]
-    if got is None:
-        assert want.is_ground
-    else:
-        assert poly(got) in (want, -want)
+    assume(len(f.terms()) > 1 and len(g.terms()) > 1)  # _cancel skips monomials
+    _check_cancel(f, g)
+
+
+@given(_BIPOLYS, _BIPOLYS, _BIPOLYS)
+def test_cancel_on_coarse_lattice(a, b, c):
+    # every p-exponent even and every t-exponent a multiple of 3: _cancel
+    # takes the gcd on the coarser lattice and stretches the cofactors back
+    sympy = pytest.importorskip("sympy")
+    p, t = sympy.symbols("p t")
+    poly = lambda terms: sympy.Poly.from_dict(
+        {(2 * i, 3 * j): v for (i, j), v in terms.items()}, p, t
+    )
+    f, g = poly(a) * poly(c), poly(b) * poly(c)
+    assume(len(f.terms()) > 1 and len(g.terms()) > 1)
+    _check_cancel(f, g)
 
 
 def test_json_round_trip_fractional_exponents():
