@@ -13,7 +13,6 @@ from .errors import (
     NonIntegralExponentError,
     NoSeriesExpansionError,
     PadicDensError,
-    RecursionGuardError,
     SigmaParseError,
     TooLargeError,
     VerificationError,

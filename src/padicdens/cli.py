@@ -9,6 +9,9 @@ Commands:
   oracle      enumeration / Monte Carlo cross-check against the engine
   conjecture  the two-variable symmetry report
 
+Every command prints text or json (--format); compute and table also print
+csv.  A sigma names its base by its @ suffix; table takes --base.
+
 Exit codes:
 
   0  success
@@ -18,9 +21,9 @@ Exit codes:
      before the report is written (e.g. piped into head)
   3  wild prime, or a -p that is not prime
   4  non-integral exponent
-  5  verification failure, or the recursion guard tripped
-  6  enumeration too large, or --samples x conjugates x common slots above
-     the oracle's 40,000,000 bound
+  5  verification failure
+  6  enumeration too large: more than the oracle's 2,048 common slots, or
+     --samples x conjugates x common slots above its 40,000,000 bound
 
 Identical job specifications (including seeds) produce byte-identical
 reports; catalog entries are emitted in a canonical order.
@@ -43,7 +46,6 @@ from . import engine, verify
 from .errors import (
     DivisibilityError,
     NonIntegralExponentError,
-    RecursionGuardError,
     SigmaParseError,
     TooLargeError,
     VerificationError,
@@ -97,6 +99,7 @@ class JobSpec:
 
     command: str
     sigma: Optional[SplittingType] = None
+    # the catalog base of table (--base)
     e_base: int = 1
     f_base: int = 1
     p: Optional[int] = None
@@ -243,13 +246,8 @@ def run_table(job: JobSpec) -> int:
         return EXIT_OK
     if job.fmt == "json":
         payload = [
-            {
-                "sigma": s.display_pairs(),
-                "rho": to_json_obj(engine.splitting_density(s)),
-                "alpha": to_json_obj(engine.monic_density(s)),
-                "beta_monic": to_json_obj(engine.centered_monic_density(s)),
-                "asymptotic": to_json_obj(engine.density_asymptotic(s)),
-            }
+            {"sigma": s.display_pairs()}
+            | {name: to_json_obj(value) for name, value in _quantity_rows(s)}
             for s in sigmas
         ]
         _emit(job, json.dumps(payload, sort_keys=True, indent=2))
@@ -340,7 +338,7 @@ def _parse_bases(raw: str) -> Tuple[Tuple[int, int], ...]:
     return tuple(_parse_pair(item, "base") for item in raw.split(","))
 
 
-def _parse_depths(raw: str) -> Tuple[int, ...]:
+def _parse_b_vector(raw: str) -> Tuple[int, ...]:
     try:
         return tuple(int(x) for x in raw.split(","))
     except ValueError:
@@ -354,31 +352,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_sigma=False, with_prime=False, with_base=True):
+    # csv only where a report has a CSV renderer: compute and table
+    def common(sp, with_sigma=False, with_prime=False, with_csv=False):
         if with_sigma:
             sp.add_argument("--sigma", required=True, help="e.g. e1f2 or e2f1,e1f1 or e4f1@e2f1")
-        if with_base:
-            sp.add_argument("--base", default=None, help="base e<int>f<int> (overrides @suffix)")
         if with_prime:
             sp.add_argument("-p", type=int, default=None, help="concrete tame prime")
-        sp.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
+        formats = ("text", "json", "csv") if with_csv else ("text", "json")
+        sp.add_argument("--format", dest="fmt", choices=formats, default="text")
         sp.add_argument("--emit", default=None, help="also write the report to this path")
 
     sp = sub.add_parser("compute", help="densities for one splitting type")
-    common(sp, with_sigma=True, with_prime=True)
+    common(sp, with_sigma=True, with_prime=True, with_csv=True)
     sp.add_argument(
         "--bivariate", action="store_true",
         help="also compute the two-variable density rho(p,t)",
     )
 
     sp = sub.add_parser("table", help="densities for a degree-bounded catalog")
-    common(sp)
+    common(sp, with_csv=True)
+    sp.add_argument("--base", default=None, help="base e<int>f<int> of the catalog")
     sp.add_argument("--degree-max", type=int, default=5)
 
     # the catalog commands read --bases only; without abbreviations a --base
     # there is an error rather than a short --bases
     sp = sub.add_parser("verify", help="run the invariant suite", allow_abbrev=False)
-    common(sp, with_base=False)
+    common(sp)
     sp.add_argument("--degree-max", type=int, default=3)
     sp.add_argument("--bases", default="e1f1", help="comma list, e.g. e1f1,e2f1,e1f2")
 
@@ -390,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--depths", default=None, help="comma list of b_i, default all 0")
 
     sp = sub.add_parser("conjecture", help="two-variable symmetry report", allow_abbrev=False)
-    common(sp, with_base=False)
+    common(sp)
     sp.add_argument("--degree-max", type=int, default=3)
     sp.add_argument("--bases", default="e1f1,e2f1,e1f2")
     return ap
@@ -403,7 +402,7 @@ _OPTIONS = {
     "samples": ("samples", None),
     "seed": ("seed", None),
     "degree_max": ("degree_max", None),
-    "depths": ("depths", _parse_depths),
+    "depths": ("depths", _parse_b_vector),
     "bases": ("bases", _parse_bases),
     "bivariate": ("bivariate", None),
 }
@@ -411,16 +410,10 @@ _OPTIONS = {
 
 def job_from_args(args: argparse.Namespace) -> JobSpec:
     job = JobSpec(command=args.command, fmt=args.fmt, emit=args.emit)
-    raw_base = getattr(args, "base", None)
-    base = _parse_pair(raw_base, "base") if raw_base is not None else None
     if getattr(args, "sigma", None) is not None:
-        sigma = parse_sigma(args.sigma)
-        if base:
-            sigma = SplittingType(sigma.components, *base)
-        job.sigma = sigma
-        base = (sigma.e_base, sigma.f_base)
-    if base:
-        job.e_base, job.f_base = base
+        job.sigma = parse_sigma(args.sigma)
+    if getattr(args, "base", None) is not None:
+        job.e_base, job.f_base = _parse_pair(args.base, "base")
     for dest, (field, parse) in _OPTIONS.items():
         value = getattr(args, dest, None)
         if value is not None:
@@ -434,7 +427,6 @@ _EXIT_CODES = {
     WildInputError: EXIT_WILD,
     NonIntegralExponentError: EXIT_NONINTEGRAL,
     VerificationError: EXIT_VERIFY,
-    RecursionGuardError: EXIT_VERIFY,
     TooLargeError: EXIT_TOO_LARGE,
 }
 

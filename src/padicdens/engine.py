@@ -45,7 +45,7 @@ from itertools import product
 from math import ceil, comb, prod
 from typing import Dict, Iterator, Tuple
 
-from .errors import RecursionGuardError, VerificationError
+from .errors import VerificationError
 from .splitting import (
     BVector,
     SplittingType,
@@ -105,12 +105,7 @@ def _recursion_key(sigma: SplittingType, b: BVector) -> tuple:
     return (sigma.e_base, sigma.f_base, parts)
 
 
-def disc_gen_fun(
-    sigma: SplittingType,
-    b: BVector,
-    _depth: int = 0,
-    _limit: int | None = None,
-) -> GenFun:
+def disc_gen_fun(sigma: SplittingType, b: BVector) -> GenFun:
     """Generating function of discriminant-valuation masses for (sigma, b).
 
     Memoized on a canonical key, so results are independent of call order and
@@ -118,20 +113,29 @@ def disc_gen_fun(
     """
     if len(b) != sigma.m or any(x < 0 for x in b):
         raise ValueError("depth vector must be nonnegative and match sigma")
-    return _cached(
-        _recursion_key(sigma, b), lambda: _recurse(sigma, b, _depth, _limit)
-    )
+    return _cached(_recursion_key(sigma, b), lambda: _recurse(sigma, b))
 
 
-def _recurse(sigma: SplittingType, b: BVector, _depth: int, _limit: int | None) -> GenFun:
-    """The uncached value of disc_gen_fun."""
-    if _limit is None:
-        _limit = 10 * max(1, sigma.degree) * sigma.e_base * sigma.f_base
-    if _depth > _limit:
-        raise RecursionGuardError(
-            f"recursion depth exceeded {_limit} at {sigma.display_pairs()} b={b}"
-        )
+def _recurse(sigma: SplittingType, b: BVector) -> GenFun:
+    """The uncached value of disc_gen_fun.
 
+    The recursion ends, and needs no run-time guard:
+
+      * Nesting of disc_gen_fun.  A call on (sigma, b) of relative degree d
+        nests calls on types of relative degree below d (through _branch,
+        whose assert checks it) and, when b != 0, the one call on
+        (sigma, 0).  A call on (sigma, 0) nests only the former.  So each
+        level lowers d, or goes from b != 0 to b = 0 on the same type, and
+        the nesting depth is at most 2 d.
+      * The argmin chains.  Each runs from start to stop = k * e_rel with
+        start <= stop componentwise (k = k_lim below; at b = 0, start =
+        bump(0) = (1, ..., 1) and k = 1).  While cur <= stop, every slope
+        cur_i / e_rel_i is at most k, and a component at slope k lies in
+        the argmin set only when every component does, that is when
+        cur = stop.  So bump_argmin never raises a component past stop,
+        adds at least 1 to sum(cur), and the chain reaches stop in at most
+        sum(stop) - sum(start) steps.
+    """
     # canonical component order; the value is symmetric under permutation
     order = sorted(range(sigma.m), key=lambda i: (sigma.components[i], b[i]))
     sigma = sigma.restrict(order)
@@ -151,8 +155,8 @@ def _recurse(sigma: SplittingType, b: BVector, _depth: int, _limit: int | None) 
         # the head plan adds p^f_base * G(sigma, bump(0)), which the identity
         # below turns into the chain up to e_rel plus a rescaled G(sigma, 0);
         # solving for G(sigma, 0) closes the geometric tail
-        head = branch_sum(sigma, zero_b, _depth + 1, _limit)
-        tail = _chain_sum(sigma, bump_argmin(sigma, zero_b), tuple(e_rel), _depth, _limit)
+        head = branch_sum(sigma, zero_b)
+        tail = _chain_sum(sigma, bump_argmin(sigma, zero_b), tuple(e_rel))
         closure_den = GenFun(1) - GenFun.monomial(p_exp=f_base * (1 - d), t_exp=t_step)
         return (head + GenFun.monomial(p_exp=f_base) * tail) / closure_den
 
@@ -161,42 +165,32 @@ def _recurse(sigma: SplittingType, b: BVector, _depth: int, _limit: int | None) 
     # branch above builds the closure, and g_zero = G(sigma, 0) is cached.
     k_lim = max(ceil(Fraction(bi, ei)) for bi, ei in zip(b, e_rel))
     target = tuple(k_lim * ei for ei in e_rel)
-    chain_sum = _chain_sum(sigma, b, target, _depth, _limit)
-    g_zero = disc_gen_fun(sigma, zero_b, _depth + 1, _limit)
+    chain_sum = _chain_sum(sigma, b, target)
+    g_zero = disc_gen_fun(sigma, zero_b)
     rescale = GenFun.monomial(p_exp=-f_base * d * k_lim, t_exp=t_step * k_lim)
     return chain_sum + rescale * g_zero
 
 
-def _chain_sum(
-    sigma: SplittingType, start: BVector, stop: BVector, _depth: int, _limit: int
-) -> GenFun:
+def _chain_sum(sigma: SplittingType, start: BVector, stop: BVector) -> GenFun:
     """The sum of branch_sum along the bump_argmin chain from start up to,
     not including, stop."""
     total = GenFun(0)
     cur = start
-    steps = 0
     while cur != stop:
-        total = total + branch_sum(sigma, cur, _depth + 1, _limit)
+        total = total + branch_sum(sigma, cur)
         cur = bump_argmin(sigma, cur)
-        steps += 1
-        if steps > _limit:
-            raise RecursionGuardError("argmin chain failed to terminate")
     return total
 
 
-def branch_sum(
-    sigma: SplittingType, b: BVector, _depth: int = 0, _limit: int = 10**6
-) -> GenFun:
+def branch_sum(sigma: SplittingType, b: BVector) -> GenFun:
     """One recursion step: the sum over non-head partition plans of
     weight * t^(pair-separation exponent) * product of rescaled sub-values.
 
     Memoized like disc_gen_fun, on the same canonical key."""
-    return _cached(
-        ("branch",) + _recursion_key(sigma, b), lambda: _branch(sigma, b, _depth, _limit)
-    )
+    return _cached(("branch",) + _recursion_key(sigma, b), lambda: _branch(sigma, b))
 
 
-def _branch(sigma: SplittingType, b: BVector, _depth: int, _limit: int) -> GenFun:
+def _branch(sigma: SplittingType, b: BVector) -> GenFun:
     """The uncached value of branch_sum."""
     sd = slope_data(sigma, b)
     arg = set(sd.argmin)
@@ -226,7 +220,7 @@ def _branch(sigma: SplittingType, b: BVector, _depth: int, _limit: int) -> GenFu
             )
             sub_b = tuple(b[i] + (1 if i in arg else 0) for i in bl)
             assert sub_sigma.degree < d, "branch must shrink the degree"
-            sub = disc_gen_fun(sub_sigma, sub_b, _depth + 1, _limit)
+            sub = disc_gen_fun(sub_sigma, sub_b)
             subs = subs * sub.substitute_t_power(n)
         terms.append(_p_to_genfun(weight) * GenFun.monomial(t_exp=t_exp) * subs)
     return _tree_sum(terms, GenFun(0))

@@ -39,9 +39,5 @@ class DivisibilityError(PadicDensError):
     """A base invariant does not divide the corresponding absolute invariant."""
 
 
-class RecursionGuardError(PadicDensError):
-    """The recursion-depth guard tripped; the computation was aborted."""
-
-
 class VerificationError(PadicDensError):
     """A runtime verification (identity check, invariant) failed."""

@@ -43,6 +43,13 @@ ZERO = -1  # sentinel for a zero coefficient in code tuples and arrays
 # slots) the sampler holds
 GUARD = 40_000_000
 
+# bound on the common slots of one oracle call, in both modes: the exact
+# count's integers and the engine's series grow with the slots, which GUARD
+# does not see.  For e1f1,e1f1 at p 3 the exact check takes 1.0 s at 1,001
+# slots, 2.9 s at 2,001 and 22 s at 4,001; with --samples 1 the series takes
+# 3.8 s at 8,001 slots.
+MAX_COMMON_SLOTS = 2_048
+
 
 def _common_code(a, n, j, r, s, p, e, f, M):
     """Exponent, mod M, of the (r, s) conjugate of the slot-n coefficient
@@ -67,12 +74,17 @@ def _layout(sigma: SplittingType, b: BVector, c_max: int, p: int):
 
     The common truncation depth N satisfies 2N/E > c_max, so a single
     unresolved ordered pair already pushes the discriminant valuation beyond
-    c_max and unresolved patterns can be bucketed wholesale.
+    c_max and unresolved patterns can be bucketed wholesale.  Raises
+    TooLargeError when N exceeds MAX_COMMON_SLOTS.
     """
     comps = sigma.components
     E = math.lcm(*(e for e, _ in comps))
     M = math.lcm(*(e * (p**f - 1) for e, f in comps))
     n_common = (E * c_max) // 2 + 1
+    if n_common > MAX_COMMON_SLOTS:
+        raise TooLargeError(
+            f"{n_common} common slots exceed the oracle's bound of {MAX_COMMON_SLOTS}"
+        )
     per = []
     for (e, f), bi in zip(comps, b):
         n_slots = max(-(-n_common * e // E), bi)  # ceil, at least b_i
@@ -279,7 +291,8 @@ def sampled_disc_masses(
 
     Unbiased estimates of the same unconditional masses, with standard
     errors; deterministic for a fixed seed.  Raises TooLargeError, before
-    any draw, when samples x conjugates x common slots exceeds GUARD.
+    any draw, when the common slots exceed MAX_COMMON_SLOTS or samples x
+    conjugates x common slots exceeds GUARD.
     """
     if (sigma.e_base, sigma.f_base) != (1, 1):
         raise ValueError("the sampling oracle works over the base (1,1) only")

@@ -182,8 +182,8 @@ def oracle_records(
     """Comparison records {sigma, b, p, c, exact_mass | estimate, stderr,
     engine_value, match} for every c up to c_max.
 
-    The oracle runs first: its guard bounds c_max, and the engine's series
-    has no guard of its own."""
+    The oracle runs first: its bound on the common slots bounds c_max, and
+    the engine's series has no guard of its own."""
     records: List[dict] = []
     if samples:
         est = oracle.sampled_disc_masses(sigma, b, c_max, p, samples, seed)

@@ -28,7 +28,6 @@ from padicdens.cli import (
 )
 from padicdens.errors import (
     DivisibilityError,
-    RecursionGuardError,
     SigmaParseError,
     VerificationError,
 )
@@ -283,9 +282,12 @@ ORACLE_11 = ["oracle", "--sigma", "e1f1,e1f1", "-p", "5"]
             id="density-out-of-range",
         ),
         pytest.param(
-            ["conjecture", "--degree-max", "1", "--bases", "e1f1"],
-            ("density_gen_fun", RecursionGuardError("forced guard")), EXIT_VERIFY,
-            id="recursion-guard",
+            ["oracle", "--sigma", "e1f1,e1f1", "-p", "3", "--cmax", "300000", "--samples", "1"],
+            None, EXIT_TOO_LARGE, id="sampled-slots-too-many",
+        ),
+        pytest.param(
+            ["oracle", "--sigma", "e1f1,e1f1", "-p", "3", "--cmax", "1000000"],
+            None, EXIT_TOO_LARGE, id="exact-slots-too-many",
         ),
     ],
 )
@@ -308,6 +310,40 @@ def test_catalog_checks_take_bases_not_base(command, capsys):
         main([command, "--degree-max", "2", "--base", "e2f1", "--bases", "e1f1"])
     assert exc.value.code == EXIT_PARSE
     assert "--base" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--degree-max", "1"],
+        ["oracle", "--sigma", "e1f1", "-p", "5"],
+        ["conjecture", "--degree-max", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_only_where_rendered(argv, capsys):
+    """Only compute and table have a CSV renderer; elsewhere --format csv
+    is a usage error, not a text report."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "csv"])
+    assert exc.value.code == EXIT_PARSE
+    assert "--format" in capsys.readouterr().err
+
+
+def test_sigma_base_only_by_suffix(capsys):
+    """A sigma names its base by its @ suffix alone; --base is table's."""
+    for argv in (
+        ["compute", "--sigma", "e4f1", "--base", "e2f1"],
+        ["oracle", "--sigma", "e1f1", "-p", "5", "--base", "e1f1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_PARSE
+        assert "--base" in capsys.readouterr().err
+    assert main(["compute", "--sigma", "e4f1@e2f1"]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("sigma e4f1@e2f1   pairs [(4, 1)] over base (e=2, f=1)")
+    assert out[1] == "rho          = (q) / (q^2 + q + 1)"
 
 
 def test_closed_stdout_exits_with_one_error_line():
@@ -378,13 +414,10 @@ _VALUES = {
     "--bivariate": st.none(),
 }
 _COMMANDS = {
-    "compute": ["--sigma", "--base", "-p", "--format", "--emit", "--bivariate"],
+    "compute": ["--sigma", "-p", "--format", "--emit", "--bivariate"],
     "table": ["--base", "--degree-max", "--format", "--emit"],
     "verify": ["--degree-max", "--bases", "--format", "--emit"],
-    "oracle": [
-        "--sigma", "--base", "-p", "--cmax", "--samples", "--seed", "--depths", "--format",
-        "--emit",
-    ],
+    "oracle": ["--sigma", "-p", "--cmax", "--samples", "--seed", "--depths", "--format", "--emit"],
     "conjecture": ["--degree-max", "--bases", "--format", "--emit"],
     "frobnicate": ["--sigma", "--degree-max"],
 }

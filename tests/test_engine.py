@@ -21,9 +21,9 @@ from padicdens.engine import (
     monic_density,
     splitting_density,
 )
-from padicdens.errors import RecursionGuardError
 from padicdens.splitting import (
     SplittingType,
+    bump_argmin,
     enumerate_plans,
     falling_factorial,
     head_plan,
@@ -266,11 +266,33 @@ def test_concurrent_calls_agree():
     assert all(r == results[0] for r in results)
 
 
-def test_recursion_guard_trips():
-    clear_memo()
-    with pytest.raises(RecursionGuardError):
-        disc_gen_fun(SplittingType(((2, 1), (3, 1))), (0, 0), _depth=10**7, _limit=1)
-    clear_memo()
+def _assert_chain_reaches(sigma, start, stop):
+    """The bump_argmin chain from start reaches stop within
+    sum(stop) - sum(start) steps and never passes it."""
+    cur = start
+    for _ in range(sum(stop) - sum(start)):
+        assert all(c <= s for c, s in zip(cur, stop)), (sigma, start, cur)
+        if cur == stop:
+            return
+        cur = bump_argmin(sigma, cur)
+    assert cur == stop, (sigma, start, cur)
+
+
+@pytest.mark.parametrize("base", [(1, 1), (2, 1), (1, 2)], ids=["e1f1", "e2f1", "e1f2"])
+def test_recursion_terminates(base):
+    """The two facts of _recurse's termination proof, for every (sigma, b)
+    of catalog(5) with b in {0..3}^m: each argmin chain ends at its stop,
+    and each plan that _branch follows lowers the degree of its sub-types."""
+    for sigma in catalog(5, *base):
+        e_rel = sigma.e_rel
+        _assert_chain_reaches(sigma, bump_argmin(sigma, (0,) * sigma.m), e_rel)
+        head = head_plan(sigma.m)
+        for b in itertools.product(range(4), repeat=sigma.m):
+            k_lim = max(-(-bi // ei) for bi, ei in zip(b, e_rel))
+            _assert_chain_reaches(sigma, b, tuple(k_lim * ei for ei in e_rel))
+            for plan in enumerate_plans(sigma, b):
+                if plan != head:
+                    assert len(plan.blocks) > 1 or plan.orbit_sizes[0] > 1, (sigma, b, plan)
 
 
 def test_leading_coeff_boundary_at_four_split_factors():
