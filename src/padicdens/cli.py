@@ -22,8 +22,9 @@ Exit codes:
   3  wild prime, or a -p that is not prime
   4  non-integral exponent
   5  verification failure
-  6  enumeration too large: more than the oracle's 2,048 common slots, or
-     --samples x conjugates x common slots above its 40,000,000 bound
+  6  enumeration too large: more than the oracle's 2,048 common slots, a
+     --depths entry above its bound of 16, or --samples x conjugates x
+     common slots above its 40,000,000 bound
 
 Identical job specifications (including seeds) produce byte-identical
 reports; catalog entries are emitted in a canonical order.

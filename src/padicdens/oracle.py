@@ -43,12 +43,14 @@ ZERO = -1  # sentinel for a zero coefficient in code tuples and arrays
 # slots) the sampler holds
 GUARD = 40_000_000
 
-# bound on the common slots of one oracle call, in both modes: the exact
-# count's integers and the engine's series grow with the slots, which GUARD
-# does not see.  For e1f1,e1f1 at p 3 the exact check takes 1.0 s at 1,001
-# slots, 2.9 s at 2,001 and 22 s at 4,001; with --samples 1 the series takes
-# 3.8 s at 8,001 slots.
+# bounds on one oracle call, in both modes, on work that GUARD does not see.
+# The exact count's integers and the engine's series grow with the common
+# slots (e1f1,e1f1 at p 3: exact 2.9 s at 2,001 slots, 22 s at 4,001;
+# --samples 1 3.8 s at 8,001).  The engine's argmin chains grow with each
+# entry of b (at 16: e1f1 x 6 at p 7 5.6 s, the d <= 5 types tried at most
+# 1.0 s; e1f1,e1f1 at p 3 3.3 s at 1,000).
 MAX_COMMON_SLOTS = 2_048
+MAX_B_ENTRY = 16
 
 
 def _common_code(a, n, j, r, s, p, e, f, M):
@@ -75,7 +77,8 @@ def _layout(sigma: SplittingType, b: BVector, c_max: int, p: int):
     The common truncation depth N satisfies 2N/E > c_max, so a single
     unresolved ordered pair already pushes the discriminant valuation beyond
     c_max and unresolved patterns can be bucketed wholesale.  Raises
-    TooLargeError when N exceeds MAX_COMMON_SLOTS.
+    TooLargeError when N exceeds MAX_COMMON_SLOTS or an entry of b exceeds
+    MAX_B_ENTRY.
     """
     comps = sigma.components
     E = math.lcm(*(e for e, _ in comps))
@@ -84,6 +87,10 @@ def _layout(sigma: SplittingType, b: BVector, c_max: int, p: int):
     if n_common > MAX_COMMON_SLOTS:
         raise TooLargeError(
             f"{n_common} common slots exceed the oracle's bound of {MAX_COMMON_SLOTS}"
+        )
+    if max(b) > MAX_B_ENTRY:
+        raise TooLargeError(
+            f"depth vector entry {max(b)} exceeds the oracle's bound of {MAX_B_ENTRY}"
         )
     per = []
     for (e, f), bi in zip(comps, b):
@@ -291,8 +298,8 @@ def sampled_disc_masses(
 
     Unbiased estimates of the same unconditional masses, with standard
     errors; deterministic for a fixed seed.  Raises TooLargeError, before
-    any draw, when the common slots exceed MAX_COMMON_SLOTS or samples x
-    conjugates x common slots exceeds GUARD.
+    any draw, where _layout does or when samples x conjugates x common
+    slots exceeds GUARD.
     """
     if (sigma.e_base, sigma.f_base) != (1, 1):
         raise ValueError("the sampling oracle works over the base (1,1) only")

@@ -182,8 +182,8 @@ def oracle_records(
     """Comparison records {sigma, b, p, c, exact_mass | estimate, stderr,
     engine_value, match} for every c up to c_max.
 
-    The oracle runs first: its bound on the common slots bounds c_max, and
-    the engine's series has no guard of its own."""
+    The oracle runs first: its bounds on the common slots and on the
+    entries of b bound c_max and b, and the engine has no guard of its own."""
     records: List[dict] = []
     if samples:
         est = oracle.sampled_disc_masses(sigma, b, c_max, p, samples, seed)
@@ -195,16 +195,7 @@ def oracle_records(
             err = e.stderr if e else 0.0
             ok = abs(point - float(ev)) <= 3 * err if err else point == float(ev)
             records.append(
-                dict(
-                    sigma=sigma.display_pairs(),
-                    b=list(b),
-                    p=p,
-                    c=c,
-                    estimate=point,
-                    stderr=err,
-                    engine_value=str(ev),
-                    match=bool(ok),
-                )
+                dict(c=c, estimate=point, stderr=err, engine_value=str(ev), match=bool(ok))
             )
     else:
         exact = oracle.exact_disc_masses(sigma, b, c_max, p)
@@ -212,15 +203,6 @@ def oracle_records(
         for c in sorted(set(exact) | set(eng)):
             ev = eng.get(c, Fraction(0))
             ov = exact.get(c, Fraction(0))
-            records.append(
-                dict(
-                    sigma=sigma.display_pairs(),
-                    b=list(b),
-                    p=p,
-                    c=c,
-                    exact_mass=str(ov),
-                    engine_value=str(ev),
-                    match=ov == ev,
-                )
-            )
-    return records
+            records.append(dict(c=c, exact_mass=str(ov), engine_value=str(ev), match=ov == ev))
+    head = dict(sigma=sigma.display_pairs(), b=list(b), p=p)
+    return [head | r for r in records]

@@ -289,6 +289,14 @@ ORACLE_11 = ["oracle", "--sigma", "e1f1,e1f1", "-p", "5"]
             ["oracle", "--sigma", "e1f1,e1f1", "-p", "3", "--cmax", "1000000"],
             None, EXIT_TOO_LARGE, id="exact-slots-too-many",
         ),
+        pytest.param(
+            ["oracle", "--sigma", "e1f1,e1f1", "-p", "3", "--depths", "10000,0"],
+            None, EXIT_TOO_LARGE, id="depth-too-large",
+        ),
+        pytest.param(
+            ["oracle", "--sigma", "e1f1,e1f1", "-p", "3", "--depths", "0,17", "--samples", "1"],
+            None, EXIT_TOO_LARGE, id="sampled-depth-too-large",
+        ),
     ],
 )
 def test_failures_exit_with_documented_code(argv, patch, code, monkeypatch, capsys, tmp_path):

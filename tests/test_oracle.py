@@ -25,6 +25,7 @@ from oracle_reference import (
 )
 from padicdens.errors import TooLargeError, WildInputError
 from padicdens.oracle import (
+    MAX_B_ENTRY,
     MassEstimate,
     _layout,
     _valuations_for_digits,
@@ -205,6 +206,16 @@ def test_exact_masses_guard_counts_states():
     s = SplittingType(((1, 1), (1, 1)))
     with pytest.raises(TooLargeError):
         exact_disc_masses(s, (0, 0), 4000, 3, pattern_guard=10**6)
+
+
+def test_depth_bound_admits_its_value():
+    """An entry of b at MAX_B_ENTRY is counted and matches the engine; one
+    above it fails before any count."""
+    s = SplittingType(((1, 1), (1, 1)))
+    b = (MAX_B_ENTRY, 0)
+    assert exact_disc_masses(s, b, 4, 3) == engine_masses_at(s, b, 4, 3)
+    with pytest.raises(TooLargeError):
+        exact_disc_masses(s, (0, MAX_B_ENTRY + 1), 4, 3)
 
 
 def test_exact_masses_wild_prime():
