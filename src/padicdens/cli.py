@@ -4,8 +4,10 @@ Commands:
 
   compute     exact densities for one splitting type
   table       densities for a whole degree-bounded catalog
-  verify      the invariant suite (golden values, partition of unity,
-              functional equation, duality, asymptotics, minimal discriminant)
+  verify      the invariant suite on the catalog of --degree-max and --bases:
+              golden values; rho, alpha and beta each sum to 1 over every
+              degree and base; rho(q) = rho(1/q), alpha(1/q) = beta(q), the
+              asymptotics and the minimal discriminant of every type
   oracle      enumeration / Monte Carlo cross-check against the engine
   conjecture  the two-variable symmetry report
 
@@ -39,9 +41,8 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import engine, verify
 from .errors import (
@@ -94,27 +95,6 @@ def parse_sigma(s: str) -> SplittingType:
     return SplittingType(tuple(comps), *base)
 
 
-@dataclass
-class JobSpec:
-    """One CLI invocation, fully determining the report."""
-
-    command: str
-    sigma: Optional[SplittingType] = None
-    # the catalog base of table (--base)
-    e_base: int = 1
-    f_base: int = 1
-    p: Optional[int] = None
-    c_max: int = 4
-    samples: int = 0
-    seed: int = 0
-    fmt: str = "text"
-    degree_max: int = 5
-    emit: Optional[str] = None
-    depths: Optional[Tuple[int, ...]] = None
-    bases: Tuple[Tuple[int, int], ...] = ((1, 1),)
-    bivariate: bool = False
-
-
 def _frac_str(x: Fraction) -> str:
     return f"{x} ~ {float(x):.6g}"
 
@@ -147,7 +127,7 @@ def _csv_rows(sigma: SplittingType, values) -> List[List[str]]:
     return rows
 
 
-def _emit(job: JobSpec, text: str) -> None:
+def _emit(job: argparse.Namespace, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     try:
@@ -184,9 +164,8 @@ def _sigma_header(sigma: SplittingType) -> str:
     )
 
 
-def run_compute(job: JobSpec) -> int:
+def run_compute(job: argparse.Namespace) -> int:
     sigma = job.sigma
-    assert sigma is not None
     if job.p is not None:
         sigma.require_tame(job.p)
     values = dict(_quantity_rows(sigma))
@@ -237,8 +216,8 @@ def run_compute(job: JobSpec) -> int:
     return EXIT_OK
 
 
-def run_table(job: JobSpec) -> int:
-    sigmas = engine.catalog(job.degree_max, job.e_base, job.f_base)
+def run_table(job: argparse.Namespace) -> int:
+    sigmas = engine.catalog(job.degree_max, *job.base)
     if job.fmt == "csv":
         rows: List[List[str]] = []
         for sigma in sigmas:
@@ -279,15 +258,17 @@ def _render_checks(checks, fmt: str) -> Tuple[str, bool]:
     return "\n".join(lines), ok_all
 
 
-def run_verify(job: JobSpec) -> int:
-    sigmas: List[SplittingType] = []
-    for eb, fb in job.bases:
-        sigmas.extend(engine.catalog(job.degree_max, eb, fb))
+def _catalog(job: argparse.Namespace) -> List[SplittingType]:
+    return [s for base in job.bases for s in engine.catalog(job.degree_max, *base)]
+
+
+def run_verify(job: argparse.Namespace) -> int:
+    sigmas = _catalog(job)
     checks = []
     checks += verify.golden_value_checks()
-    checks += verify.partition_of_unity_checks()
+    checks += verify.partition_of_unity_checks(sigmas)
     checks += verify.functional_equation_checks(sigmas)
-    checks += verify.duality_checks([s for s in sigmas if s.degree <= 3])
+    checks += verify.duality_checks(sigmas)
     checks += verify.asymptotic_checks(sigmas)
     checks += verify.min_disc_checks(sigmas)
     text, ok = _render_checks(checks, job.fmt)
@@ -295,9 +276,8 @@ def run_verify(job: JobSpec) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def run_oracle(job: JobSpec) -> int:
+def run_oracle(job: argparse.Namespace) -> int:
     sigma = job.sigma
-    assert sigma is not None
     if job.p is None:
         raise WildInputError("the oracle needs a concrete prime (-p)")
     if (sigma.e_base, sigma.f_base) != (1, 1):
@@ -311,7 +291,7 @@ def run_oracle(job: JobSpec) -> int:
             f"depth vector {list(b)} must have {sigma.m} nonnegative entries"
         )
     records = verify.oracle_records(
-        sigma, b, job.p, job.c_max, samples=job.samples, seed=job.seed
+        sigma, b, job.p, job.cmax, samples=job.samples, seed=job.seed
     )
     ok = all(r["match"] for r in records)
     if job.fmt == "json":
@@ -325,18 +305,23 @@ def run_oracle(job: JobSpec) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def run_conjecture(job: JobSpec) -> int:
-    sigmas: List[SplittingType] = []
-    for eb, fb in job.bases:
-        sigmas.extend(engine.catalog(job.degree_max, eb, fb))
-    checks = verify.bivariate_symmetry_checks(sigmas)
+def run_conjecture(job: argparse.Namespace) -> int:
+    checks = verify.bivariate_symmetry_checks(_catalog(job))
     text, ok = _render_checks(checks, job.fmt)
     _emit(job, text)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+# Option types.  argparse turns only ArgumentTypeError, TypeError and
+# ValueError into a usage error, so the SigmaParseError or DivisibilityError
+# of a bad value reaches main's handler and prints one error line.
+
+def _parse_base(raw: str) -> Tuple[int, int]:
+    return _parse_pair(raw, "base")
+
+
 def _parse_bases(raw: str) -> Tuple[Tuple[int, int], ...]:
-    return tuple(_parse_pair(item, "base") for item in raw.split(","))
+    return tuple(map(_parse_base, raw.split(",")))
 
 
 def _parse_b_vector(raw: str) -> Tuple[int, ...]:
@@ -347,6 +332,7 @@ def _parse_b_vector(raw: str) -> Tuple[int, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parsed arguments are the job: each command sets its run_* handler."""
     ap = argparse.ArgumentParser(
         prog="padicdens",
         description="Exact densities of polynomials over local fields by tame splitting type",
@@ -354,9 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     # csv only where a report has a CSV renderer: compute and table
-    def common(sp, with_sigma=False, with_prime=False, with_csv=False):
+    def common(sp, handler, with_sigma=False, with_prime=False, with_csv=False):
+        sp.set_defaults(handler=handler)
         if with_sigma:
-            sp.add_argument("--sigma", required=True, help="e.g. e1f2 or e2f1,e1f1 or e4f1@e2f1")
+            sp.add_argument(
+                "--sigma", type=parse_sigma, required=True,
+                help="e.g. e1f2 or e2f1,e1f1 or e4f1@e2f1",
+            )
         if with_prime:
             sp.add_argument("-p", type=int, default=None, help="concrete tame prime")
         formats = ("text", "json", "csv") if with_csv else ("text", "json")
@@ -364,62 +354,56 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--emit", default=None, help="also write the report to this path")
 
     sp = sub.add_parser("compute", help="densities for one splitting type")
-    common(sp, with_sigma=True, with_prime=True, with_csv=True)
+    common(sp, run_compute, with_sigma=True, with_prime=True, with_csv=True)
     sp.add_argument(
         "--bivariate", action="store_true",
         help="also compute the two-variable density rho(p,t)",
     )
 
     sp = sub.add_parser("table", help="densities for a degree-bounded catalog")
-    common(sp, with_csv=True)
-    sp.add_argument("--base", default=None, help="base e<int>f<int> of the catalog")
+    common(sp, run_table, with_csv=True)
+    sp.add_argument(
+        "--base", type=_parse_base, default="e1f1", help="base e<int>f<int> of the catalog"
+    )
     sp.add_argument("--degree-max", type=int, default=5)
 
     # the catalog commands read --bases only; without abbreviations a --base
     # there is an error rather than a short --bases
     sp = sub.add_parser("verify", help="run the invariant suite", allow_abbrev=False)
-    common(sp)
+    common(sp, run_verify)
     sp.add_argument("--degree-max", type=int, default=3)
-    sp.add_argument("--bases", default="e1f1", help="comma list, e.g. e1f1,e2f1,e1f2")
+    sp.add_argument(
+        "--bases", type=_parse_bases, default="e1f1", help="comma list, e.g. e1f1,e2f1,e1f2"
+    )
 
     sp = sub.add_parser("oracle", help="enumeration / Monte Carlo cross-check")
-    common(sp, with_sigma=True, with_prime=True)
+    common(sp, run_oracle, with_sigma=True, with_prime=True)
     sp.add_argument("--cmax", type=int, default=4)
     sp.add_argument("--samples", type=int, default=0, help="0 = exact enumeration")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--depths", default=None, help="comma list of b_i, default all 0")
+    sp.add_argument(
+        "--depths", type=_parse_b_vector, default=None, help="comma list of b_i, default all 0"
+    )
 
     sp = sub.add_parser("conjecture", help="two-variable symmetry report", allow_abbrev=False)
-    common(sp)
+    common(sp, run_conjecture)
     sp.add_argument("--degree-max", type=int, default=3)
-    sp.add_argument("--bases", default="e1f1,e2f1,e1f2")
+    sp.add_argument("--bases", type=_parse_bases, default="e1f1,e2f1,e1f2")
     return ap
 
 
-# command-specific options: argparse dest -> (JobSpec field, parser or None)
-_OPTIONS = {
-    "p": ("p", None),
-    "cmax": ("c_max", None),
-    "samples": ("samples", None),
-    "seed": ("seed", None),
-    "degree_max": ("degree_max", None),
-    "depths": ("depths", _parse_b_vector),
-    "bases": ("bases", _parse_bases),
-    "bivariate": ("bivariate", None),
-}
+# least accepted value of each numeric option, by argparse dest
+_LOWER_BOUNDS = {"cmax": 0, "samples": 0, "seed": 0, "degree_max": 1}
 
 
-def job_from_args(args: argparse.Namespace) -> JobSpec:
-    job = JobSpec(command=args.command, fmt=args.fmt, emit=args.emit)
-    if getattr(args, "sigma", None) is not None:
-        job.sigma = parse_sigma(args.sigma)
-    if getattr(args, "base", None) is not None:
-        job.e_base, job.f_base = _parse_pair(args.base, "base")
-    for dest, (field, parse) in _OPTIONS.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            setattr(job, field, parse(value) if parse else value)
-    return job
+def job_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Check the numeric options' lower bounds; the parsed arguments are the job."""
+    for dest, bound in _LOWER_BOUNDS.items():
+        value = getattr(args, dest, bound)
+        if value < bound:
+            option = "--" + dest.replace("_", "-")
+            raise SigmaParseError(f"{option} must be at least {bound}, got {value}")
+    return args
 
 
 _EXIT_CODES = {
@@ -437,46 +421,18 @@ def _fail(exc: Exception) -> int:
     return _EXIT_CODES[type(exc)]
 
 
-# least accepted value of each numeric option: JobSpec field -> (option, bound)
-_LOWER_BOUNDS = {
-    "c_max": ("--cmax", 0),
-    "samples": ("--samples", 0),
-    "seed": ("--seed", 0),
-    "degree_max": ("--degree-max", 1),
-}
-
-
-def _check_job(job: JobSpec) -> None:
-    for field, (option, bound) in _LOWER_BOUNDS.items():
-        value = getattr(job, field)
-        if value < bound:
-            raise SigmaParseError(f"{option} must be at least {bound}, got {value}")
-
-
-def run(job: JobSpec) -> int:
-    """Dispatch a job; returns the exit code."""
+def run(job: argparse.Namespace) -> int:
+    """Run a job from job_from_args with its command's handler; returns the
+    exit code."""
     try:
-        _check_job(job)
-        if job.command == "compute":
-            return run_compute(job)
-        if job.command == "table":
-            return run_table(job)
-        if job.command == "verify":
-            return run_verify(job)
-        if job.command == "oracle":
-            return run_oracle(job)
-        if job.command == "conjecture":
-            return run_conjecture(job)
-        raise ValueError(f"unknown command {job.command}")
+        return job.handler(job)
     except tuple(_EXIT_CODES) as exc:
         return _fail(exc)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-        job = job_from_args(args)
+        job = job_from_args(build_parser().parse_args(argv))
     except (SigmaParseError, DivisibilityError) as exc:
         return _fail(exc)
     return run(job)

@@ -44,11 +44,12 @@ ZERO = -1  # sentinel for a zero coefficient in code tuples and arrays
 GUARD = 40_000_000
 
 # bounds on one oracle call, in both modes, on work that GUARD does not see.
-# The exact count's integers and the engine's series grow with the common
-# slots (e1f1,e1f1 at p 3: exact 2.9 s at 2,001 slots, 22 s at 4,001;
-# --samples 1 3.8 s at 8,001).  The engine's argmin chains grow with each
-# entry of b (at 16: e1f1 x 6 at p 7 5.6 s, the d <= 5 types tried at most
-# 1.0 s; e1f1,e1f1 at p 3 3.3 s at 1,000).
+# The exact count's integers grow with the common slots (e1f1,e1f1 at p 3:
+# exact 2.9 s at 2,001 slots, 20 s at 4,001); the engine's series, taken at
+# the prime, stays small (0.1 s at 4,001 slots, 0.2 s at 8,001, where
+# --samples 1 takes 0.9 s).  The engine's argmin chains grow with each
+# entry of b (at 16: e1f1 x 6 at p 7 6.1 s, the d <= 5 types tried at most
+# 1.0 s; e1f1,e1f1 at p 3 3.0 s at 1,000).
 MAX_COMMON_SLOTS = 2_048
 MAX_B_ENTRY = 16
 
@@ -190,7 +191,6 @@ def exact_disc_masses(
     b: BVector,
     c_max: int,
     p: int,
-    pattern_guard: int = GUARD,
 ) -> Dict[int, Fraction]:
     """Exact masses {c: measure of tuples with discriminant valuation c} for
     all c <= c_max, over every truncated coefficient pattern, averaged over
@@ -211,7 +211,7 @@ def exact_disc_masses(
     at the end has valuation c = v / E.  Slots and classes with the same
     code blocks (see _slot_blocks) share one tally of equality patterns.
 
-    Base must be (1, 1); the prime must be tame for sigma.  pattern_guard
+    Base must be (1, 1); the prime must be tame for sigma.  GUARD
     bounds the steps taken, summed over slots and classes: the digit tuples
     of each slot's blocks and the (state, v) entries times the equality
     patterns each slot refines them by.  Every slot of every class takes at
@@ -225,7 +225,7 @@ def exact_disc_masses(
     sigma.require_tame(p)
     E, M, n_common, per = _layout(sigma, b, c_max, p)
     n_jvecs = math.prod(comp["gcd_j"] for comp in per)
-    if n_common * n_jvecs > pattern_guard:
+    if n_common * n_jvecs > GUARD:
         raise TooLargeError(f"{n_common} common slots x {n_jvecs} classes exceeds the guard")
 
     rows = _conjugate_rows(per)
@@ -248,14 +248,14 @@ def exact_disc_masses(
                 if not off and comp["b"] <= slot < comp["n_slots"]:
                     active[i] = slot
             steps += math.prod(per[i]["radix"] for i in active)
-            if steps > pattern_guard:
+            if steps > GUARD:
                 raise TooLargeError(f"{too_large} at common slot {mc}")
             blocks = _slot_blocks(active, jvec, per, p, M)
             if blocks not in tallies:
                 tallies[blocks] = _slot_patterns(blocks)
             patterns = tallies[blocks]
             steps += len(patterns) * sum(map(len, states.values()))
-            if steps > pattern_guard:
+            if steps > GUARD:
                 raise TooLargeError(f"{too_large} at common slot {mc}")
             refined: Dict[Tuple[int, ...], Dict[int, int]] = {}
             for labels, by_v in states.items():

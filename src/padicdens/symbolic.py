@@ -53,7 +53,7 @@ exponents and coefficients and convert them onto the lattice.  Arithmetic and
 substitutions build through the internal ``_make``, which trusts its scale
 and int term maps, and may be told that the pair is coprime so that the gcd
 is skipped.  Fractions appear only at that boundary: in parsing, in
-``num_terms``/``den_terms``/``exponents``, in ``evaluate``, in the keys of
+``num_terms``/``den_terms``/``exponents``, in ``evaluate`` and
 ``series_coefficients``, in printing and in the JSON codec.
 """
 
@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import floor, gcd, isqrt, lcm
 from operator import add, floordiv, mul, sub
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
@@ -737,42 +737,37 @@ class GenFun(_RatFuncBase):
         low = lambda terms: min(k[1] for k, _ in terms)
         return Fraction(low(self._num) - low(self._den), self._scale[1])
 
-    def series_coefficients(self, c_max: Scalar) -> Dict[Fraction, FracPoly]:
-        """Power-series coefficients in t up to exponent c_max.
+    def series_coefficients(self, c_max: Scalar, p: Scalar) -> Dict[Fraction, Fraction]:
+        """Power-series coefficients in t up to exponent c_max, at the point p.
 
-        Returns {t-exponent c: coefficient}, each coefficient a rational
-        function of p.  Requires the denominator to have a nonzero term at
-        t-exponent zero.
+        Returns {t-exponent c: nonzero coefficient at p}.  Evaluates each
+        t-slice of numerator and denominator at p, then runs the recurrence
+        on Fractions.  Requires integer p-exponents, as :meth:`evaluate`
+        does, and a t^0 part of the denominator that is nonzero at p.
         """
         sp, st = self._scale
-        k_max = Fraction(c_max) * st  # t-exponents run over k / st
-        den_slices: Dict[int, Terms] = {}
-        for (pe, te), c in self._den:
-            den_slices.setdefault(te, {})[(pe,)] = c
-        if 0 not in den_slices:
-            raise NoSeriesExpansionError("denominator vanishes at t = 0")
-        num_slices: Dict[int, Terms] = {}
-        for (pe, te), c in self._num:
-            num_slices.setdefault(te, {})[(pe,)] = c
-        one = {(0,): 1}
-        in_p = lambda terms: FracPoly._make(("p",), (sp,), terms, one, reduced=True)
-        d0 = in_p(den_slices[0])
-        higher = sorted((te, in_p(s)) for te, s in den_slices.items() if te != 0)
-        out: Dict[Fraction, FracPoly] = {}
-        coeffs: Dict[int, FracPoly] = {}
-        k = 0
-        while k <= k_max:
-            acc = in_p(num_slices.get(k, {}))
-            for te, slice_poly in higher:
-                prev = coeffs.get(k - te)
-                if prev is not None:
-                    acc = acc - slice_poly * prev
-            s = acc / d0
-            if not s.is_zero:
-                coeffs[k] = s
-                out[Fraction(k, st)] = s
-            k += 1
-        return out
+        p = Fraction(p)
+
+        def slices(terms) -> Dict[int, Fraction]:
+            out: Dict[int, Fraction] = {}
+            for (pe, te), c in terms:
+                if pe % sp:
+                    raise NonIntegralExponentError(
+                        f"cannot evaluate fractional exponent {Fraction(pe, sp)} numerically"
+                    )
+                out[te] = out.get(te, 0) + c * p ** (pe // sp)
+            return out
+
+        num, den = slices(self._num), slices(self._den)
+        d0 = den.pop(0, 0)
+        if not d0:
+            raise NoSeriesExpansionError(f"denominator vanishes at t = 0, p = {p}")
+        coeffs: Dict[int, Fraction] = {}
+        for k in range(floor(Fraction(c_max) * st) + 1):  # t-exponents run over k / st
+            s = num.get(k, 0) - sum(v * coeffs.get(k - te, 0) for te, v in den.items())
+            if s:
+                coeffs[k] = s / d0
+        return {Fraction(k, st): s for k, s in coeffs.items()}
 
     def __repr__(self):
         return f"GenFun({self})"

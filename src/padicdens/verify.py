@@ -9,7 +9,7 @@ prints.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from . import engine, oracle
 from .errors import VerificationError
@@ -20,7 +20,6 @@ Check = Tuple[str, bool, str]
 
 ASYMPTOTIC_Q0 = 10**4
 ASYMPTOTIC_TOL_NUM = 10
-LEADING_TOL_NUM = 5
 
 GOLDEN = (
     (SplittingType(((1, 1), (1, 1))), FracPoly(1, 2)),
@@ -49,21 +48,21 @@ def golden_value_checks() -> List[Check]:
     return out
 
 
-def partition_of_unity_checks(degrees: Sequence[int] = (2, 3)) -> List[Check]:
+def partition_of_unity_checks(sigmas: Iterable[SplittingType]) -> List[Check]:
+    """rho, alpha and beta each sum to 1 over the types of one degree and base."""
+    groups: Dict[Tuple[int, int, int], Set[SplittingType]] = {}
+    for s in sigmas:  # a base listed twice adds its types once
+        groups.setdefault((s.e_base, s.f_base, s.degree), set()).add(s)
     out = []
-    for d in degrees:
-        total = FracPoly(0)
-        for sigma in engine.degree_slice(d):
-            total = total + engine.splitting_density(sigma)
-        out.append((f"sum_rho degree {d} = 1", total == FracPoly(1), f"{total}"))
-    for d in (2,):
-        ta = FracPoly(0)
-        tb = FracPoly(0)
-        for sigma in engine.degree_slice(d):
-            ta = ta + engine.monic_density(sigma)
-            tb = tb + engine.centered_monic_density(sigma)
-        out.append((f"sum_alpha degree {d} = 1", ta == FracPoly(1), f"{ta}"))
-        out.append((f"sum_beta degree {d} = 1", tb == FracPoly(1), f"{tb}"))
+    for name, density in (
+        ("rho", engine.splitting_density),
+        ("alpha", engine.monic_density),
+        ("beta", engine.centered_monic_density),
+    ):
+        for (eb, fb, d), group in groups.items():
+            total = sum(map(density, group), FracPoly(0))
+            where = "" if (eb, fb) == (1, 1) else f" @e{eb}f{fb}"
+            out.append((f"sum_{name} degree {d}{where} = 1", total == FracPoly(1), f"{total}"))
     return out
 
 
@@ -113,12 +112,9 @@ def asymptotic_checks(sigmas: Iterable[SplittingType]) -> List[Check]:
     return out
 
 
-def min_disc_checks(
-    sigmas: Iterable[SplittingType], leading_p: int | None = None
-) -> List[Check]:
+def min_disc_checks(sigmas: Iterable[SplittingType]) -> List[Check]:
     """Minimal discriminant valuation vs the generating function's lowest
-    exponent; optionally the near-1 bound LEADING_TOL_NUM/p on the leading
-    coefficient at p = leading_p."""
+    exponent."""
     out = []
     for sigma in sigmas:
         try:
@@ -129,17 +125,6 @@ def min_disc_checks(
             ok = False
             note = str(exc)
         out.append((f"min_disc {sigma.display_pairs()}", ok, note))
-        if ok and leading_p is not None:
-            g = engine.disc_gen_fun(sigma, (0,) * sigma.m)
-            lead = g.series_coefficients(c0)[c0]
-            dev = abs(lead.evaluate(leading_p) - 1)
-            out.append(
-                (
-                    f"leading_coeff {sigma.display_pairs()}",
-                    dev <= Fraction(LEADING_TOL_NUM, leading_p),
-                    f"|a(c0)-1|={float(dev):.3e} at p={leading_p}",
-                )
-            )
     return out
 
 
@@ -162,12 +147,10 @@ def engine_masses_at(
 ) -> Dict[int, Fraction]:
     """The engine's series coefficients at a concrete tame prime."""
     out: Dict[int, Fraction] = {}
-    for c, coeff in engine.disc_gen_fun(sigma, b).series_coefficients(c_max).items():
+    for c, v in engine.disc_gen_fun(sigma, b).series_coefficients(c_max, p).items():
         if c.denominator != 1:
             raise AssertionError(f"non-integer valuation {c} over an unramified base")
-        v = coeff.evaluate(p)
-        if v:
-            out[int(c)] = v
+        out[int(c)] = v
     return out
 
 

@@ -4,7 +4,8 @@ Run with `pytest tests/test_acceptance.py -v` (or -s to see the PASS lines).
 Tolerances are pinned here and nowhere else:
 
   1. golden density values       exact rational-function identity
-  2. partition of unity          exact, degrees 2 and 3 (rho), degree 2 (alpha, beta)
+  2. partition of unity          exact, rho, alpha and beta over each degree
+                                 <= 4 of three bases
   3. functional equation         exact, relative degree <= 4, three bases
   4. duality alpha/beta          exact, degree <= 3
   5. asymptotics                 |dev| <= 10/q at q = 10^4
@@ -56,6 +57,8 @@ def test_criterion_2_partition_of_unity():
     ta = sum((engine.monic_density(s) for s in degree_slice(2)), FracPoly(0))
     tb = sum((engine.centered_monic_density(s) for s in degree_slice(2)), FracPoly(0))
     ok &= ta == FracPoly(1) and tb == FracPoly(1)
+    checks = verify.partition_of_unity_checks(_catalog_three_bases(4))
+    ok &= len(checks) == 3 * 3 * 4 and all(passed for _, passed, _ in checks)
     _report("criterion 2 (partition of unity)", ok)
 
 
@@ -127,6 +130,9 @@ def test_criterion_9_minimal_discriminant():
         ok &= c0 == F(
             sum(f * (e - 1) for e, f in zip(sigma.e_rel, sigma.f_rel)), sigma.e_base
         )
-    checks = verify.min_disc_checks(_catalog_three_bases(3), leading_p=10**3)
-    ok &= all(passed for _, passed, _ in checks)
+    p = 10**3
+    for sigma in _catalog_three_bases(3):
+        c0 = engine.min_disc_valuation(sigma)
+        g = engine.disc_gen_fun(sigma, (0,) * sigma.m)
+        ok &= abs(g.series_coefficients(c0, p)[c0] - 1) <= F(5, p)
     _report("criterion 9 (minimal discriminant valuation and leading mass)", ok)

@@ -21,7 +21,8 @@ from padicdens.cli import (
     EXIT_TOO_LARGE,
     EXIT_VERIFY,
     EXIT_WILD,
-    JobSpec,
+    build_parser,
+    job_from_args,
     main,
     parse_sigma,
     run,
@@ -215,8 +216,21 @@ def test_conjecture_small(capsys):
     assert "overall: PASS" in out
 
 
-def test_run_jobspec_direct(capsys):
-    job = JobSpec(command="compute", sigma=SplittingType(((1, 1), (1, 1))))
+def test_verify_sums_over_the_given_catalog(capsys):
+    """The partition of unity runs on every degree and base of the catalog,
+    and duality on every type."""
+    assert main(["verify", "--degree-max", "3", "--bases", "e2f1"]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    for name in ("rho", "alpha", "beta"):
+        assert f"sum_{name} degree 3 @e2f1 = 1: PASS" in out
+    assert "alpha(1/q)=beta(q) e2f1,e2f1,e2f1@e2f1: PASS" in out
+    # a base listed twice is still one partition
+    assert main(["verify", "--degree-max", "2", "--bases", "e1f1,e1f1"]) == EXIT_OK
+
+
+def test_run_parsed_job(capsys):
+    job = job_from_args(build_parser().parse_args(["compute", "--sigma", "e1f1,e1f1"]))
+    assert job.sigma == SplittingType(((1, 1), (1, 1)))
     assert run(job) == EXIT_OK
     assert "rho" in capsys.readouterr().out
 
@@ -236,7 +250,9 @@ ORACLE_11 = ["oracle", "--sigma", "e1f1,e1f1", "-p", "5"]
         pytest.param(["compute", "--sigma", "e0f1"], None, EXIT_PARSE, id="zero-component"),
         pytest.param(["compute", "--sigma", "e1f1@e1f0"], None, EXIT_PARSE, id="zero-base"),
         pytest.param(["verify", "--bases", "e0f1"], None, EXIT_PARSE, id="zero-bases"),
+        pytest.param(["verify", "--bases", "e1f1,bad"], None, EXIT_PARSE, id="bases-bad-item"),
         pytest.param(ORACLE_11 + ["--depths", "x"], None, EXIT_PARSE, id="depths-text"),
+        pytest.param(ORACLE_11 + ["--depths", "1,x"], None, EXIT_PARSE, id="depths-bad-item"),
         pytest.param(ORACLE_11 + ["--depths", "0"], None, EXIT_PARSE, id="depths-short"),
         pytest.param(ORACLE_11 + ["--depths", "0,-1"], None, EXIT_PARSE, id="depths-negative"),
         pytest.param(ORACLE_11 + ["--samples", "-3"], None, EXIT_PARSE, id="samples-negative"),
@@ -264,6 +280,7 @@ ORACLE_11 = ["oracle", "--sigma", "e1f1,e1f1", "-p", "5"]
         pytest.param(["compute", "--sigma", ""], None, EXIT_PARSE, id="sigma-empty"),
         pytest.param(["oracle", "--sigma", "", "-p", "5"], None, EXIT_PARSE, id="oracle-sigma-empty"),
         pytest.param(["table", "--degree-max", "2", "--base", ""], None, EXIT_PARSE, id="base-empty"),
+        pytest.param(["table", "--degree-max", "2", "--base", "xyz"], None, EXIT_PARSE, id="base-text"),
         pytest.param(
             ["table", "--degree-max", "1", "--emit", "{tmp}/missing/report.txt"], None, EXIT_PARSE,
             id="emit-missing-dir",

@@ -23,6 +23,7 @@ from oracle_reference import (
     orbit_choices_closed_form,
     pair_valuation,
 )
+from padicdens import oracle
 from padicdens.errors import TooLargeError, WildInputError
 from padicdens.oracle import (
     MAX_B_ENTRY,
@@ -194,18 +195,20 @@ def test_exact_masses_match_brute_force(comps, b, p, c_max):
     assert masses and masses == _brute_force_masses(sigma, b, c_max, p)
 
 
-def test_exact_masses_guard():
+def test_exact_masses_guard(monkeypatch):
+    monkeypatch.setattr(oracle, "GUARD", 10**4)
     s = SplittingType(((1, 3), (1, 3)))
     with pytest.raises(TooLargeError):
-        exact_disc_masses(s, (0, 0), 8, 5, pattern_guard=10**4)
+        exact_disc_masses(s, (0, 0), 8, 5)
 
 
-def test_exact_masses_guard_counts_states():
+def test_exact_masses_guard_counts_states(monkeypatch):
     """Nine digit tuples per slot stay far below the guard; the (state, v)
     entries of the dynamic program, which grow with c_max, do not."""
+    monkeypatch.setattr(oracle, "GUARD", 10**6)
     s = SplittingType(((1, 1), (1, 1)))
     with pytest.raises(TooLargeError):
-        exact_disc_masses(s, (0, 0), 4000, 3, pattern_guard=10**6)
+        exact_disc_masses(s, (0, 0), 4000, 3)
 
 
 def test_depth_bound_admits_its_value():

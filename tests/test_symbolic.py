@@ -150,28 +150,42 @@ def test_rewrite_divides_exponents():
 # -- series ---------------------------------------------------------------------
 
 def test_series_geometric():
-    got = ((P - 1) / (P - T**2)).series_coefficients(4)
-    want = {
-        F(0): FracPoly({1: 1, 0: -1}, {1: 1}, var="p"),
-        F(2): FracPoly({1: 1, 0: -1}, {2: 1}, var="p"),
-        F(4): FracPoly({1: 1, 0: -1}, {3: 1}, var="p"),
-    }
-    assert got == want
+    # (p - 1) / (p - t^2) = (1 - 1/p) * sum (t^2 / p)^k
+    g = (P - 1) / (P - T**2)
+    for p in (2, 3, 7):
+        got = g.series_coefficients(4, p)
+        assert got == {F(0): F(p - 1, p), F(2): F(p - 1, p**2), F(4): F(p - 1, p**3)}
 
 
 def test_series_shifted():
-    got = ((P - 1) * T / (P - T**2)).series_coefficients(2)
-    assert got == {F(1): FracPoly({1: 1, 0: -1}, {1: 1}, var="p")}
+    got = ((P - 1) * T / (P - T**2)).series_coefficients(2, 5)
+    assert got == {F(1): F(4, 5)}
 
 
 def test_series_constant():
-    g = GenFun(1) / P**2
-    assert g.series_coefficients(10) == {F(0): FracPoly(1, {2: 1}, var="p")}
+    assert (GenFun(1) / P**2).series_coefficients(10, 5) == {F(0): F(1, 25)}
+
+
+def test_series_fractional_t_exponents():
+    half = GenFun.monomial(t_exp=F(1, 2))
+    assert (ONE / (ONE - half)).series_coefficients(1, 3) == {
+        F(0): 1, F(1, 2): 1, F(1): 1
+    }
 
 
 def test_series_requires_unit_denominator():
     with pytest.raises(NoSeriesExpansionError):
-        (ONE / T).series_coefficients(3)
+        (ONE / T).series_coefficients(3, 5)
+    # the t^0 part p - 3 of the denominator vanishes at p = 3 only
+    g = ONE / (P - 3 + T)
+    assert g.series_coefficients(0, 5) == {F(0): F(1, 2)}
+    with pytest.raises(NoSeriesExpansionError):
+        g.series_coefficients(0, 3)
+
+
+def test_series_requires_integral_p_exponents():
+    with pytest.raises(NonIntegralExponentError):
+        (GenFun.monomial(p_exp=F(1, 2)) / (ONE - T)).series_coefficients(2, 4)
 
 
 @given(
@@ -185,23 +199,23 @@ def test_series_requires_unit_denominator():
         st.fractions(min_value=-3, max_value=3, max_denominator=2),
         max_size=3,
     ),
+    st.integers(2, 11),
 )
-def test_series_of_product_is_convolution(na, nb):
+def test_series_of_product_is_convolution(na, nb, p):
     den_a = {(0, 0): 1, (1, 2): F(-1, 2)}
     den_b = {(0, 0): 2, (0, 1): 1}
     a = GenFun(na, den_a)
     b = GenFun(nb, den_b)
     c_max = 4
-    sa = a.series_coefficients(c_max)
-    sb = b.series_coefficients(c_max)
-    sc = (a * b).series_coefficients(c_max)
+    sa = a.series_coefficients(c_max, p)
+    sb = b.series_coefficients(c_max, p)
+    sc = (a * b).series_coefficients(c_max, p)
     conv = {}
     for ca, va in sa.items():
         for cb, vb in sb.items():
             if ca + cb <= c_max:
-                cur = conv.get(ca + cb, FracPoly(0, var="p")) + va * vb
-                conv[ca + cb] = cur
-    conv = {c: v for c, v in conv.items() if not v.is_zero}
+                conv[ca + cb] = conv.get(ca + cb, 0) + va * vb
+    conv = {c: v for c, v in conv.items() if v}
     assert sc == conv
 
 
