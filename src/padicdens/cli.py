@@ -54,7 +54,7 @@ from .errors import (
     WildInputError,
 )
 from .splitting import SplittingType
-from .symbolic import FracPoly, GenFun, _render_terms, check_inversion_symmetry, to_json_obj
+from .symbolic import FracPoly, check_inversion_symmetry, to_json_obj
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -110,21 +110,10 @@ def _quantity_rows(sigma: SplittingType) -> List[Tuple[str, FracPoly]]:
 
 def _csv_rows(sigma: SplittingType, values) -> List[List[str]]:
     """One row per (name, value) of values, a FracPoly or a GenFun."""
-    rows = []
-    for name, value in values:
-        num, den = value.as_integer_pair()
-        names = GenFun.VARS if isinstance(value, GenFun) else (value.var,)
-        rows.append(
-            [
-                sigma.display_pairs(),
-                str(sigma.e_base),
-                str(sigma.f_base),
-                name,
-                _render_terms(num.items(), names),
-                _render_terms(den.items(), names),
-            ]
-        )
-    return rows
+    return [
+        [sigma.display_pairs(), str(sigma.e_base), str(sigma.f_base), name, *value.render_pair()]
+        for name, value in values
+    ]
 
 
 def _emit(job: argparse.Namespace, text: str) -> None:
@@ -321,7 +310,8 @@ def _parse_base(raw: str) -> Tuple[int, int]:
 
 
 def _parse_bases(raw: str) -> Tuple[Tuple[int, int], ...]:
-    return tuple(map(_parse_base, raw.split(",")))
+    # a base listed twice is one base: dict keeps the first of each, in order
+    return tuple(dict.fromkeys(map(_parse_base, raw.split(","))))
 
 
 def _parse_b_vector(raw: str) -> Tuple[int, ...]:

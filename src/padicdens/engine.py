@@ -87,19 +87,6 @@ def leading_coeff_weight(d: int) -> FracPoly:
     return FracPoly({d + 1: 1, d: -1}, {d + 1: 1, 0: -1}, var="q")
 
 
-def _q_as_p(f: FracPoly, f_base: int) -> FracPoly:
-    """Interpret a rational function of q as one of p via q = p^f_base: the
-    lattice exponents stretch by f_base, and the pair stays coprime."""
-    conv = lambda terms: {(k * f_base,): c for (k,), c in terms}
-    return FracPoly._make(("p",), f._scale, conv(f._num), conv(f._den), reduced=True)
-
-
-def _p_to_genfun(f: FracPoly) -> GenFun:
-    """A function of p as a t-free GenFun."""
-    conv = lambda terms: {(k, 0): c for (k,), c in terms}
-    return GenFun._make(GenFun.VARS, f._scale + (1,), conv(f._num), conv(f._den), reduced=True)
-
-
 def _recursion_key(sigma: SplittingType, b: BVector) -> tuple:
     parts = tuple(sorted(zip(sigma.components, b)))
     return (sigma.e_base, sigma.f_base, parts)
@@ -222,7 +209,8 @@ def _branch(sigma: SplittingType, b: BVector) -> GenFun:
             assert sub_sigma.degree < d, "branch must shrink the degree"
             sub = disc_gen_fun(sub_sigma, sub_b)
             subs = subs * sub.substitute_t_power(n)
-        terms.append(_p_to_genfun(weight) * GenFun.monomial(t_exp=t_exp) * subs)
+        weight = weight.substitute(GenFun.VARS, [[1], [0]])  # p -> (p, t)
+        terms.append(weight * GenFun.monomial(t_exp=t_exp) * subs)
     return _tree_sum(terms, GenFun(0))
 
 
@@ -285,7 +273,7 @@ def density_gen_fun(sigma: SplittingType) -> GenFun:
     """
     def build():
         f_base = sigma.f_base
-        w = _p_to_genfun(_q_as_p(leading_coeff_weight(sigma.degree), f_base))
+        w = leading_coeff_weight(sigma.degree).substitute(GenFun.VARS, [[f_base], [0]])
         norm = GenFun.monomial(p_exp=Fraction(f_base * _rel_disc_exponent(sigma), 2))
         return w * _subset_masses(sigma) * _scale(sigma) / norm
 
@@ -326,7 +314,7 @@ def splitting_density(sigma: SplittingType) -> FracPoly:
             (n * ga * gb for n, ga, gb in _subset_products(sigma, _at_t_star)),
             FracPoly(0, var="p"),
         )
-        return _q_as_p(leading_coeff_weight(sigma.degree), sigma.f_base) * masses
+        return leading_coeff_weight(sigma.degree).substitute(("p",), [[sigma.f_base]]) * masses
 
     return _univariate("rho_q", sigma, start, 0)
 

@@ -33,13 +33,18 @@ block comment above ``_z_gcd`` gives both proofs.  The gcd also returns the
 quotients of its trial division, the two cofactors, so cancelling a common
 factor divides each operand once.
 
+Every change of variables (x -> 1/x, t -> t^n, t = p^r, q = p^f and back,
+p -> (p, t)) is one call of :meth:`_RatFuncBase.substitute`, a monomial map
+given by a matrix of rational rows.  It skips the gcd exactly when the rows
+have full column rank.  No other module reads the lattice.
+
 The printed and serialized form is a bijective image of the stored one.  A
 positive scale per axis keeps the lexicographic term order, so dividing each
 exponent by its scale gives the exponents, in the same order, and the stored
-coefficients are exactly those of :meth:`as_integer_pair` (the integer pair
-with joint content 1, which ``__str__`` prints).  Dividing them by the lex-
-least denominator coefficient gives the Fraction coefficients of
-``num_terms``/``den_terms`` and of the JSON codec, in which that coefficient
+coefficients, the integer pair with joint content 1, are the ones
+:meth:`_RatFuncBase.render_pair` prints.  Dividing them by the lex-least
+denominator coefficient gives the Fraction coefficients of
+``num_terms``/``den_terms`` and of the JSON writer, in which that coefficient
 is +1.
 
 Two concrete shapes are exposed: :class:`FracPoly` (one variable, default
@@ -54,16 +59,17 @@ substitutions build through the internal ``_make``, which trusts its scale
 and int term maps, and may be told that the pair is coprime so that the gcd
 is skipped.  Fractions appear only at that boundary: in parsing, in
 ``num_terms``/``den_terms``/``exponents``, in ``evaluate`` and
-``series_coefficients``, in printing and in the JSON codec.
+``series_coefficients``, in printing and in the JSON writer.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from math import floor, gcd, isqrt, lcm
 from operator import add, floordiv, mul, sub
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, Tuple, Union
 
 from .errors import (
     NonIntegralExponentError,
@@ -325,6 +331,30 @@ def _normalize_pair(
             den = {tuple(map(floordiv, k, steps)): v for k, v in den.items()}
             scale = tuple(map(floordiv, scale, steps))
     return scale, num, den
+
+
+@lru_cache(maxsize=1024)
+def _lattice_map(scale: Scale, rows: Tuple[Tuple[Scalar, ...], ...]):
+    """(target scale, int rows, injective, identity) of substitute's map on
+    this lattice: on the target scale S_j, the lcm of s_i * den(rows[j][i]),
+    a stored exponent k_i (meaning k_i / s_i) adds the int
+    k_i * rows[j][i] * S_j / s_i.  The map is injective when the columns are
+    independent (fraction-free elimination)."""
+    target = tuple(lcm(*(s * r.denominator for s, r in zip(scale, row) if r)) for row in rows)
+    coef = tuple(
+        tuple(r.numerator * (S // (s * r.denominator)) for s, r in zip(scale, row))
+        for S, row in zip(target, rows)
+    )
+    unit = tuple(tuple(int(i == j) for i in range(len(scale))) for j in range(len(scale)))
+    identity = target == scale and coef == unit
+    cols = [list(c) for c in zip(*coef)]
+    for i, c in enumerate(cols):
+        j = next((j for j, x in enumerate(c) if x), None)
+        if j is None:
+            return target, coef, False, False
+        for d in cols[i + 1:]:
+            d[:] = [c[j] * y - d[j] * x for x, y in zip(c, d)]
+    return target, coef, True, identity
 
 
 def _coerce_terms(spec, nvars: int) -> Dict[Tuple[Fraction, ...], Fraction]:
@@ -589,11 +619,39 @@ class _RatFuncBase:
 
     # -- substitutions and evaluation ---------------------------------------
 
+    def substitute(self, vars: Tuple[str, ...], rows) -> "_RatFuncBase":
+        """The monomial change of variables of the matrix rows (int or
+        Fraction entries, one column per variable of self): the exponent
+        vector e goes to the vector with entries sum_i rows[j][i] e_i, over
+        the variables vars; one row gives a FracPoly, two a GenFun.
+
+        The identity returns self.  Equal images merge and zero sums drop; a
+        collapsed denominator raises ZeroDivisionError.  Rows of full column
+        rank skip the gcd: the ring map is then injective and the Laurent
+        ring of vars is free over its image (a basis monomial per coset of
+        the image lattice), hence flat, and flatness keeps (f) and (g)
+        meeting in (fg); in these factorial rings, a coprime pair stays
+        coprime.
+        """
+        scale, coef, injective, identity = _lattice_map(self._scale, tuple(map(tuple, rows)))
+        if identity and vars == self._vars:
+            return self
+
+        def image(terms) -> Terms:
+            out: Terms = {}
+            get = out.get
+            keys = zip(*[[sum(map(mul, c, k)) for k, _ in terms] for c in coef])
+            for key, (_, v) in zip(keys, terms):
+                out[key] = get(key, 0) + v
+            return {k: v for k, v in out.items() if v}
+
+        cls = FracPoly if len(rows) == 1 else GenFun
+        return cls._make(vars, scale, image(self._num), image(self._den), injective)
+
     def subs_inverse(self) -> "_RatFuncBase":
-        """Replace every variable x by 1/x (exponent negation).  The map is an
-        automorphism of the Laurent ring, so the pair stays coprime."""
-        neg = lambda terms: {tuple(-e for e in k): v for k, v in terms}
-        return self._like(self._scale, neg(self._num), neg(self._den), reduced=True)
+        """Replace every variable x by 1/x (exponent negation)."""
+        n = len(self._vars)
+        return self.substitute(self._vars, [[-(i == j) for i in range(n)] for j in range(n)])
 
     def evaluate(self, *point: Scalar) -> Fraction:
         """Exact evaluation at a rational point, one value per variable;
@@ -625,21 +683,15 @@ class _RatFuncBase:
 
     # -- display ------------------------------------------------------------
 
-    def as_integer_pair(self) -> Tuple[dict, dict]:
-        """num/den with int coefficients of joint content 1 and Fraction
-        exponents (for display)."""
-        return (
-            {self._exps(k): c for k, c in self._num},
-            {self._exps(k): c for k, c in self._den},
-        )
+    def render_pair(self) -> Tuple[str, str]:
+        """The printed numerator and denominator: int coefficients of joint
+        content 1, Fraction exponents."""
+        render = lambda terms: _render_terms(((self._exps(k), c) for k, c in terms), self._vars)
+        return render(self._num), render(self._den)
 
     def __str__(self):
-        num, den = self.as_integer_pair()
-        ns = _render_terms(num.items(), self._vars)
-        if self._den == (((0,) * len(self._vars), 1),):
-            return ns
-        ds = _render_terms(den.items(), self._vars)
-        return f"({ns}) / ({ds})"
+        ns, ds = self.render_pair()
+        return ns if ds == "1" else f"({ns}) / ({ds})"
 
 
 class FracPoly(_RatFuncBase):
@@ -692,43 +744,17 @@ class GenFun(_RatFuncBase):
         return cls._monomial(cls.VARS, (p_exp, t_exp), coeff)
 
     def substitute_t_power(self, n: int) -> "GenFun":
-        """t -> t^n on both numerator and denominator.  The substitution is an
-        injective ring map, so the pair stays coprime."""
+        """t -> t^n on both numerator and denominator."""
         if n <= 0:
             raise ValueError("power substitution needs a positive integer")
-        sp, st = self._scale
-        g = gcd(n, st)
-        m = n // g
-        sub = lambda terms: {(pe, te * m): v for (pe, te), v in terms}
-        return self._like((sp, st // g), sub(self._num), sub(self._den), reduced=True)
+        return self.substitute(self.VARS, [[1, 0], [0, n]])
 
     def eval_t_as_p_power(self, r: Scalar) -> FracPoly:
         """Substitute t = p^r, collapsing to a univariate function of p.
 
         Exponents may be non-integers of p at this stage.
         """
-        r = Fraction(r)
-        sp, st = self._scale
-        scale = lcm(sp, st * r.denominator)
-        fp = scale // sp
-        ft = scale // (st * r.denominator) * r.numerator
-
-        def collapse(terms) -> Terms:
-            out: Terms = {}
-            for (pe, te), c in terms:
-                key = (pe * fp + te * ft,)
-                s = out.get(key, 0) + c
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-            return out
-
-        num = collapse(self._num)
-        den = collapse(self._den)
-        if not den:
-            raise ZeroDivisionError("denominator collapsed to zero under substitution")
-        return FracPoly._make(("p",), (scale,), num, den)
+        return self.substitute(("p",), [[1, r]])
 
     def min_t_exponent(self) -> Fraction:
         """Order of vanishing in t at t = 0."""
@@ -784,21 +810,13 @@ def rewrite_in_q(f: FracPoly, f_base: int) -> FracPoly:
     nonnegative integer multiple of f_base; this operationalizes the
     rationality guarantee and raises NonIntegralExponentError otherwise.
     """
-    (s,) = f._scale
-    step = s * f_base
-
-    def convert(terms) -> Terms:
-        out: Terms = {}
-        for (k,), c in terms:
-            if k % step:
-                raise NonIntegralExponentError(
-                    f"exponent {Fraction(k, s)} of {f.var} is not an integer multiple of {f_base}"
-                )
-            out[(k // step,)] = c
-        return out
-
-    # a renaming of the variable keeps the pair coprime
-    return FracPoly._make(("q",), (1,), convert(f._num), convert(f._den), reduced=True)
+    q = f.substitute(("q",), [[Fraction(1, f_base)]])
+    if q._scale != (1,):
+        e = next(e for e in f.exponents if e % f_base)
+        raise NonIntegralExponentError(
+            f"exponent {e} of {f.var} is not an integer multiple of {f_base}"
+        )
+    return q
 
 
 def check_inversion_symmetry(f):
@@ -829,23 +847,6 @@ def to_json_obj(x) -> dict:
     return {**head, "num": enc(x.num_terms), "den": enc(x.den_terms)}
 
 
-def from_json_obj(obj: Mapping):
-    def dec(rows, nvars: int) -> dict:
-        return {
-            tuple(Fraction(r[2 * i], r[2 * i + 1]) for i in range(nvars)): Fraction(r[-2], r[-1])
-            for r in rows
-        }
-
-    if "var" in obj:
-        return FracPoly(dec(obj["num"], 1), dec(obj["den"], 1), var=obj["var"])
-    if "vars" in obj:
-        return GenFun(dec(obj["num"], 2), dec(obj["den"], 2))
-    raise ValueError("not a serialized FracPoly/GenFun")
-
-
 def dumps(x) -> str:
     return json.dumps(to_json_obj(x), sort_keys=True, separators=(",", ":"))
 
-
-def loads(s: str):
-    return from_json_obj(json.loads(s))

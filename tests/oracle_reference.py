@@ -1,6 +1,6 @@
 """Reference models that the tests check the package against.
 
-No CLI command runs this code.  It is the independent side of three checks:
+No CLI command runs this code.  It is the independent side of four checks:
 
   * single elements of a tame extension as truncated Teichmuller
     expansions, their formal conjugates and the valuations of their
@@ -10,27 +10,32 @@ No CLI command runs this code.  It is the independent side of three checks:
     recursion's plan weights use (``test_oracle.py``, acceptance
     criterion 7);
   * direct Frobenius-orbit counting against
-    ``splitting.mobius_orbit_count`` (``test_splitting.py``, criterion 7).
+    ``splitting.mobius_orbit_count`` (``test_splitting.py``, criterion 7);
+  * the reader of the CLI's JSON format, which parses what
+    ``symbolic.to_json_obj`` wrote back into a value through the public
+    constructors (``test_cli.py``, ``test_symbolic.py``).
 
-Coefficients are zero or roots of unity of order p^f - 1, encoded by their
-exponent, so in a tame extension the difference of two distinct stored
-coefficients is a unit and every valuation is a first-differing-slot
-comparison on exponents; no field arithmetic is needed.
+In the expansions, coefficients are zero or roots of unity of order p^f - 1,
+encoded by their exponent, so in a tame extension the difference of two
+distinct stored coefficients is a unit and every valuation is a
+first-differing-slot comparison on exponents; no field arithmetic is needed.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from padicdens.errors import PadicDensError, WildInputError
 from padicdens.oracle import _common_code
 from padicdens.splitting import is_prime, mobius_orbit_count
+from padicdens.symbolic import FracPoly, GenFun
 
 
 class LengthMismatchError(PadicDensError):
@@ -315,3 +320,25 @@ def orbit_count_checks(
         )
     )
     return out
+
+
+# ---------------------------------------------------------------------------
+# the JSON reader
+# ---------------------------------------------------------------------------
+
+def from_json_obj(obj: Mapping):
+    def dec(rows, nvars: int) -> dict:
+        return {
+            tuple(Fraction(r[2 * i], r[2 * i + 1]) for i in range(nvars)): Fraction(r[-2], r[-1])
+            for r in rows
+        }
+
+    if "var" in obj:
+        return FracPoly(dec(obj["num"], 1), dec(obj["den"], 1), var=obj["var"])
+    if "vars" in obj:
+        return GenFun(dec(obj["num"], 2), dec(obj["den"], 2))
+    raise ValueError("not a serialized FracPoly/GenFun")
+
+
+def loads(s: str):
+    return from_json_obj(json.loads(s))

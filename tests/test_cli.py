@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import padicdens
+from oracle_reference import from_json_obj
 from padicdens import engine
 from padicdens.cli import (
     EXIT_OK,
@@ -33,7 +34,7 @@ from padicdens.errors import (
     VerificationError,
 )
 from padicdens.splitting import SplittingType
-from padicdens.symbolic import FracPoly, from_json_obj
+from padicdens.symbolic import FracPoly
 
 
 def test_parse_sigma_basic():
@@ -226,6 +227,19 @@ def test_verify_sums_over_the_given_catalog(capsys):
     assert "alpha(1/q)=beta(q) e2f1,e2f1,e2f1@e2f1: PASS" in out
     # a base listed twice is still one partition
     assert main(["verify", "--degree-max", "2", "--bases", "e1f1,e1f1"]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["conjecture", "--degree-max", "2"], ["verify", "--degree-max", "1"]],
+    ids=["conjecture", "verify"],
+)
+def test_repeated_base_reports_once(argv, capsys):
+    """A base listed twice in --bases is one base: each type's line once."""
+    assert main(argv + ["--bases", "e1f1"]) == EXIT_OK
+    once = capsys.readouterr().out
+    assert main(argv + ["--bases", "e1f1,e1f1"]) == EXIT_OK
+    assert capsys.readouterr().out == once
 
 
 def test_run_parsed_job(capsys):

@@ -6,7 +6,8 @@ tests/data/golden_d5.txt (d <= 5), golden_d6.txt (d = 6) and golden_d7.txt
 ``symbolic.dumps(value)``; they are written by scripts/golden.py.  Every
 (base, degree) group is a case of its own, so a failure names the values that
 differ.  The d = 7 lines of e2f1 and e1f2 are not a test case, since each
-base adds about 10 s; check them with ``golden.digest_lines``.
+base adds about 10 s; a step of the CI workflow (.github/workflows/tier1.yml)
+compares them with ``golden.digest_lines``.
 """
 
 import pathlib

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from oracle_reference import loads
 from padicdens.errors import NonIntegralExponentError, NoSeriesExpansionError
 from padicdens.symbolic import (
     FracPoly,
@@ -14,7 +15,6 @@ from padicdens.symbolic import (
     _cancel,
     check_inversion_symmetry,
     dumps,
-    loads,
     rewrite_in_q,
 )
 
@@ -81,6 +81,13 @@ def test_built_values_match_constructed_values():
             -FracPoly({1: 1, 0: 2}, {2: 3, 0: 1}),
             FracPoly({1: -1, 0: -2}, {2: 3, 0: 1}),
         ),
+        (
+            # the embedding p -> (p, t) keeps the scale of p and gives t scale 1
+            FracPoly({F(1, 2): 1, 0: 3}, {1: 2, 0: -1}, var="p").substitute(
+                GenFun.VARS, [[1], [0]]
+            ),
+            GenFun({(F(1, 2), 0): 1, (0, 0): 3}, {(1, 0): 2, (0, 0): -1}),
+        ),
     ]
     for built, parsed in pairs:
         assert type(built) is type(parsed)
@@ -127,6 +134,15 @@ def test_eval_t_monomial():
 
 def test_eval_constant():
     assert GenFun(7).eval_t_as_p_power(F(3, 5)) == FracPoly(7, var="p")
+
+
+def test_eval_merges_equal_images():
+    # t = p maps distinct exponents to one: equal images merge, zeros drop,
+    # and the result needs the gcd that an injective map skips
+    assert (P - T).eval_t_as_p_power(1) == 0
+    with pytest.raises(ZeroDivisionError):
+        (ONE / (P - T)).eval_t_as_p_power(1)
+    assert ((P + T) / (P + T**2)).eval_t_as_p_power(1) == FracPoly(2, {1: 1, 0: 1}, var="p")
 
 
 # -- rewrite_in_q ----------------------------------------------------------------
@@ -299,6 +315,37 @@ def test_evaluation_is_homomorphism(a, b, op):
             assert vc == va * vb
         elif vb != 0:
             assert vc == va / vb
+
+
+_int_points = [(2, 3), (3, -2), (-2, 5), (5, 1), (-3, -1)]
+
+
+def _at(f, *point):
+    """f at point, or None where its denominator vanishes."""
+    try:
+        return f.evaluate(*point)
+    except ZeroDivisionError:
+        return None
+
+
+@given(genfuns(), st.integers(min_value=1, max_value=3), st.integers(min_value=-2, max_value=2))
+def test_substitution_commutes_with_evaluation(g, n, r):
+    try:
+        at_r = g.eval_t_as_p_power(r)
+    except ZeroDivisionError:  # the denominator vanishes on all of t = p^r
+        at_r = None
+    for p0, t0 in _int_points:
+        pairs = [
+            (_at(g.subs_inverse(), p0, t0), _at(g, F(1, p0), F(1, t0))),
+            (_at(g.substitute_t_power(n), p0, t0), _at(g, p0, F(t0) ** n)),
+        ]
+        if at_r is None:
+            assert _at(g, p0, F(p0) ** r) is None
+        else:
+            pairs.append((_at(at_r, p0), _at(g, p0, F(p0) ** r)))
+        for left, right in pairs:
+            if left is not None and right is not None:
+                assert left == right
 
 
 # -- serialization -----------------------------------------------------------------
