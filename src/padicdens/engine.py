@@ -21,16 +21,17 @@ The engine is prime-symbolic: tameness cannot be checked symbolically, so the
 output is valid at every prime not dividing any relative ramification index;
 concrete primes are validated wherever one is supplied.
 
-Every value is computed once and kept in one memo, ``_CACHE`` behind
-``_cached``; ``clear_memo()`` empties it.  Its keys, where ``rkey`` is
-``(e_base, f_base, sorted (component, b_i) pairs)``:
+Every value is computed once over e1f1 and kept in one memo, ``_CACHE``
+behind ``_cached`` (``clear_memo()`` empties it); ``_on_base`` moves a value
+to a deeper base (see ``_recurse``).  Its keys, where ``rkey`` is the sorted
+(relative component, b_i) pairs:
 
   rkey                              disc_gen_fun(sigma, b)
   ("branch",) + rkey                branch_sum(sigma, b)
-  ("t_star",) + rkey                G(sigma, b) at t = p^(-e_base f_base / 2)
+  ("t_star",) + rkey                G(sigma, b) at t = p^(-1/2)
   ("weight",) + plan signature      splitting.signature_weight, the weight
                                     of every plan with that plan_signature
-  (kind, sigma.key())               the densities, kind one of rho_q,
+  (kind, _relative(sigma).key())    the densities, kind one of rho_q,
                                     alpha_q, beta_q and rho_pt
 
 Concurrency: the memo table is shared; concurrent calls may duplicate a
@@ -88,8 +89,20 @@ def leading_coeff_weight(d: int) -> FracPoly:
 
 
 def _recursion_key(sigma: SplittingType, b: BVector) -> tuple:
-    parts = tuple(sorted(zip(sigma.components, b)))
-    return (sigma.e_base, sigma.f_base, parts)
+    return tuple(sorted(zip(sigma.components, b)))
+
+
+def _relative(sigma: SplittingType) -> SplittingType:
+    """The e1f1 type of sigma's relative pairs."""
+    return SplittingType(tuple(zip(sigma.e_rel, sigma.f_rel)))
+
+
+def _on_base(sigma: SplittingType, key: tuple, build) -> GenFun:
+    """The cached e1f1 value under key, moved to sigma's base by
+    p -> p^f_base, t -> t^(1/e_base) (on e1f1, the identity returns it);
+    the moved value is not cached."""
+    rows = [[sigma.f_base, 0], [0, Fraction(1, sigma.e_base)]]
+    return _cached(key, build).substitute(GenFun.VARS, rows)
 
 
 def disc_gen_fun(sigma: SplittingType, b: BVector) -> GenFun:
@@ -100,7 +113,8 @@ def disc_gen_fun(sigma: SplittingType, b: BVector) -> GenFun:
     """
     if len(b) != sigma.m or any(x < 0 for x in b):
         raise ValueError("depth vector must be nonnegative and match sigma")
-    return _cached(_recursion_key(sigma, b), lambda: _recurse(sigma, b))
+    rel = _relative(sigma)
+    return _on_base(sigma, _recursion_key(rel, b), lambda: _recurse(rel, b))
 
 
 def _recurse(sigma: SplittingType, b: BVector) -> GenFun:
@@ -122,6 +136,53 @@ def _recurse(sigma: SplittingType, b: BVector) -> GenFun:
         cur = stop.  So bump_argmin never raises a component past stop,
         adds at least 1 to sum(cur), and the chain reaches stop in at most
         sum(stop) - sum(start) steps.
+
+    Base change is a substitution.  Over a base (e_base, f_base), with
+    sigma_rel the e1f1 type of sigma's relative pairs,
+
+      G(sigma, b)(p, t) = G(sigma_rel, b)(p^f_base, t^(1/e_base)),
+
+    and so for branch_sum.  Let phi be this monomial map, of rows
+    [[f_base, 0], [0, 1/e_base]].  The recursion written over that base
+    reads the base in five places: the head p^f_base, the closure
+    denominator 1 - p^(f_base (1-d)) t^(d(d-1)/e_base), the rescale
+    p^(-f_base d k) t^(d(d-1) k/e_base), t_exp = sep/e_base * slope in
+    _branch, and the plan weights, polynomials in p^f_base.  Induction along
+    the nesting above (lower d first, and b = 0 before b != 0 on one type):
+
+      * Both recursions take the same steps: slope_data, bump_argmin,
+        enumerate_plans and plan_signature read b, e_rel and f_rel only, so
+        the chains, k_lim and the plans are those of sigma_rel.
+      * Each of the five is the phi-image of its e1f1 form: p^f_base =
+        phi(p); the closure and rescale monomials are phi of p^(1-d)
+        t^(d(d-1)) and p^(-d k) t^(d(d-1) k); t^(sep slope/e_base) =
+        phi(t^(sep slope)); a weight is built from p^f_base and
+        mobius_orbit_count(f_base, k) = phi(mobius_orbit_count(1, k)) by
+        products and falling factorials, so it is phi of the e1f1 weight.
+        The base case p^(-b f_base) is phi(p^(-b)).
+      * A block of orbit size n, with h = base_ram_factor, has the sub-type
+        tau over (e_base h, f_base n/h) with relative pairs
+        (e_rel_i / h, f_rel_i h / n), which do not depend on the base; tau
+        has lower degree.  By induction, G(tau, b') followed by t -> t^n is
+        G(tau_rel, b') under the diagonal map (a, c) -> (a f_base n/h,
+        c n/(e_base h)), and the e1f1 recursion's sub-type over (h, n/h)
+        gives G(tau_rel, b') under (a, c) -> (a n/h, c n/h).  phi after the
+        latter is the former, since diagonal maps compose entrywise.
+      * phi is an injective ring map of Laurent polynomials with rational
+        exponents, so it extends to their fractions and commutes with the
+        sums, the products and the closure's division.
+
+    So every value over the base is the phi-image of the e1f1 one, and
+    _on_base computes over e1f1 only.  The rows are diagonal, so phi
+    commutes with (p, t) -> (1/p, 1/t), whose rows are -1 times the
+    identity.  The assembly carries over: the leading-coefficient weight
+    in p^f_base, the prefactor p^(f_base h/2) and the shift p^(f_base d) of
+    beta_q are phi-images, and the subset products are products of
+    G-values.  Hence rho_pt over the base is phi of rho_pt over e1f1, and
+    is symmetric under (p, t) -> (1/p, 1/t) exactly when that one is.  At
+    t = p^(-e_base f_base/2), G(sigma_rel, b)(p^f_base, p^(-f_base/2)) read
+    in q = p^f_base is the e1f1 value at t = q^(-1/2), so rho_q, alpha_q and
+    beta_q do not depend on the base.
     """
     # canonical component order; the value is symmetric under permutation
     order = sorted(range(sigma.m), key=lambda i: (sigma.components[i], b[i]))
@@ -132,20 +193,19 @@ def _recurse(sigma: SplittingType, b: BVector) -> GenFun:
     if sigma.m == 1 and e_rel[0] == 1 and sigma.f_rel[0] == 1:
         # single component equal to the base: degree-1 minimal polynomials
         # have unit discriminant, so all mass sits at t^0
-        return GenFun.monomial(p_exp=-b[0] * sigma.components[0][1])
+        return GenFun.monomial(p_exp=-b[0])
     d = sigma.degree
-    f_base = sigma.f_base
-    t_step = Fraction(d * (d - 1), sigma.e_base)
+    t_step = d * (d - 1)
     zero_b = (0,) * sigma.m
 
     if b == zero_b:
-        # the head plan adds p^f_base * G(sigma, bump(0)), which the identity
-        # below turns into the chain up to e_rel plus a rescaled G(sigma, 0);
+        # the head plan adds p * G(sigma, bump(0)), which the identity below
+        # turns into the chain up to e_rel plus a rescaled G(sigma, 0);
         # solving for G(sigma, 0) closes the geometric tail
         head = branch_sum(sigma, zero_b)
         tail = _chain_sum(sigma, bump_argmin(sigma, zero_b), tuple(e_rel))
-        closure_den = GenFun(1) - GenFun.monomial(p_exp=f_base * (1 - d), t_exp=t_step)
-        return (head + GenFun.monomial(p_exp=f_base) * tail) / closure_den
+        closure_den = GenFun(1) - GenFun.monomial(p_exp=1 - d, t_exp=t_step)
+        return (head + GenFun.monomial(p_exp=1) * tail) / closure_den
 
     # G(sigma, b) = chain from b up to k_lim * e_rel + rescale * G(sigma, 0).
     # At b = 0 it is trivial (k_lim = 0, empty chain, rescale 1), so only the
@@ -154,7 +214,7 @@ def _recurse(sigma: SplittingType, b: BVector) -> GenFun:
     target = tuple(k_lim * ei for ei in e_rel)
     chain_sum = _chain_sum(sigma, b, target)
     g_zero = disc_gen_fun(sigma, zero_b)
-    rescale = GenFun.monomial(p_exp=-f_base * d * k_lim, t_exp=t_step * k_lim)
+    rescale = GenFun.monomial(p_exp=-d * k_lim, t_exp=t_step * k_lim)
     return chain_sum + rescale * g_zero
 
 
@@ -174,7 +234,8 @@ def branch_sum(sigma: SplittingType, b: BVector) -> GenFun:
     weight * t^(pair-separation exponent) * product of rescaled sub-values.
 
     Memoized like disc_gen_fun, on the same canonical key."""
-    return _cached(("branch",) + _recursion_key(sigma, b), lambda: _branch(sigma, b))
+    rel = _relative(sigma)
+    return _on_base(sigma, ("branch",) + _recursion_key(rel, b), lambda: _branch(rel, b))
 
 
 def _branch(sigma: SplittingType, b: BVector) -> GenFun:
@@ -195,16 +256,12 @@ def _branch(sigma: SplittingType, b: BVector) -> GenFun:
         for bl, n in zip(plan.blocks, plan.orbit_sizes):
             block_deg = sum(degs[i] for i in bl)
             sep -= block_deg * (Fraction(block_deg, n) - 1)
-        t_exp = Fraction(sep, sigma.e_base) * sd.slope
+        t_exp = sep * sd.slope
 
         subs = GenFun(1)
         for bl, n in zip(plan.blocks, plan.orbit_sizes):
             h = base_ram_factor(sd, n)
-            sub_sigma = SplittingType(
-                tuple(sigma.components[i] for i in bl),
-                sigma.e_base * h,
-                sigma.f_base * n // h,
-            )
+            sub_sigma = SplittingType(tuple(sigma.components[i] for i in bl), h, n // h)
             sub_b = tuple(b[i] + (1 if i in arg else 0) for i in bl)
             assert sub_sigma.degree < d, "branch must shrink the degree"
             sub = disc_gen_fun(sub_sigma, sub_b)
@@ -271,36 +328,33 @@ def density_gen_fun(sigma: SplittingType) -> GenFun:
     global residue-field prefactor q^(sum (e_rel-1) f_rel / 2) may carry a
     fractional p-exponent; it cancels on the univariate path.
     """
+    rel = _relative(sigma)
     def build():
-        f_base = sigma.f_base
-        w = leading_coeff_weight(sigma.degree).substitute(GenFun.VARS, [[f_base], [0]])
-        norm = GenFun.monomial(p_exp=Fraction(f_base * _rel_disc_exponent(sigma), 2))
-        return w * _subset_masses(sigma) * _scale(sigma) / norm
+        w = leading_coeff_weight(rel.degree).substitute(GenFun.VARS, [[1], [0]])
+        norm = GenFun.monomial(p_exp=Fraction(_rel_disc_exponent(rel), 2))
+        return w * _subset_masses(rel) * _scale(rel) / norm
 
-    return _cached(("rho_pt", sigma.key()), build)
+    return _on_base(sigma, ("rho_pt", rel.key()), build)
 
 
 def _at_t_star(sigma: SplittingType, b: BVector) -> FracPoly:
-    """G(sigma, b) at t = p^(-e_base f_base / 2), where the univariate
+    """G(sigma, b) of an e1f1 type at t = p^(-1/2), where the univariate
     densities live; memoized on the recursion key."""
-    return _cached(
-        ("t_star",) + _recursion_key(sigma, b),
-        lambda: disc_gen_fun(sigma, b).eval_t_as_p_power(
-            Fraction(-sigma.e_base * sigma.f_base, 2)
-        ),
-    )
+    key = ("t_star",) + _recursion_key(sigma, b)
+    return _cached(key, lambda: disc_gen_fun(sigma, b).eval_t_as_p_power(Fraction(-1, 2)))
 
 
 def _univariate(kind: str, sigma: SplittingType, start, shift: int) -> FracPoly:
-    """The cached density start() * p^(shift - f_base * h) / (perm * prod f_rel),
-    rewritten in q = p^f_base; h = sum (e_rel - 1) f_rel / 2, and start()
-    returns a function of p."""
+    """The cached density start(rel) * p^(shift - h) / (perm * prod f_rel)
+    of rel = _relative(sigma), read in q = p; h = sum (e_rel - 1) f_rel / 2,
+    and start(rel) returns a function of p.  See _recurse: it is the density
+    over sigma's base."""
+    rel = _relative(sigma)
     def build():
-        f_base = sigma.f_base
-        exp = shift - Fraction(f_base * _rel_disc_exponent(sigma), 2)
-        return rewrite_in_q(start() * FracPoly.monomial(exp, _scale(sigma), var="p"), f_base)
+        exp = shift - Fraction(_rel_disc_exponent(rel), 2)
+        return rewrite_in_q(start(rel) * FracPoly.monomial(exp, _scale(rel), var="p"))
 
-    return _cached((kind, sigma.key()), build)
+    return _cached((kind, rel.key()), build)
 
 
 def splitting_density(sigma: SplittingType) -> FracPoly:
@@ -309,32 +363,25 @@ def splitting_density(sigma: SplittingType) -> FracPoly:
     Assembled after specializing the valuation variable, so all gcd work is
     univariate; agreement with the two-variable assembly is covered by tests.
     """
-    def start():
+    def start(rel):
         masses = _tree_sum(
-            (n * ga * gb for n, ga, gb in _subset_products(sigma, _at_t_star)),
+            (n * ga * gb for n, ga, gb in _subset_products(rel, _at_t_star)),
             FracPoly(0, var="p"),
         )
-        return leading_coeff_weight(sigma.degree).substitute(("p",), [[sigma.f_base]]) * masses
+        return leading_coeff_weight(rel.degree).substitute(("p",), [[1]]) * masses
 
     return _univariate("rho_q", sigma, start, 0)
 
 
 def monic_density(sigma: SplittingType) -> FracPoly:
     """Density among monic degree-d polynomials (all roots integral)."""
-    return _univariate(
-        "alpha_q", sigma, lambda: _at_t_star(sigma, (0,) * sigma.m), 0
-    )
+    return _univariate("alpha_q", sigma, lambda rel: _at_t_star(rel, (0,) * rel.m), 0)
 
 
 def centered_monic_density(sigma: SplittingType) -> FracPoly:
     """Conditional density among monic polynomials congruent to x^d: all
     roots in the maximal ideal, rescaled by the measure q^d of that slice."""
-    return _univariate(
-        "beta_q",
-        sigma,
-        lambda: _at_t_star(sigma, (1,) * sigma.m),
-        sigma.f_base * sigma.degree,
-    )
+    return _univariate("beta_q", sigma, lambda rel: _at_t_star(rel, (1,) * rel.m), sigma.degree)
 
 
 def density_asymptotic(sigma: SplittingType) -> FracPoly:

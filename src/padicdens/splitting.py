@@ -283,28 +283,28 @@ def enumerate_plans(sigma: SplittingType, b: BVector) -> Tuple[PartitionPlan, ..
 
 def plan_signature(sigma: SplittingType, b: BVector, plan: PartitionPlan) -> tuple:
     """Everything the weight of an admissible plan (one that
-    enumerate_plans returns) depends on: (f_base, slope denominator, whether
-    the argmin set is proper, the sorted (orbit size, (blocks, components))
+    enumerate_plans returns) depends on: (slope denominator, whether the
+    argmin set is proper, the sorted (orbit size, (blocks, components))
     counts)."""
     sd = slope_data(sigma, b)
     by_size: dict = {}
     for bl, n in zip(plan.blocks, plan.orbit_sizes):
         cnt, comps = by_size.get(n, (0, 0))
         by_size[n] = (cnt + 1, comps + len(bl))
-    return (sigma.f_base, sd.denom, len(sd.argmin) < sigma.m, tuple(sorted(by_size.items())))
+    return (sd.denom, len(sd.argmin) < sigma.m, tuple(sorted(by_size.items())))
 
 
 def signature_weight(signature: tuple) -> FracPoly:
     """Normalized count of leading-coefficient/uniformizer choices realizing
     the orbit structure of every admissible plan with this plan_signature,
-    as a polynomial in p."""
-    f_base, denom, outside, by_size = signature
+    as a polynomial in p over e1f1, the one base the recursion runs on."""
+    denom, outside, by_size = signature
     weight = FracPoly(1, var="p")
     for k, (n_blocks, n_comps) in by_size:
         if k == 1:
             if denom != 1:
                 continue
-            base_count = FracPoly.monomial(f_base, var="p")
+            base_count = FracPoly.monomial(1, var="p")
             if not outside:
                 weight = weight * falling_factorial(base_count, n_blocks)
             else:
@@ -312,7 +312,7 @@ def signature_weight(signature: tuple) -> FracPoly:
         else:
             kk = k // denom
             weight = weight * Fraction(kk) ** n_comps
-            weight = weight * falling_factorial(mobius_orbit_count(f_base, kk), n_blocks)
+            weight = weight * falling_factorial(mobius_orbit_count(1, kk), n_blocks)
     return weight
 
 

@@ -33,10 +33,11 @@ block comment above ``_z_gcd`` gives both proofs.  The gcd also returns the
 quotients of its trial division, the two cofactors, so cancelling a common
 factor divides each operand once.
 
-Every change of variables (x -> 1/x, t -> t^n, t = p^r, q = p^f and back,
-p -> (p, t)) is one call of :meth:`_RatFuncBase.substitute`, a monomial map
-given by a matrix of rational rows.  It skips the gcd exactly when the rows
-have full column rank.  No other module reads the lattice.
+Every change of variables (x -> 1/x, t -> t^n, t = p^r, p -> q, p -> (p, t),
+and p -> p^f, t -> t^(1/e) of a base change) is one call of
+:meth:`_RatFuncBase.substitute`, a monomial map given by a matrix of
+rational rows.  It skips the gcd exactly when the rows have full column
+rank.  No other module reads the lattice.
 
 The printed and serialized form is a bijective image of the stored one.  A
 positive scale per axis keeps the lexicographic term order, so dividing each
@@ -803,20 +804,16 @@ class GenFun(_RatFuncBase):
 # operation surface
 # ---------------------------------------------------------------------------
 
-def rewrite_in_q(f: FracPoly, f_base: int) -> FracPoly:
-    """Rename p^(f_base) to q: divide every exponent by f_base.
+def rewrite_in_q(f: FracPoly) -> FracPoly:
+    """Rename p to q.
 
-    Every exponent of the normalized numerator and denominator must be a
-    nonnegative integer multiple of f_base; this operationalizes the
-    rationality guarantee and raises NonIntegralExponentError otherwise.
+    Every exponent of the normalized numerator and denominator must be an
+    integer; this operationalizes the rationality guarantee and raises
+    NonIntegralExponentError otherwise.
     """
-    q = f.substitute(("q",), [[Fraction(1, f_base)]])
-    if q._scale != (1,):
-        e = next(e for e in f.exponents if e % f_base)
-        raise NonIntegralExponentError(
-            f"exponent {e} of {f.var} is not an integer multiple of {f_base}"
-        )
-    return q
+    if f._scale != (1,):
+        raise NonIntegralExponentError(f"{f} has a non-integer exponent of {f.var}")
+    return f.substitute(("q",), [[1]])
 
 
 def check_inversion_symmetry(f):

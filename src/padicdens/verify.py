@@ -14,12 +14,9 @@ from typing import Dict, Iterable, List, Set, Tuple
 from . import engine, oracle
 from .errors import VerificationError
 from .splitting import SplittingType
-from .symbolic import FracPoly, check_inversion_symmetry
+from .symbolic import FracPoly, GenFun, check_inversion_symmetry
 
 Check = Tuple[str, bool, str]
-
-ASYMPTOTIC_Q0 = 10**4
-ASYMPTOTIC_TOL_NUM = 10
 
 GOLDEN = (
     (SplittingType(((1, 1), (1, 1))), FracPoly(1, 2)),
@@ -84,31 +81,33 @@ def functional_equation_checks(
 
 
 def duality_checks(sigmas: Iterable[SplittingType]) -> List[Check]:
+    """alpha(1/q) = beta(q), and its two-variable form
+    G(sigma, 0)(1/p, 1/t) = p^F G(sigma, 1)(p, t) with F = f_base sum f_rel."""
     out = []
     for sigma in sigmas:
         a = engine.monic_density(sigma)
         b = engine.centered_monic_density(sigma)
         ok = (a.subs_inverse() - b).is_zero
         out.append((f"alpha(1/q)=beta(q) {sigma.display_pairs()}", ok, f"{b}"))
+        big_f = sigma.f_base * sum(sigma.f_rel)
+        g0 = engine.disc_gen_fun(sigma, (0,) * sigma.m)
+        g1 = engine.disc_gen_fun(sigma, (1,) * sigma.m)
+        ok = g0.subs_inverse() == GenFun.monomial(p_exp=big_f) * g1
+        out.append((f"G0(1/p,1/t)=p^F G1(p,t) {sigma.display_pairs()}", ok, f"F={big_f}"))
     return out
 
 
 def asymptotic_checks(sigmas: Iterable[SplittingType]) -> List[Check]:
-    """|rho(q) * perm * prod f_rel * q^(sum (e_rel-1) f_rel) - 1| <=
-    ASYMPTOTIC_TOL_NUM/q at q = ASYMPTOTIC_Q0."""
+    """rho(q) * perm * prod f_rel * q^(sum (e_rel-1) f_rel) tends to 1 as
+    q grows, exactly: the numerator and denominator of this ratio have the
+    same top exponent and the same leading coefficient."""
     out = []
-    q0 = ASYMPTOTIC_Q0
-    tol = Fraction(ASYMPTOTIC_TOL_NUM, q0)
     for sigma in sigmas:
-        rho = engine.splitting_density(sigma).evaluate(q0)
-        dev = abs(rho / engine.density_asymptotic(sigma).evaluate(q0) - 1)
-        out.append(
-            (
-                f"asymptotic {sigma.display_pairs()}",
-                dev <= tol,
-                f"deviation {float(dev):.3e}",
-            )
-        )
+        r = engine.splitting_density(sigma) / engine.density_asymptotic(sigma)
+        # a zero ratio has no numerator term; its (0, 0) fails the check
+        top = [max(terms.items(), default=((0,), 0)) for terms in (r.num_terms, r.den_terms)]
+        note = "top terms " + " / ".join(f"{c} q^{e}" for (e,), c in top)
+        out.append((f"asymptotic {sigma.display_pairs()}", top[0] == top[1], note))
     return out
 
 

@@ -8,7 +8,8 @@ Tolerances are pinned here and nowhere else:
                                  <= 4 of three bases
   3. functional equation         exact, relative degree <= 4, three bases
   4. duality alpha/beta          exact, degree <= 3
-  5. asymptotics                 |dev| <= 10/q at q = 10^4
+  5. asymptotics                 exact: rho / asymptotic tends to 1 (equal
+                                 top terms of its numerator and denominator)
   6. oracle equivalence          exact on the d <= 4 grid; Monte Carlo 3 sigma
   7. orbit-count identities      exact on the full grid; the brute forces
                                  are test references (oracle_reference.py),
@@ -81,7 +82,7 @@ def test_criterion_4_duality():
 
 def test_criterion_5_asymptotics():
     checks = verify.asymptotic_checks(_catalog_three_bases(4))
-    _report("criterion 5 (asymptotics within 10/q at q = 10^4)", all(ok for _, ok, _ in checks))
+    _report("criterion 5 (asymptotics: rho / asymptotic -> 1, exact)", all(ok for _, ok, _ in checks))
 
 
 def test_criterion_6_oracle_equivalence():

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from padicdens import engine
+from padicdens import engine, verify
 from padicdens.engine import (
     branch_sum,
     catalog,
@@ -154,7 +154,7 @@ def test_bivariate_specializes_to_univariate():
         univ = biv.eval_t_as_p_power(F(-sigma.e_base * sigma.f_base, 2))
         from padicdens.symbolic import rewrite_in_q
 
-        assert rewrite_in_q(univ, sigma.f_base) == splitting_density(sigma)
+        assert rewrite_in_q(univ) == splitting_density(sigma)
 
 
 def test_memoization_component_order_independent():
@@ -244,8 +244,8 @@ def test_cached_plan_weights_match_reference():
     for key in cached:
         if key[0] != "branch":
             continue
-        e_base, f_base, parts = key[1:]
-        sigma = SplittingType(tuple(c for c, _ in parts), e_base, f_base)
+        parts = key[1:]
+        sigma = SplittingType(tuple(c for c, _ in parts))
         b = tuple(bi for _, bi in parts)
         for plan in enumerate_plans(sigma, b):
             if plan == head_plan(sigma.m):
@@ -256,6 +256,54 @@ def test_cached_plan_weights_match_reference():
             checked.add(("weight",) + signature)
     assert checked == {key for key in cached if key[0] == "weight"}
     assert not engine._CACHE
+
+
+@pytest.mark.parametrize(
+    "base", [(2, 1), (1, 2), (3, 1), (1, 3), (2, 2)], ids=["e2f1", "e1f2", "e3f1", "e1f3", "e2f2"]
+)
+def test_base_change_is_a_substitution(base):
+    """The identity proved in engine._recurse, against the values over the
+    base: G and branch_sum over (e, f) are the values of the e1f1 type of
+    the relative pairs under p -> p^f, t -> t^(1/e); so is rho_pt, and
+    rho_q, alpha_q and beta_q are equal."""
+    e_base, f_base = base
+    move = lambda g: g.substitute(GenFun.VARS, [[f_base, 0], [0, F(1, e_base)]])
+    for sigma in catalog(4, e_base, f_base):
+        rel = SplittingType(tuple(zip(sigma.e_rel, sigma.f_rel)))
+        for b in itertools.product(range(3), repeat=sigma.m):
+            assert disc_gen_fun(sigma, b) == move(disc_gen_fun(rel, b)), (sigma, b)
+            assert branch_sum(sigma, b) == move(branch_sum(rel, b)), (sigma, b)
+        for density in (splitting_density, monic_density, centered_monic_density):
+            assert density(sigma) == density(rel), (sigma, density.__name__)
+        assert density_gen_fun(sigma) == move(density_gen_fun(rel)), sigma
+
+
+def test_recursion_keys_name_no_base():
+    """The recursion runs over e1f1 only: no recursion, branch or t_star key
+    names a base, only (relative component, b_i) pairs."""
+    clear_memo()
+    for sigma in catalog(4, 2, 1):
+        disc_gen_fun(sigma, (0,) * sigma.m)
+        splitting_density(sigma)
+    kinds = {key[0] if isinstance(key[0], str) else "G" for key in engine._CACHE}
+    assert {"G", "branch", "t_star"} <= kinds
+    for key in engine._CACHE:
+        if key[0] in ("branch", "t_star"):
+            key = key[1:]
+        elif isinstance(key[0], str):
+            continue  # plan weights and densities
+        assert all(isinstance(pair, tuple) for pair in key), key
+    clear_memo()
+
+
+def test_two_variable_duality():
+    """verify.duality_checks adds G(sigma, 0)(1/p, 1/t) = p^F G(sigma, 1)(p, t)
+    to alpha(1/q) = beta(q), one line each per type, and both hold."""
+    sigmas = [s for base in ((1, 1), (2, 1), (1, 2), (2, 2)) for s in catalog(4, *base)]
+    checks = verify.duality_checks(sigmas)
+    assert len(checks) == 2 * len(sigmas)
+    assert sum(name.startswith("G0(1/p,1/t)=p^F G1(p,t) ") for name, _, _ in checks) == len(sigmas)
+    assert all(ok for _, ok, _ in checks)
 
 
 def test_concurrent_calls_agree():
