@@ -18,9 +18,10 @@ Exit codes:
 
   0  success
   2  bad input: parse error, invalid component or depth vector, negative
-     --samples, --seed or --cmax, --degree-max below 1, unsupported oracle
-     base, an --emit path that cannot be written, a standard output closed
-     before the report is written (e.g. piped into head)
+     --samples, --seed or --cmax, --degree-max below 1, oracle without -p,
+     unsupported oracle base, an --emit path that cannot be written, a
+     standard output closed before the report is written (e.g. piped into
+     head)
   3  wild prime, or a -p that is not prime
   4  non-integral exponent
   5  verification failure
@@ -66,14 +67,11 @@ EXIT_TOO_LARGE = 6
 _ITEM = re.compile(r"e(\d+)f(\d+)")
 
 
-def _parse_pair(text: str, what: str, position: int = -1) -> Tuple[int, int]:
+def _parse_pair(text: str, what: str) -> Tuple[int, int]:
     """Parse one 'e<int>f<int>' pair with positive e and f."""
     m = _ITEM.fullmatch(text.strip())
     if not m or int(m.group(1)) < 1 or int(m.group(2)) < 1:
-        raise SigmaParseError(
-            f"bad {what} {text!r} (expected e<int>f<int>, both positive)",
-            position=position,
-        )
+        raise SigmaParseError(f"bad {what} {text!r} (expected e<int>f<int>, both positive)")
     return int(m.group(1)), int(m.group(2))
 
 
@@ -86,13 +84,9 @@ def parse_sigma(s: str) -> SplittingType:
     base = (1, 1)
     if "@" in text:
         text, _, base_text = text.partition("@")
-        base = _parse_pair(base_text, "base", position=s.index("@") + 1)
-    comps = []
-    pos = 0
-    for item in text.split(","):
-        comps.append(_parse_pair(item, "component", position=pos))
-        pos += len(item) + 1
-    return SplittingType(tuple(comps), *base)
+        base = _parse_pair(base_text, "base")
+    comps = tuple(_parse_pair(item, "component") for item in text.split(","))
+    return SplittingType(comps, *base)
 
 
 def _frac_str(x: Fraction) -> str:
@@ -153,7 +147,7 @@ def _sigma_header(sigma: SplittingType) -> str:
     )
 
 
-def run_compute(job: argparse.Namespace) -> int:
+def run_compute(job: argparse.Namespace) -> Tuple[str, bool]:
     sigma = job.sigma
     if job.p is not None:
         sigma.require_tame(job.p)
@@ -168,8 +162,7 @@ def run_compute(job: argparse.Namespace) -> int:
     fe_holds, _ = check_inversion_symmetry(values["rho"])
     if job.fmt == "csv":
         bivariate = [("rho_bivariate", rho_pt)] if rho_pt is not None else []
-        _emit(job, _render_csv(_csv_rows(sigma, [*values.items(), *bivariate])))
-        return EXIT_OK
+        return _render_csv(_csv_rows(sigma, [*values.items(), *bivariate])), True
     if job.fmt == "json":
         payload = {
             "sigma": sigma.display_pairs(),
@@ -185,8 +178,7 @@ def run_compute(job: argparse.Namespace) -> int:
             payload["numeric"] = {"p": job.p, "q": str(q0)} | {
                 name: str(values[name].evaluate(q0)) for name in ("rho", "alpha", "beta_monic")
             }
-        _emit(job, json.dumps(payload, sort_keys=True, indent=2))
-        return EXIT_OK
+        return json.dumps(payload, sort_keys=True, indent=2), True
     lines = [_sigma_header(sigma)]
     for name, value in values.items():
         lines.append(f"{name:12s} = {value}")
@@ -201,33 +193,29 @@ def run_compute(job: argparse.Namespace) -> int:
         lines.append(f"numeric at p={job.p} (q={q0}):")
         for name, value in values.items():
             lines.append(f"  {name:12s} = {_frac_str(value.evaluate(q0))}")
-    _emit(job, "\n".join(lines))
-    return EXIT_OK
+    return "\n".join(lines), True
 
 
-def run_table(job: argparse.Namespace) -> int:
+def run_table(job: argparse.Namespace) -> Tuple[str, bool]:
     sigmas = engine.catalog(job.degree_max, *job.base)
     if job.fmt == "csv":
         rows: List[List[str]] = []
         for sigma in sigmas:
             rows.extend(_csv_rows(sigma, _quantity_rows(sigma)))
-        _emit(job, _render_csv(rows))
-        return EXIT_OK
+        return _render_csv(rows), True
     if job.fmt == "json":
         payload = [
             {"sigma": s.display_pairs()}
             | {name: to_json_obj(value) for name, value in _quantity_rows(s)}
             for s in sigmas
         ]
-        _emit(job, json.dumps(payload, sort_keys=True, indent=2))
-        return EXIT_OK
+        return json.dumps(payload, sort_keys=True, indent=2), True
     lines = []
     for sigma in sigmas:
         lines.append(_sigma_header(sigma))
         for name, value in _quantity_rows(sigma):
             lines.append(f"  {name:12s} = {value}")
-    _emit(job, "\n".join(lines))
-    return EXIT_OK
+    return "\n".join(lines), True
 
 
 def _render_checks(checks, fmt: str) -> Tuple[str, bool]:
@@ -251,7 +239,7 @@ def _catalog(job: argparse.Namespace) -> List[SplittingType]:
     return [s for base in job.bases for s in engine.catalog(job.degree_max, *base)]
 
 
-def run_verify(job: argparse.Namespace) -> int:
+def run_verify(job: argparse.Namespace) -> Tuple[str, bool]:
     sigmas = _catalog(job)
     checks = []
     checks += verify.golden_value_checks()
@@ -260,45 +248,24 @@ def run_verify(job: argparse.Namespace) -> int:
     checks += verify.duality_checks(sigmas)
     checks += verify.asymptotic_checks(sigmas)
     checks += verify.min_disc_checks(sigmas)
-    text, ok = _render_checks(checks, job.fmt)
-    _emit(job, text)
-    return EXIT_OK if ok else EXIT_VERIFY
+    return _render_checks(checks, job.fmt)
 
 
-def run_oracle(job: argparse.Namespace) -> int:
-    sigma = job.sigma
-    if job.p is None:
-        raise WildInputError("the oracle needs a concrete prime (-p)")
-    if (sigma.e_base, sigma.f_base) != (1, 1):
-        raise SigmaParseError(
-            f"the oracle works over the base (1,1) only, not {sigma.display_pairs()}"
-        )
-    sigma.require_tame(job.p)
-    b = job.depths if job.depths is not None else (0,) * sigma.m
-    if len(b) != sigma.m or any(x < 0 for x in b):
-        raise SigmaParseError(
-            f"depth vector {list(b)} must have {sigma.m} nonnegative entries"
-        )
+def run_oracle(job: argparse.Namespace) -> Tuple[str, bool]:
+    b = job.depths if job.depths is not None else (0,) * job.sigma.m
     records = verify.oracle_records(
-        sigma, b, job.p, job.cmax, samples=job.samples, seed=job.seed
+        job.sigma, b, job.p, job.cmax, samples=job.samples, seed=job.seed
     )
     ok = all(r["match"] for r in records)
     if job.fmt == "json":
-        _emit(job, json.dumps(records, sort_keys=True, indent=2))
-    else:
-        lines = [
-            " ".join(f"{k}={v}" for k, v in sorted(r.items())) for r in records
-        ]
-        lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
-        _emit(job, "\n".join(lines))
-    return EXIT_OK if ok else EXIT_VERIFY
+        return json.dumps(records, sort_keys=True, indent=2), ok
+    lines = [" ".join(f"{k}={v}" for k, v in sorted(r.items())) for r in records]
+    lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
+    return "\n".join(lines), ok
 
 
-def run_conjecture(job: argparse.Namespace) -> int:
-    checks = verify.bivariate_symmetry_checks(_catalog(job))
-    text, ok = _render_checks(checks, job.fmt)
-    _emit(job, text)
-    return EXIT_OK if ok else EXIT_VERIFY
+def run_conjecture(job: argparse.Namespace) -> Tuple[str, bool]:
+    return _render_checks(verify.bivariate_symmetry_checks(_catalog(job)), job.fmt)
 
 
 # Option types.  argparse turns only ArgumentTypeError, TypeError and
@@ -322,29 +289,31 @@ def _parse_b_vector(raw: str) -> Tuple[int, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The parsed arguments are the job: each command sets its run_* handler."""
+    """The parsed arguments are the job: each command sets its run_* handler,
+    which returns its report and whether every check in it passed."""
     ap = argparse.ArgumentParser(
         prog="padicdens",
         description="Exact densities of polynomials over local fields by tame splitting type",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    # csv only where a report has a CSV renderer: compute and table
-    def common(sp, handler, with_sigma=False, with_prime=False, with_csv=False):
+    # csv only where a report has a CSV renderer: compute and table; -p only
+    # where prime_required is not None, and oracle requires it
+    def common(sp, handler, with_sigma=False, prime_required=None, with_csv=False):
         sp.set_defaults(handler=handler)
         if with_sigma:
             sp.add_argument(
                 "--sigma", type=parse_sigma, required=True,
                 help="e.g. e1f2 or e2f1,e1f1 or e4f1@e2f1",
             )
-        if with_prime:
-            sp.add_argument("-p", type=int, default=None, help="concrete tame prime")
+        if prime_required is not None:
+            sp.add_argument("-p", type=int, required=prime_required, help="concrete tame prime")
         formats = ("text", "json", "csv") if with_csv else ("text", "json")
         sp.add_argument("--format", dest="fmt", choices=formats, default="text")
         sp.add_argument("--emit", default=None, help="also write the report to this path")
 
     sp = sub.add_parser("compute", help="densities for one splitting type")
-    common(sp, run_compute, with_sigma=True, with_prime=True, with_csv=True)
+    common(sp, run_compute, with_sigma=True, prime_required=False, with_csv=True)
     sp.add_argument(
         "--bivariate", action="store_true",
         help="also compute the two-variable density rho(p,t)",
@@ -367,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sp = sub.add_parser("oracle", help="enumeration / Monte Carlo cross-check")
-    common(sp, run_oracle, with_sigma=True, with_prime=True)
+    common(sp, run_oracle, with_sigma=True, prime_required=True)
     sp.add_argument("--cmax", type=int, default=4)
     sp.add_argument("--samples", type=int, default=0, help="0 = exact enumeration")
     sp.add_argument("--seed", type=int, default=0)
@@ -412,12 +381,14 @@ def _fail(exc: Exception) -> int:
 
 
 def run(job: argparse.Namespace) -> int:
-    """Run a job from job_from_args with its command's handler; returns the
-    exit code."""
+    """Run a job from job_from_args with its command's handler, write its
+    report, and return the exit code: the one place that picks it."""
     try:
-        return job.handler(job)
+        report, ok = job.handler(job)
+        _emit(job, report)
     except tuple(_EXIT_CODES) as exc:
         return _fail(exc)
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 def main(argv: Sequence[str] | None = None) -> int:

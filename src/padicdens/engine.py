@@ -52,6 +52,7 @@ from .splitting import (
     SplittingType,
     base_ram_factor,
     bump_argmin,
+    check_depths,
     enumerate_plans,
     head_plan,
     is_prime,
@@ -109,10 +110,10 @@ def disc_gen_fun(sigma: SplittingType, b: BVector) -> GenFun:
     """Generating function of discriminant-valuation masses for (sigma, b).
 
     Memoized on a canonical key, so results are independent of call order and
-    of component ordering.
+    of component ordering.  Raises SigmaParseError on a depth vector that
+    check_depths rejects.
     """
-    if len(b) != sigma.m or any(x < 0 for x in b):
-        raise ValueError("depth vector must be nonnegative and match sigma")
+    check_depths(sigma, b)
     rel = _relative(sigma)
     return _on_base(sigma, _recursion_key(rel, b), lambda: _recurse(rel, b))
 
@@ -156,9 +157,9 @@ def _recurse(sigma: SplittingType, b: BVector) -> GenFun:
       * Each of the five is the phi-image of its e1f1 form: p^f_base =
         phi(p); the closure and rescale monomials are phi of p^(1-d)
         t^(d(d-1)) and p^(-d k) t^(d(d-1) k); t^(sep slope/e_base) =
-        phi(t^(sep slope)); a weight is built from p^f_base and
-        mobius_orbit_count(f_base, k) = phi(mobius_orbit_count(1, k)) by
-        products and falling factorials, so it is phi of the e1f1 weight.
+        phi(t^(sep slope)); a weight is built from p^f_base and the orbit
+        counts over F_(p^f_base), phi(mobius_orbit_count(k)), by products
+        and falling factorials, so it is phi of the e1f1 weight.
         The base case p^(-b f_base) is phi(p^(-b)).
       * A block of orbit size n, with h = base_ram_factor, has the sub-type
         tau over (e_base h, f_base n/h) with relative pairs

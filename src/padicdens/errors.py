@@ -25,14 +25,12 @@ class TooLargeError(PadicDensError):
 
 
 class SigmaParseError(PadicDensError):
-    """A splitting-type string could not be parsed.
+    """Bad input, the CLI's exit 2: a string that cannot be parsed, or a
+    depth vector, base or value that a command cannot take.
 
-    The offending position is available as ``.position``.
+    Not a ValueError: argparse would turn that, raised by an option type,
+    into its own usage message.
     """
-
-    def __init__(self, message: str, position: int = -1):
-        super().__init__(message)
-        self.position = position
 
 
 class DivisibilityError(PadicDensError):

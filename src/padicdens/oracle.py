@@ -14,6 +14,10 @@ are exercised indirectly: the engine's recursion visits them through its
 sub-calls while the oracle pins down the top level for every small splitting
 type.
 
+Both modes check their arguments in one place, _layout, before any work: the
+base, the prime's tameness, the depth vector, then the two bounds below.  The
+CLI passes them through unchecked.
+
 The exact masses are counted slot by slot rather than pattern by pattern: a
 dynamic program over the common slots refines the partition of the
 conjugates into classes that agree so far (see exact_disc_masses), so the
@@ -33,8 +37,8 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 from typing import Dict, Hashable, Iterable, Tuple
 
-from .errors import TooLargeError
-from .splitting import BVector, SplittingType
+from .errors import SigmaParseError, TooLargeError
+from .splitting import BVector, SplittingType, check_depths
 
 ZERO = -1  # sentinel for a zero coefficient in code tuples and arrays
 
@@ -77,10 +81,21 @@ def _layout(sigma: SplittingType, b: BVector, c_max: int, p: int):
 
     The common truncation depth N satisfies 2N/E > c_max, so a single
     unresolved ordered pair already pushes the discriminant valuation beyond
-    c_max and unresolved patterns can be bucketed wholesale.  Raises
-    TooLargeError when N exceeds MAX_COMMON_SLOTS or an entry of b exceeds
-    MAX_B_ENTRY.
+    c_max and unresolved patterns can be bucketed wholesale.
+
+    The one check of the oracle's arguments, in this order, so that an input
+    with two faults names the first: SigmaParseError for a base other than
+    (1, 1); WildInputError unless p is a prime tame for sigma;
+    SigmaParseError for a depth vector that check_depths rejects;
+    TooLargeError when N exceeds MAX_COMMON_SLOTS, then when an entry of b
+    exceeds MAX_B_ENTRY.
     """
+    if (sigma.e_base, sigma.f_base) != (1, 1):
+        raise SigmaParseError(
+            f"the oracle works over the base (1,1) only, not {sigma.display_pairs()}"
+        )
+    sigma.require_tame(p)
+    check_depths(sigma, b)
     comps = sigma.components
     E = math.lcm(*(e for e, _ in comps))
     M = math.lcm(*(e * (p**f - 1) for e, f in comps))
@@ -211,18 +226,13 @@ def exact_disc_masses(
     at the end has valuation c = v / E.  Slots and classes with the same
     code blocks (see _slot_blocks) share one tally of equality patterns.
 
-    Base must be (1, 1); the prime must be tame for sigma.  GUARD
-    bounds the steps taken, summed over slots and classes: the digit tuples
-    of each slot's blocks and the (state, v) entries times the equality
-    patterns each slot refines them by.  Every slot of every class takes at
-    least one step, so n_common x classes above the guard fails at once; any
-    other excess stops the count before the slot that would pass the guard.
+    _layout checks the arguments.  GUARD bounds the steps taken, summed
+    over slots and classes: the digit tuples of each slot's blocks and the
+    (state, v) entries times the equality patterns each slot refines them
+    by.  Every slot of every class takes at least one step, so n_common x
+    classes above the guard fails at once; any other excess stops the count
+    before the slot that would pass the guard.
     """
-    if (sigma.e_base, sigma.f_base) != (1, 1):
-        raise ValueError("the enumeration oracle works over the base (1,1) only")
-    if len(b) != sigma.m or any(x < 0 for x in b):
-        raise ValueError("bad depth vector")
-    sigma.require_tame(p)
     E, M, n_common, per = _layout(sigma, b, c_max, p)
     n_jvecs = math.prod(comp["gcd_j"] for comp in per)
     if n_common * n_jvecs > GUARD:
@@ -297,13 +307,10 @@ def sampled_disc_masses(
     """Monte Carlo version of :func:`exact_disc_masses`.
 
     Unbiased estimates of the same unconditional masses, with standard
-    errors; deterministic for a fixed seed.  Raises TooLargeError, before
-    any draw, where _layout does or when samples x conjugates x common
+    errors; deterministic for a fixed seed.  Raises, before any draw, what
+    _layout raises, and TooLargeError when samples x conjugates x common
     slots exceeds GUARD.
     """
-    if (sigma.e_base, sigma.f_base) != (1, 1):
-        raise ValueError("the sampling oracle works over the base (1,1) only")
-    sigma.require_tame(p)
     layout = _layout(sigma, b, c_max, p)
     E, M, n_common, per = layout
     n_rows = len(_conjugate_rows(per))

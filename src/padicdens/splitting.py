@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence, Tuple
 
-from .errors import DivisibilityError, WildInputError
+from .errors import DivisibilityError, SigmaParseError, WildInputError
 from .symbolic import FracPoly
 
 BVector = Tuple[int, ...]
@@ -132,7 +132,15 @@ def perm_factor(sigma: SplittingType) -> int:
     return out
 
 
+def check_depths(sigma: SplittingType, b: BVector) -> None:
+    """The one statement of a valid depth vector: one nonnegative entry per
+    component of sigma."""
+    if len(b) != sigma.m or any(x < 0 for x in b):
+        raise SigmaParseError(f"depth vector {list(b)} must have {sigma.m} nonnegative entries")
+
+
 def slope_data(sigma: SplittingType, b: BVector) -> SlopeData:
+    # a cheap length check on the recursion's hot path; check_depths is the full one
     if len(b) != sigma.m:
         raise ValueError("depth vector length does not match component count")
     e_rel = sigma.e_rel
@@ -188,12 +196,13 @@ def _prime_factors(n: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def mobius_orbit_count(f_base: int, k_prime: int) -> FracPoly:
+def mobius_orbit_count(k_prime: int) -> FracPoly:
     """Number of Frobenius orbits of exact size k' among the nonzero elements
-    of the field with p^(f_base * k') elements, as a polynomial in p.
+    of the field with p^k' elements, as a polynomial in p; over F_(p^f) it
+    is this polynomial at p^f.
 
     Inclusion-exclusion over squarefree divisors:
-    (1/k') * sum_{s | rad(k')} mu(s) (p^(f_base k'/s) - 1).
+    (1/k') * sum_{s | rad(k')} mu(s) (p^(k'/s) - 1).
     """
     if k_prime < 1:
         raise ValueError("orbit size must be positive")
@@ -206,7 +215,7 @@ def mobius_orbit_count(f_base: int, k_prime: int) -> FracPoly:
             if bits >> idx & 1:
                 sign = -sign
                 s *= ell
-        term = FracPoly.monomial(f_base * (k_prime // s), var="p") - 1
+        term = FracPoly.monomial(k_prime // s, var="p") - 1
         total = total + (term if sign > 0 else -term)
     return total / k_prime
 
@@ -312,7 +321,7 @@ def signature_weight(signature: tuple) -> FracPoly:
         else:
             kk = k // denom
             weight = weight * Fraction(kk) ** n_comps
-            weight = weight * falling_factorial(mobius_orbit_count(1, kk), n_blocks)
+            weight = weight * falling_factorial(mobius_orbit_count(kk), n_blocks)
     return weight
 
 

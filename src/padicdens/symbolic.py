@@ -59,7 +59,7 @@ exponents and coefficients and convert them onto the lattice.  Arithmetic and
 substitutions build through the internal ``_make``, which trusts its scale
 and int term maps, and may be told that the pair is coprime so that the gcd
 is skipped.  Fractions appear only at that boundary: in parsing, in
-``num_terms``/``den_terms``/``exponents``, in ``evaluate`` and
+``num_terms``/``den_terms``, in ``evaluate`` and
 ``series_coefficients``, in printing and in the JSON writer.
 """
 
@@ -714,11 +714,6 @@ class FracPoly(_RatFuncBase):
     @classmethod
     def monomial(cls, exponent: Scalar, coeff: Scalar = 1, var: str = "q") -> "FracPoly":
         return cls._monomial((var,), (exponent,), coeff)
-
-    @property
-    def exponents(self) -> Tuple[Fraction, ...]:
-        (s,) = self._scale
-        return tuple(Fraction(k[0], s) for k, _ in self._num + self._den)
 
     def __repr__(self):
         return f"FracPoly({self}, var={self.var!r})"

@@ -164,8 +164,9 @@ def oracle_records(
     """Comparison records {sigma, b, p, c, exact_mass | estimate, stderr,
     engine_value, match} for every c up to c_max.
 
-    The oracle runs first: its bounds on the common slots and on the
-    entries of b bound c_max and b, and the engine has no guard of its own."""
+    The oracle runs first: it checks the arguments (oracle._layout), and its
+    bounds on the common slots and on the entries of b bound c_max and b,
+    which the engine does not bound."""
     records: List[dict] = []
     if samples:
         est = oracle.sampled_disc_masses(sigma, b, c_max, p, samples, seed)

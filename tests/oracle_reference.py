@@ -244,7 +244,7 @@ def orbit_choices_closed_form(e: int, f: int, b: int, k: int, p: int) -> int:
         return 0
     g = math.gcd(p**f - 1, e)
     kk = k // denom
-    val = mobius_orbit_count(1, kk).evaluate(p)
+    val = mobius_orbit_count(kk).evaluate(p)
     assert val.denominator == 1
     return g * kk * int(val)
 
@@ -307,7 +307,7 @@ def orbit_count_checks(
             for k in range(1, 7):
                 if p ** (f * k) > mobius_limit:
                     continue
-                val = mobius_orbit_count(f, k).evaluate(p)
+                val = mobius_orbit_count(k).evaluate(p**f)
                 count = brute_frobenius_orbit_count(f, k, p)
                 mob_total += 1
                 if val != count:

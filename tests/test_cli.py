@@ -55,9 +55,8 @@ def test_parse_sigma_divisibility_error():
 
 
 def test_parse_sigma_position():
-    with pytest.raises(SigmaParseError) as err:
+    with pytest.raises(SigmaParseError):
         parse_sigma("e1f1,xyz")
-    assert err.value.position == 5
     with pytest.raises(SigmaParseError):
         parse_sigma("")
 
@@ -143,7 +142,7 @@ def test_compute_json_bundle(capsys):
     assert rho == FracPoly({2: 1, 1: -1, 0: 1}, {2: 2, 1: 2, 0: 2})
     assert from_json_obj(payload["asymptotic"]) == FracPoly(F(1, 2))
     # all q-exponents integral by construction
-    assert all(e.denominator == 1 for e in rho.exponents)
+    assert all(e.denominator == 1 for terms in (rho.num_terms, rho.den_terms) for (e,) in terms)
     assert from_json_obj(payload["rho_bivariate"]) == engine.density_gen_fun(
         SplittingType(((1, 2),))
     )
@@ -349,6 +348,14 @@ def test_catalog_checks_take_bases_not_base(command, capsys):
         main([command, "--degree-max", "2", "--base", "e2f1", "--bases", "e1f1"])
     assert exc.value.code == EXIT_PARSE
     assert "--base" in capsys.readouterr().err
+
+
+def test_oracle_requires_prime(capsys):
+    """oracle without -p is an argparse usage error, exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--sigma", "e1f1"])
+    assert exc.value.code == EXIT_PARSE
+    assert "-p" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Engine recursion and density assembly against hand-derived closed forms."""
 
 import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
@@ -21,6 +22,7 @@ from padicdens.engine import (
     monic_density,
     splitting_density,
 )
+from padicdens.errors import SigmaParseError
 from padicdens.splitting import (
     SplittingType,
     bump_argmin,
@@ -127,6 +129,28 @@ def test_partition_of_unity_rho(d):
     assert total == FracPoly(1)
 
 
+def _root_moment(n, k):
+    """M_k(n): the sum over the degree-n e1f1 types of r(r-1)...(r-k+1)
+    rho_q, with r the components equal to the base (the roots in P^1)."""
+    return sum(
+        (math.perm(s.components.count((1, 1)), k) * splitting_density(s) for s in degree_slice(n)),
+        FracPoly(0),
+    )
+
+
+def test_root_count_moments():
+    """The factorial moments of the number of roots (Bhargava, Cremona,
+    Fisher and Gajovic, Proc. LMS 2022).  No per-type check or partition of
+    unity implies them: they fail when mass moves between types of
+    different r."""
+    m2 = FracPoly({4: 1, 2: 2, 0: 1}, {4: 1, 3: 1, 2: 1, 1: 1, 0: 1})
+    for n in range(1, 7):
+        assert _root_moment(n, 1) == FracPoly(1), n
+    for n in range(3, 7):
+        assert _root_moment(n, 2) == m2, n
+    assert _root_moment(6, 3) == _root_moment(5, 3)
+
+
 def test_partition_of_unity_monic():
     ta = sum((monic_density(s) for s in degree_slice(2)), FracPoly(0))
     tb = sum((centered_monic_density(s) for s in degree_slice(2)), FracPoly(0))
@@ -226,7 +250,9 @@ def _reference_weight(sigma, b, plan):
         else:
             kk = k // sd.denom
             weight = weight * F(kk) ** sum(len(bl) for bl in blocks)
-            weight = weight * falling_factorial(mobius_orbit_count(sigma.f_base, kk), len(blocks))
+            weight = weight * falling_factorial(
+                mobius_orbit_count(kk).substitute(("p",), [[sigma.f_base]]), len(blocks)
+            )
     return weight
 
 
@@ -341,6 +367,12 @@ def test_recursion_terminates(base):
             for plan in enumerate_plans(sigma, b):
                 if plan != head:
                     assert len(plan.blocks) > 1 or plan.orbit_sizes[0] > 1, (sigma, b, plan)
+
+
+@pytest.mark.parametrize("b", [(0,), (0, -1), (0, 0, 0)], ids=["short", "negative", "long"])
+def test_disc_gen_fun_rejects_bad_depths(b):
+    with pytest.raises(SigmaParseError, match=r"must have 2 nonnegative entries"):
+        disc_gen_fun(S11x2, b)
 
 
 def test_leading_coeff_boundary_at_four_split_factors():

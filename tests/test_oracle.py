@@ -24,7 +24,7 @@ from oracle_reference import (
     pair_valuation,
 )
 from padicdens import oracle
-from padicdens.errors import TooLargeError, WildInputError
+from padicdens.errors import SigmaParseError, TooLargeError, WildInputError
 from padicdens.oracle import (
     MAX_B_ENTRY,
     MassEstimate,
@@ -314,9 +314,42 @@ def test_degree_four_oracle_spots(comps, b, p, c_max):
     )
 
 
+S11x2 = SplittingType(((1, 1), (1, 1)))
+ORACLE_MODES = {
+    "exact": exact_disc_masses,
+    "sampled": lambda sigma, b, c_max, p: sampled_disc_masses(sigma, b, c_max, p, 1000, seed=0),
+}
+
+
+@pytest.mark.parametrize("mode", ORACLE_MODES)
+@pytest.mark.parametrize(
+    "sigma,b,message",
+    [
+        (S11x2, (0,), "depth vector [0] must have 2 nonnegative entries"),
+        (S11x2, (0, -1), "depth vector [0, -1] must have 2 nonnegative entries"),
+        (
+            SplittingType(((4, 1),), 2, 1), (0,),
+            "the oracle works over the base (1,1) only, not e4f1@e2f1",
+        ),
+    ],
+    ids=["short", "negative", "deeper-base"],
+)
+def test_oracle_modes_reject_alike(mode, sigma, b, message):
+    """Both modes check their arguments in one place, with one message."""
+    with pytest.raises(SigmaParseError) as err:
+        ORACLE_MODES[mode](sigma, b, 2, 3)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("mode", ORACLE_MODES)
+def test_oracle_names_tameness_before_depths(mode):
+    with pytest.raises(WildInputError):
+        ORACLE_MODES[mode](SplittingType(((2, 1),)), (0, 1), 2, 2)
+
+
 def test_oracle_requires_unramified_base():
     deep = SplittingType(((4, 1),), 2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(SigmaParseError):
         exact_disc_masses(deep, (0,), 2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(SigmaParseError):
         sampled_disc_masses(deep, (0,), 2, 3, 10, seed=0)
