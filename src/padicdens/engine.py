@@ -29,8 +29,9 @@ to a deeper base (see ``_recurse``).  Its keys, where ``rkey`` is the sorted
   rkey                              disc_gen_fun(sigma, b)
   ("branch",) + rkey                branch_sum(sigma, b)
   ("t_star",) + rkey                G(sigma, b) at t = p^(-1/2)
-  ("weight",) + plan signature      splitting.signature_weight, the weight
-                                    of every plan with that plan_signature
+  ("weight",) + plan signature      splitting.signature_weight under
+                                    p -> (p, t), the weight of every plan
+                                    with that plan_signature
   (kind, _relative(sigma).key())    the densities, kind one of rho_q,
                                     alpha_q, beta_q and rho_pt
 
@@ -41,6 +42,7 @@ results.  All returned values are immutable.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import ceil, comb, prod
@@ -234,41 +236,57 @@ def branch_sum(sigma: SplittingType, b: BVector) -> GenFun:
     """One recursion step: the sum over non-head partition plans of
     weight * t^(pair-separation exponent) * product of rescaled sub-values.
 
-    Memoized like disc_gen_fun, on the same canonical key."""
+    Memoized like disc_gen_fun, on the same canonical key.  Raises
+    SigmaParseError on a depth vector that check_depths rejects."""
+    check_depths(sigma, b)
     rel = _relative(sigma)
     return _on_base(sigma, ("branch",) + _recursion_key(rel, b), lambda: _branch(rel, b))
 
 
 def _branch(sigma: SplittingType, b: BVector) -> GenFun:
-    """The uncached value of branch_sum."""
+    """The uncached value of branch_sum.
+
+    Plans fall into classes by the key (plan_signature, t-exponent, sorted
+    blocks), a block read as (h, n, its sorted (component, sub-depth)
+    pairs), and each class's term is built once, times its number of plans.
+    Two plans with one key have one term: the weight depends on the
+    signature only (plan_signature); disc_gen_fun(sub_sigma, sub_b) is
+    invariant under permuting the block's components together with their
+    b_i (its memo key is the sorted pairs, _recursion_key); and the product
+    over the blocks commutes.  Within one call the signature and the
+    t-exponent are functions of the blocks; the key carries them for the
+    build."""
     sd = slope_data(sigma, b)
     arg = set(sd.argmin)
     degs = sigma.rel_degrees
     d = sigma.degree
     head = head_plan(sigma.m)
-    terms = []
+    classes = Counter()
     for plan in enumerate_plans(sigma, b):
         if plan == head:
             continue
-        signature = plan_signature(sigma, b, plan)
-        # the weight depends on the plan's signature only, so plans share it
-        weight = _cached(("weight",) + signature, lambda: signature_weight(signature))
         sep = d * (d - 1)
+        blocks = []
         for bl, n in zip(plan.blocks, plan.orbit_sizes):
             block_deg = sum(degs[i] for i in bl)
             sep -= block_deg * (Fraction(block_deg, n) - 1)
-        t_exp = sep * sd.slope
+            pairs = tuple(sorted((sigma.components[i], b[i] + (i in arg)) for i in bl))
+            blocks.append((base_ram_factor(sd, n), n, pairs))
+        classes[plan_signature(sigma, b, plan), sep * sd.slope, tuple(sorted(blocks))] += 1
 
+    terms = []
+    for (signature, t_exp, blocks), count in classes.items():
+        weight = _cached(
+            ("weight",) + signature,
+            lambda: signature_weight(signature).substitute(GenFun.VARS, [[1], [0]]),
+        )
         subs = GenFun(1)
-        for bl, n in zip(plan.blocks, plan.orbit_sizes):
-            h = base_ram_factor(sd, n)
-            sub_sigma = SplittingType(tuple(sigma.components[i] for i in bl), h, n // h)
-            sub_b = tuple(b[i] + (1 if i in arg else 0) for i in bl)
+        for h, n, pairs in blocks:
+            sub_sigma = SplittingType(tuple(c for c, _ in pairs), h, n // h)
             assert sub_sigma.degree < d, "branch must shrink the degree"
-            sub = disc_gen_fun(sub_sigma, sub_b)
+            sub = disc_gen_fun(sub_sigma, tuple(bi for _, bi in pairs))
             subs = subs * sub.substitute_t_power(n)
-        weight = weight.substitute(GenFun.VARS, [[1], [0]])  # p -> (p, t)
-        terms.append(weight * GenFun.monomial(t_exp=t_exp) * subs)
+        terms.append(weight * GenFun.monomial(t_exp=t_exp, coeff=count) * subs)
     return _tree_sum(terms, GenFun(0))
 
 

@@ -25,12 +25,14 @@ from padicdens.engine import (
 from padicdens.errors import SigmaParseError
 from padicdens.splitting import (
     SplittingType,
+    base_ram_factor,
     bump_argmin,
     enumerate_plans,
     falling_factorial,
     head_plan,
     mobius_orbit_count,
     plan_signature,
+    signature_weight,
     slope_data,
 )
 from padicdens.symbolic import FracPoly, GenFun, check_inversion_symmetry
@@ -258,7 +260,8 @@ def _reference_weight(sigma, b, plan):
 
 def test_cached_plan_weights_match_reference():
     """Every weight the recursion read from the cache by plan signature
-    equals the reference weight of each admissible plan that read it."""
+    equals the reference weight, under p -> (p, t), of each admissible plan
+    that read it."""
     clear_memo()
     for base in ((1, 1), (2, 1), (1, 2)):
         for sigma in catalog(4, *base):
@@ -278,9 +281,62 @@ def test_cached_plan_weights_match_reference():
                 continue
             signature = plan_signature(sigma, b, plan)
             weight = cached[("weight",) + signature]
-            assert weight == _reference_weight(sigma, b, plan), (sigma, b, plan)
+            reference = _reference_weight(sigma, b, plan).substitute(GenFun.VARS, [[1], [0]])
+            assert weight == reference, (sigma, b, plan)
             checked.add(("weight",) + signature)
     assert checked == {key for key in cached if key[0] == "weight"}
+    assert not engine._CACHE
+
+
+def _per_plan_branch(sigma, b):
+    """branch_sum written as one term per plan, the loop before plans were
+    grouped into classes: the reference the grouped sum is checked against."""
+    sd = slope_data(sigma, b)
+    arg = set(sd.argmin)
+    degs = sigma.rel_degrees
+    d = sigma.degree
+    head = head_plan(sigma.m)
+    terms = []
+    for plan in enumerate_plans(sigma, b):
+        if plan == head:
+            continue
+        weight = signature_weight(plan_signature(sigma, b, plan))
+        sep = d * (d - 1)
+        for bl, n in zip(plan.blocks, plan.orbit_sizes):
+            block_deg = sum(degs[i] for i in bl)
+            sep -= block_deg * (F(block_deg, n) - 1)
+        t_exp = sep * sd.slope
+
+        subs = GenFun(1)
+        for bl, n in zip(plan.blocks, plan.orbit_sizes):
+            h = base_ram_factor(sd, n)
+            sub_sigma = SplittingType(tuple(sigma.components[i] for i in bl), h, n // h)
+            sub_b = tuple(b[i] + (1 if i in arg else 0) for i in bl)
+            sub = disc_gen_fun(sub_sigma, sub_b)
+            subs = subs * sub.substitute_t_power(n)
+        weight = weight.substitute(GenFun.VARS, [[1], [0]])
+        terms.append(weight * GenFun.monomial(t_exp=t_exp) * subs)
+    return sum(terms, GenFun(0))
+
+
+@pytest.mark.parametrize(
+    "base,degree_max", [((1, 1), 5), ((2, 1), 4), ((1, 2), 4)], ids=["e1f1", "e2f1", "e1f2"]
+)
+def test_branch_sum_matches_per_plan_sum(base, degree_max):
+    """branch_sum builds one term per class of equal plans, times the class
+    size; it equals the sum of one term per plan, moved to the base."""
+    e_base, f_base = base
+    move = lambda g: g.substitute(GenFun.VARS, [[f_base, 0], [0, F(1, e_base)]])
+    for sigma in catalog(degree_max, *base):
+        rel = SplittingType(tuple(zip(sigma.e_rel, sigma.f_rel)))
+        for b in itertools.product(range(3), repeat=sigma.m):
+            assert branch_sum(sigma, b) == move(_per_plan_branch(rel, b)), (sigma, b)
+
+
+def test_branch_sum_rejects_bad_depths():
+    clear_memo()
+    with pytest.raises(SigmaParseError, match=r"must have 2 nonnegative entries"):
+        branch_sum(S11x2, (0, -1))
     assert not engine._CACHE
 
 
