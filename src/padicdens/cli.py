@@ -6,8 +6,9 @@ Commands:
   table       densities for a whole degree-bounded catalog
   verify      the invariant suite on the catalog of --degree-max and --bases:
               golden values; rho, alpha and beta each sum to 1 over every
-              degree and base; rho(q) = rho(1/q), alpha(1/q) = beta(q), the
-              asymptotics and the minimal discriminant of every type
+              degree and base; the root-count moments M_1 = 1 and
+              M_k(n) = M_k(2k-1); rho(q) = rho(1/q), alpha(1/q) = beta(q),
+              the asymptotics and the minimal discriminant of every type
   oracle      enumeration / Monte Carlo cross-check against the engine
   conjecture  the two-variable symmetry report
 
@@ -244,6 +245,7 @@ def run_verify(job: argparse.Namespace) -> Tuple[str, bool]:
     checks = []
     checks += verify.golden_value_checks()
     checks += verify.partition_of_unity_checks(sigmas)
+    checks += verify.root_moment_checks(sigmas)
     checks += verify.functional_equation_checks(sigmas)
     checks += verify.duality_checks(sigmas)
     checks += verify.asymptotic_checks(sigmas)

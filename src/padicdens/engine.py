@@ -66,6 +66,8 @@ from .splitting import (
 from .symbolic import FracPoly, GenFun, rewrite_in_q
 
 _CACHE: Dict[tuple, object] = {}
+_ZERO = GenFun(0)
+_ONE = GenFun(1)
 
 
 def clear_memo() -> None:
@@ -96,16 +98,21 @@ def _recursion_key(sigma: SplittingType, b: BVector) -> tuple:
 
 
 def _relative(sigma: SplittingType) -> SplittingType:
-    """The e1f1 type of sigma's relative pairs."""
+    """The e1f1 type of sigma's relative pairs: sigma itself on e1f1."""
+    if sigma.e_base == sigma.f_base == 1:
+        return sigma
     return SplittingType(tuple(zip(sigma.e_rel, sigma.f_rel)))
 
 
 def _on_base(sigma: SplittingType, key: tuple, build) -> GenFun:
     """The cached e1f1 value under key, moved to sigma's base by
-    p -> p^f_base, t -> t^(1/e_base) (on e1f1, the identity returns it);
-    the moved value is not cached."""
+    p -> p^f_base, t -> t^(1/e_base); on e1f1, the cached value itself.
+    The moved value is not cached."""
+    value = _cached(key, build)
+    if sigma.e_base == sigma.f_base == 1:
+        return value
     rows = [[sigma.f_base, 0], [0, Fraction(1, sigma.e_base)]]
-    return _cached(key, build).substitute(GenFun.VARS, rows)
+    return value.substitute(GenFun.VARS, rows)
 
 
 def disc_gen_fun(sigma: SplittingType, b: BVector) -> GenFun:
@@ -207,7 +214,7 @@ def _recurse(sigma: SplittingType, b: BVector) -> GenFun:
         # solving for G(sigma, 0) closes the geometric tail
         head = branch_sum(sigma, zero_b)
         tail = _chain_sum(sigma, bump_argmin(sigma, zero_b), tuple(e_rel))
-        closure_den = GenFun(1) - GenFun.monomial(p_exp=1 - d, t_exp=t_step)
+        closure_den = 1 - GenFun.monomial(p_exp=1 - d, t_exp=t_step)
         return (head + GenFun.monomial(p_exp=1) * tail) / closure_den
 
     # G(sigma, b) = chain from b up to k_lim * e_rel + rescale * G(sigma, 0).
@@ -224,7 +231,7 @@ def _recurse(sigma: SplittingType, b: BVector) -> GenFun:
 def _chain_sum(sigma: SplittingType, start: BVector, stop: BVector) -> GenFun:
     """The sum of branch_sum along the bump_argmin chain from start up to,
     not including, stop."""
-    total = GenFun(0)
+    total = _ZERO
     cur = start
     while cur != stop:
         total = total + branch_sum(sigma, cur)
@@ -280,14 +287,14 @@ def _branch(sigma: SplittingType, b: BVector) -> GenFun:
             ("weight",) + signature,
             lambda: signature_weight(signature).substitute(GenFun.VARS, [[1], [0]]),
         )
-        subs = GenFun(1)
+        subs = _ONE
         for h, n, pairs in blocks:
             sub_sigma = SplittingType(tuple(c for c, _ in pairs), h, n // h)
             assert sub_sigma.degree < d, "branch must shrink the degree"
             sub = disc_gen_fun(sub_sigma, tuple(bi for _, bi in pairs))
             subs = subs * sub.substitute_t_power(n)
         terms.append(weight * GenFun.monomial(t_exp=t_exp, coeff=count) * subs)
-    return _tree_sum(terms, GenFun(0))
+    return _tree_sum(terms, _ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +333,7 @@ def _subset_products(sigma: SplittingType, value):
 def _subset_masses(sigma: SplittingType) -> GenFun:
     """Sum over subsets A of components of G(sigma_A, all-0) * G(sigma_Ac, all-1)."""
     return _tree_sum(
-        (n * ga * gb for n, ga, gb in _subset_products(sigma, disc_gen_fun)), GenFun(0)
+        (n * ga * gb for n, ga, gb in _subset_products(sigma, disc_gen_fun)), _ZERO
     )
 
 

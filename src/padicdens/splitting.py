@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .errors import DivisibilityError, SigmaParseError, WildInputError
 from .symbolic import FracPoly
@@ -162,14 +162,6 @@ def base_ram_factor(sd: SlopeData, orbit_size: int) -> int:
     return sd.denom if orbit_size != 1 else 1
 
 
-def falling_factorial(x: FracPoly, length: int) -> FracPoly:
-    """prod_{j=0}^{length-1} (x - j); evaluates to 0 when the count is exceeded."""
-    out = FracPoly(1, var=x.var)
-    for j in range(length):
-        out = out * (x - j)
-    return out
-
-
 def is_prime(n: int) -> bool:
     """Trial division; the primes a tame computation names are small."""
     if n < 2:
@@ -196,18 +188,18 @@ def _prime_factors(n: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def mobius_orbit_count(k_prime: int) -> FracPoly:
-    """Number of Frobenius orbits of exact size k' among the nonzero elements
-    of the field with p^k' elements, as a polynomial in p; over F_(p^f) it
-    is this polynomial at p^f.
+def _orbit_count_coeffs(k_prime: int) -> List[int]:
+    """k' times the number of Frobenius orbits of exact size k' among the
+    nonzero elements of the field with p^k' elements, as the coefficient
+    list (index = exponent of p) of a polynomial in p.
 
     Inclusion-exclusion over squarefree divisors:
-    (1/k') * sum_{s | rad(k')} mu(s) (p^(k'/s) - 1).
+    sum_{s | rad(k')} mu(s) (p^(k'/s) - 1).
     """
     if k_prime < 1:
         raise ValueError("orbit size must be positive")
     primes = _prime_factors(k_prime)
-    total = FracPoly(0, var="p")
+    coeffs = [0] * (k_prime + 1)
     for bits in range(1 << len(primes)):
         sign = 1
         s = 1
@@ -215,9 +207,16 @@ def mobius_orbit_count(k_prime: int) -> FracPoly:
             if bits >> idx & 1:
                 sign = -sign
                 s *= ell
-        term = FracPoly.monomial(k_prime // s, var="p") - 1
-        total = total + (term if sign > 0 else -term)
-    return total / k_prime
+        coeffs[k_prime // s] += sign
+        coeffs[0] -= sign
+    return coeffs
+
+
+def mobius_orbit_count(k_prime: int) -> FracPoly:
+    """Number of Frobenius orbits of exact size k' among the nonzero elements
+    of the field with p^k' elements, as a polynomial in p; over F_(p^f) it
+    is this polynomial at p^f."""
+    return FracPoly(dict(enumerate(_orbit_count_coeffs(k_prime))), k_prime, var="p")
 
 
 def set_partitions(n: int) -> Iterator[Tuple[Tuple[int, ...], ...]]:
@@ -303,26 +302,51 @@ def plan_signature(sigma: SplittingType, b: BVector, plan: PartitionPlan) -> tup
     return (sd.denom, len(sd.argmin) < sigma.m, tuple(sorted(by_size.items())))
 
 
+def _poly_mul(a: List[int], b: List[int]) -> List[int]:
+    """The product of two int coefficient lists (index = exponent of p)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _falling_factorial(x: List[int], length: int, unit: int = 1) -> List[int]:
+    """prod_{j=0}^{length-1} (x - j unit) of an int coefficient list x."""
+    out = [1]
+    for j in range(length):
+        out = _poly_mul(out, [x[0] - j * unit, *x[1:]])
+    return out
+
+
 def signature_weight(signature: tuple) -> FracPoly:
     """Normalized count of leading-coefficient/uniformizer choices realizing
     the orbit structure of every admissible plan with this plan_signature,
-    as a polynomial in p over e1f1, the one base the recursion runs on."""
+    as a polynomial in p over e1f1, the one base the recursion runs on.
+
+    It is a product over the orbit sizes k.  For k = 1 (slope denominator
+    1), a falling factorial of p, or of p - 1 when some components lie
+    outside the argmin set.  For k = denom k', with b blocks of c components
+    in all, k'^c times the falling factorial of the orbit count M(k').  With
+    N = k' M(k'), an int list, that factor is k'^(c - b) prod_{j<b} (N - j k'),
+    and c >= b, so the weight has int coefficients: it is built from int
+    lists and made a FracPoly once."""
     denom, outside, by_size = signature
-    weight = FracPoly(1, var="p")
+    weight = [1]
     for k, (n_blocks, n_comps) in by_size:
         if k == 1:
             if denom != 1:
                 continue
-            base_count = FracPoly.monomial(1, var="p")
             if not outside:
-                weight = weight * falling_factorial(base_count, n_blocks)
+                weight = _poly_mul(weight, _falling_factorial([0, 1], n_blocks))
             else:
-                weight = weight * falling_factorial(base_count - 1, n_blocks - 1)
+                weight = _poly_mul(weight, _falling_factorial([-1, 1], n_blocks - 1))
         else:
             kk = k // denom
-            weight = weight * Fraction(kk) ** n_comps
-            weight = weight * falling_factorial(mobius_orbit_count(kk), n_blocks)
-    return weight
+            orbits = _falling_factorial(_orbit_count_coeffs(kk), n_blocks, kk)
+            weight = _poly_mul(weight, [c * kk ** (n_comps - n_blocks) for c in orbits])
+    return FracPoly(dict(enumerate(weight)), var="p")
 
 
 def head_plan(m: int) -> PartitionPlan:

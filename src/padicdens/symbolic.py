@@ -43,10 +43,12 @@ The printed and serialized form is a bijective image of the stored one.  A
 positive scale per axis keeps the lexicographic term order, so dividing each
 exponent by its scale gives the exponents, in the same order, and the stored
 coefficients, the integer pair with joint content 1, are the ones
-:meth:`_RatFuncBase.render_pair` prints.  Dividing them by the lex-least
-denominator coefficient gives the Fraction coefficients of
-``num_terms``/``den_terms`` and of the JSON writer, in which that coefficient
-is +1.
+:meth:`_RatFuncBase.render_pair` prints.  So printing walks the stored terms
+in reverse, with no sort, and prints an exponent k on scale s as the int
+k // s; it makes a Fraction only for a non-integral exponent.  Dividing the
+coefficients by the lex-least denominator coefficient gives the Fraction
+coefficients of ``num_terms``/``den_terms`` and of the JSON writer, in which
+that coefficient is +1.
 
 Two concrete shapes are exposed: :class:`FracPoly` (one variable, default
 ``q``) and :class:`GenFun` (two variables, fixed ``p`` and ``t``).  All values
@@ -55,12 +57,14 @@ values may be freely shared between threads.
 
 There are two ways in, and both end in the same normalization.  The public
 constructors parse: they accept scalars and mappings with int or Fraction
-exponents and coefficients and convert them onto the lattice.  Arithmetic and
-substitutions build through the internal ``_make``, which trusts its scale
-and int term maps, and may be told that the pair is coprime so that the gcd
-is skipped.  Fractions appear only at that boundary: in parsing, in
-``num_terms``/``den_terms``, in ``evaluate`` and
-``series_coefficients``, in printing and in the JSON writer.
+exponents and coefficients and convert them onto the lattice; a monomial
+given by ints, and an int operand of arithmetic, skip the parse.  Arithmetic
+and substitutions build through the internal ``_make``, which trusts its
+scale and int term maps, and may be told that the pair is coprime so that the
+gcd is skipped.  Fractions appear only at that boundary: in parsing Fraction
+input, in ``num_terms``/``den_terms``, in ``evaluate`` and
+``series_coefficients``, in printing a non-integral exponent and in the JSON
+writer.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import floor, gcd, isqrt, lcm
 from operator import add, floordiv, mul, sub
-from typing import Dict, Iterable, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from .errors import (
     NonIntegralExponentError,
@@ -392,15 +396,15 @@ def _parse(num, den, nvars: int) -> Tuple[Scale, Terms, Terms]:
     return scale, conv(num), conv(den)
 
 
-def _render_terms(
-    terms: Iterable[Tuple[Tuple[Fraction, ...], Scalar]], names: Tuple[str, ...]
-) -> str:
+def _render(terms, names: Tuple[str, ...], scale: Scale) -> str:
+    """Stored terms, walked in reverse, as text; an exponent k on scale s
+    prints as the int k // s when s divides k, else as the Fraction k / s."""
     parts = []
-    for exps, coeff in sorted(terms, reverse=True):
+    for k, coeff in reversed(terms):
         mono = "*".join(
-            n if e == 1 else (f"{n}^{e}" if e.denominator == 1 else f"{n}^({e})")
-            for n, e in zip(names, exps)
-            if e != 0
+            n if e == s else (f"{n}^{e // s}" if e % s == 0 else f"{n}^({Fraction(e, s)})")
+            for n, e, s in zip(names, k, scale)
+            if e
         )
         if not mono:
             piece = str(coeff)
@@ -451,11 +455,16 @@ class _RatFuncBase:
 
     @classmethod
     def _monomial(cls, vars: Tuple[str, ...], exps: Tuple[Scalar, ...], coeff: Scalar):
-        """coeff * prod x_i^exps[i], parsed from int or Fraction input."""
+        """coeff * prod x_i^exps[i]; int input goes onto the lattice as it
+        is, Fraction input is parsed."""
+        n = len(vars)
+        if type(coeff) is int and all(type(e) is int for e in exps):
+            num = {exps: coeff} if coeff else {}
+            return cls._make(vars, (1,) * n, num, {(0,) * n: 1}, reduced=True)
         exps = tuple(Fraction(e) for e in exps)
         c = Fraction(coeff)
         num = {tuple(e.numerator for e in exps): c.numerator} if c else {}
-        den = {(0,) * len(vars): c.denominator}
+        den = {(0,) * n: c.denominator}
         return cls._make(vars, tuple(e.denominator for e in exps), num, den, reduced=True)
 
     def __setattr__(self, *a):
@@ -686,9 +695,9 @@ class _RatFuncBase:
 
     def render_pair(self) -> Tuple[str, str]:
         """The printed numerator and denominator: int coefficients of joint
-        content 1, Fraction exponents."""
-        render = lambda terms: _render_terms(((self._exps(k), c) for k, c in terms), self._vars)
-        return render(self._num), render(self._den)
+        content 1, terms from the highest exponent down."""
+        names, scale = self._vars, self._scale
+        return _render(self._num, names, scale), _render(self._den, names, scale)
 
     def __str__(self):
         ns, ds = self.render_pair()
@@ -815,10 +824,14 @@ def check_inversion_symmetry(f):
     """Decide f(x) == f(1/x) exactly (x = the single variable, or (p, t)).
 
     Returns (holds, witness) where witness is the difference f - f(1/x);
-    the witness is zero exactly when the symmetry holds.
+    the witness is zero exactly when the symmetry holds.  Normal forms are
+    canonical, so equality decides, and the difference is only computed
+    when it is not zero.
     """
-    witness = f - f.subs_inverse()
-    return witness.is_zero, witness
+    inverse = f.subs_inverse()
+    if f == inverse:
+        return True, f._coerce(0)
+    return False, f - inverse
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ prints.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import perm
 from typing import Dict, Iterable, List, Set, Tuple
 
 from . import engine, oracle
@@ -60,6 +61,40 @@ def partition_of_unity_checks(sigmas: Iterable[SplittingType]) -> List[Check]:
             total = sum(map(density, group), FracPoly(0))
             where = "" if (eb, fb) == (1, 1) else f" @e{eb}f{fb}"
             out.append((f"sum_{name} degree {d}{where} = 1", total == FracPoly(1), f"{total}"))
+    return out
+
+
+def root_moment_checks(sigmas: Iterable[SplittingType]) -> List[Check]:
+    """The factorial moments of the number r of components equal to the
+    base, the roots in P^1 (Bhargava, Cremona, Fisher and Gajovic, Proc. LMS
+    2022): M_k(n) is the sum over the degree-n types of r(r-1)...(r-k+1) rho.
+    M_1(n) = 1, and M_k(n) = M_k(2k - 1) for 2k - 1 < n, k <= 4, on every
+    base; no per-type check or partition of unity implies them."""
+    groups: Dict[Tuple[int, int], Dict[int, Set[SplittingType]]] = {}
+    for s in sigmas:
+        groups.setdefault((s.e_base, s.f_base), {}).setdefault(s.degree, set()).add(s)
+    out = []
+    for (eb, fb), by_degree in groups.items():
+        where = "" if (eb, fb) == (1, 1) else f" @e{eb}f{fb}"
+
+        def moment(n: int, k: int) -> FracPoly:
+            terms = (
+                perm(s.components.count((eb, fb)), k) * engine.splitting_density(s)
+                for s in by_degree[n]
+            )
+            return sum(terms, FracPoly(0))
+
+        for n in sorted(by_degree):
+            m1 = moment(n, 1)
+            out.append((f"M_1({n}) = 1{where}", m1 == FracPoly(1), f"{m1}"))
+        for k in range(2, 5):
+            low = 2 * k - 1
+            if low not in by_degree:
+                continue
+            m_low = moment(low, k)
+            for n in sorted(d for d in by_degree if d > low):
+                mk = moment(n, k)
+                out.append((f"M_{k}({n}) = M_{k}({low}){where}", mk == m_low, f"{mk}"))
     return out
 
 

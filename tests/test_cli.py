@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -189,6 +190,31 @@ def test_report_determinism(capsys):
     assert main(argv) == EXIT_OK
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            "table --degree-max 5",
+            "1a94deef48c17715ccc2a30b3776f75cd388dd9595e50c1021503a4ede406ae1",
+        ),
+        (
+            "conjecture --degree-max 4 --bases e1f1,e2f1,e1f2",
+            "19afae81c4f10a844f2ec5c5c695dfdbab4c78c17567297721093e535a200b9a",
+        ),
+        (  # prints a t^(1/2) exponent
+            "compute --sigma e4f1@e2f1 --bivariate",
+            "cecd529a30ceb31e0d937e0ceff081cc6a18d759683a3dcdd6f856749a4f4f2b",
+        ),
+    ],
+    ids=["table", "conjecture", "compute"],
+)
+def test_reports_are_pinned(argv, digest, capsys):
+    """The stdout sha256 of three reports: a change in how values are built
+    or printed must leave every byte of them as it is."""
+    assert main(argv.split()) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_emit_writes_file(tmp_path, capsys):

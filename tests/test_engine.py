@@ -28,7 +28,6 @@ from padicdens.splitting import (
     base_ram_factor,
     bump_argmin,
     enumerate_plans,
-    falling_factorial,
     head_plan,
     mobius_orbit_count,
     plan_signature,
@@ -153,6 +152,33 @@ def test_root_count_moments():
     assert _root_moment(6, 3) == _root_moment(5, 3)
 
 
+def test_verify_root_moment_checks(monkeypatch):
+    """verify.root_moment_checks states M_1(n) = 1 and M_k(n) = M_k(2k-1) on
+    each base it is given, and fails when mass moves between types of
+    different r."""
+    sigmas = [*catalog(6), *catalog(4, 1, 2)]
+    checks = verify.root_moment_checks(sigmas)
+    assert [name for name, _, _ in checks] == [
+        *(f"M_1({n}) = 1" for n in range(1, 7)),
+        *(f"M_2({n}) = M_2(3)" for n in range(4, 7)),
+        "M_3(6) = M_3(5)",
+        *(f"M_1({n}) = 1 @e1f2" for n in range(1, 5)),
+        "M_2(4) = M_2(3) @e1f2",
+    ]
+    assert all(ok for _, ok, _ in checks)
+
+    # move q/(10q^3+10) of rho from e1f1,e1f2 (r = 1) to e1f3 (r = 0)
+    moved = FracPoly({1: 1}, {3: 10, 0: 10})
+    shift = {
+        SplittingType(((1, 1), (1, 2))): -moved,
+        SplittingType(((1, 3),)): moved,
+    }
+    rho = engine.splitting_density
+    monkeypatch.setattr(engine, "splitting_density", lambda s: rho(s) + shift.get(s, 0))
+    failed = [name for name, ok, _ in verify.root_moment_checks(catalog(4)) if not ok]
+    assert failed == ["M_1(3) = 1"]
+
+
 def test_partition_of_unity_monic():
     ta = sum((monic_density(s) for s in degree_slice(2)), FracPoly(0))
     tb = sum((centered_monic_density(s) for s in degree_slice(2)), FracPoly(0))
@@ -233,6 +259,15 @@ def test_multiset_splits_match_subset_sum():
         assert engine._subset_masses(sigma) == total, sigma
 
 
+def falling_factorial(x, length):
+    """prod_{j=0}^{length-1} (x - j) of a FracPoly; evaluates to 0 when the
+    count is exceeded."""
+    out = FracPoly(1, var=x.var)
+    for j in range(length):
+        out = out * (x - j)
+    return out
+
+
 def _reference_weight(sigma, b, plan):
     """The plan weight as a polynomial in p, written out from sigma, b and
     the plan directly, without the plan signature."""
@@ -263,8 +298,8 @@ def test_cached_plan_weights_match_reference():
     equals the reference weight, under p -> (p, t), of each admissible plan
     that read it."""
     clear_memo()
-    for base in ((1, 1), (2, 1), (1, 2)):
-        for sigma in catalog(4, *base):
+    for degree_max, base in ((5, (1, 1)), (4, (2, 1)), (4, (1, 2))):
+        for sigma in catalog(degree_max, *base):
             for b in itertools.product(range(3), repeat=sigma.m):
                 disc_gen_fun(sigma, b)
     cached = dict(engine._CACHE)

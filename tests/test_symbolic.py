@@ -511,3 +511,77 @@ def test_constant_hashes_like_its_scalar(make, c):
     assert hash(value) == hash(c) == hash(F(c))
     assert {value: "v"}[c] == "v"
     assert len({value, c}) == 1
+
+
+@pytest.mark.parametrize(
+    "exps,coeff",
+    [
+        ((2, 1), 3),
+        ((-1, 3), -2),
+        ((0, 0), 5),
+        ((1, -2), 0),
+        ((F(1, 2), F(-3, 2)), F(5, 7)),
+        ((F(4, 2), 1), F(-6, 3)),
+        ((F(-1, 3), 0), 0),
+    ],
+    ids=str,
+)
+def test_monomial_equals_its_mapping(exps, coeff):
+    """A monomial given by ints skips the parse, and lands on the value the
+    parsing constructor builds, with the same hash."""
+    g = GenFun.monomial(*exps, coeff)
+    assert g == GenFun({exps: coeff}) and hash(g) == hash(GenFun({exps: coeff}))
+    f = FracPoly.monomial(exps[0], coeff, var="p")
+    assert f == FracPoly({exps[0]: coeff}, var="p")
+    assert hash(f) == hash(FracPoly({exps[0]: coeff}, var="p"))
+
+
+# -- printing ----------------------------------------------------------------------
+
+def _render_terms(terms, names):
+    """The printer before it read the lattice: Fraction exponents, terms
+    sorted from the highest down.  The reference of render_pair."""
+    parts = []
+    for exps, coeff in sorted(terms, reverse=True):
+        mono = "*".join(
+            n if e == 1 else (f"{n}^{e}" if e.denominator == 1 else f"{n}^({e})")
+            for n, e in zip(names, exps)
+            if e != 0
+        )
+        if not mono:
+            piece = str(coeff)
+        elif coeff == 1:
+            piece = mono
+        elif coeff == -1:
+            piece = f"-{mono}"
+        else:
+            piece = f"{coeff}*{mono}"
+        if parts and not piece.startswith("-"):
+            parts.append("+ " + piece)
+        elif parts:
+            parts.append("- " + piece[1:])
+        else:
+            parts.append(piece)
+    return " ".join(parts) if parts else "0"
+
+
+_frac_exp = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _printable(draw):
+    """A FracPoly or GenFun with fractional and negative exponents, negative
+    coefficients, or a constant."""
+    nvars = draw(st.sampled_from([1, 2]))
+    exps = st.tuples(*[_frac_exp] * nvars)
+    num = draw(st.dictionaries(exps, _coeff, max_size=3))
+    den = draw(st.dictionaries(exps, _coeff, max_size=3).filter(lambda d: any(d.values())))
+    if draw(st.booleans()):
+        num = draw(_coeff)
+    return FracPoly(num, den, var="p") if nvars == 1 else GenFun(num, den)
+
+
+@given(_printable())
+def test_render_pair_matches_sorted_reference(value):
+    render = lambda terms: _render_terms(((value._exps(k), c) for k, c in terms), value._vars)
+    assert value.render_pair() == (render(value._num), render(value._den))
