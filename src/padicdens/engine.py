@@ -22,9 +22,10 @@ output is valid at every prime not dividing any relative ramification index;
 concrete primes are validated wherever one is supplied.
 
 Every value is computed once over e1f1 and kept in one memo, ``_CACHE``
-behind ``_cached`` (``clear_memo()`` empties it); ``_on_base`` moves a value
-to a deeper base (see ``_recurse``).  Its keys, where ``rkey`` is the sorted
-(relative component, b_i) pairs:
+behind ``_cached`` (``clear_memo()`` empties it).  The recursion never leaves
+e1f1; ``_on_base`` moves a value to a deeper base for a public call on one
+(see ``_recurse``).  Its keys, where ``rkey`` is the sorted (relative
+component, b_i) pairs:
 
   rkey                              disc_gen_fun(sigma, b)
   ("branch",) + rkey                branch_sum(sigma, b)
@@ -170,14 +171,14 @@ def _recurse(sigma: SplittingType, b: BVector) -> GenFun:
         counts over F_(p^f_base), phi(mobius_orbit_count(k)), by products
         and falling factorials, so it is phi of the e1f1 weight.
         The base case p^(-b f_base) is phi(p^(-b)).
-      * A block of orbit size n, with h = base_ram_factor, has the sub-type
-        tau over (e_base h, f_base n/h) with relative pairs
-        (e_rel_i / h, f_rel_i h / n), which do not depend on the base; tau
+      * A block of orbit size n, with h = base_ram_factor and k = n/h, has
+        the sub-type tau over (e_base h, f_base k) with relative pairs
+        (e_rel_i / h, f_rel_i / k), which do not depend on the base; tau
         has lower degree.  By induction, G(tau, b') followed by t -> t^n is
-        G(tau_rel, b') under the diagonal map (a, c) -> (a f_base n/h,
-        c n/(e_base h)), and the e1f1 recursion's sub-type over (h, n/h)
-        gives G(tau_rel, b') under (a, c) -> (a n/h, c n/h).  phi after the
-        latter is the former, since diagonal maps compose entrywise.
+        G(tau_rel, b') under the diagonal map (a, c) -> (a f_base k,
+        c k/e_base), and the e1f1 recursion takes G(tau_rel, b') under the
+        one map (a, c) -> (a k, c k) (_branch).  phi after the latter is the
+        former, since diagonal maps compose entrywise.
       * phi is an injective ring map of Laurent polynomials with rational
         exponents, so it extends to their fractions and commutes with the
         sums, the products and the closure's division.
@@ -253,47 +254,49 @@ def branch_sum(sigma: SplittingType, b: BVector) -> GenFun:
 def _branch(sigma: SplittingType, b: BVector) -> GenFun:
     """The uncached value of branch_sum.
 
-    Plans fall into classes by the key (plan_signature, t-exponent, sorted
-    blocks), a block read as (h, n, its sorted (component, sub-depth)
-    pairs), and each class's term is built once, times its number of plans.
-    Two plans with one key have one term: the weight depends on the
-    signature only (plan_signature); disc_gen_fun(sub_sigma, sub_b) is
-    invariant under permuting the block's components together with their
-    b_i (its memo key is the sorted pairs, _recursion_key); and the product
-    over the blocks commutes.  Within one call the signature and the
-    t-exponent are functions of the blocks; the key carries them for the
-    build."""
+    Plans fall into classes by their sorted blocks, a block read as (n, its
+    sorted (component, sub-depth) pairs), and each class's term is built
+    once, times its number of plans.  The blocks fix the term: the weight
+    reads the (n, block size) pairs (plan_signature), the t-exponent n and
+    the block degrees; a sub-value is invariant under permuting a block's
+    pairs (_recursion_key); and the product over the blocks commutes.
+
+    A block continues over the extension of ramification h = base_ram_factor
+    and inertia k = n/h: its sub-value is G of the e1f1 type of its relative
+    pairs (e/h, f/k) under the one map (p, t) -> (p^k, t^k) (see _recurse)."""
     sd = slope_data(sigma, b)
     arg = set(sd.argmin)
-    degs = sigma.rel_degrees
-    d = sigma.degree
     head = head_plan(sigma.m)
     classes = Counter()
     for plan in enumerate_plans(sigma, b):
-        if plan == head:
-            continue
-        sep = d * (d - 1)
-        blocks = []
-        for bl, n in zip(plan.blocks, plan.orbit_sizes):
-            block_deg = sum(degs[i] for i in bl)
-            sep -= block_deg * (Fraction(block_deg, n) - 1)
-            pairs = tuple(sorted((sigma.components[i], b[i] + (i in arg)) for i in bl))
-            blocks.append((base_ram_factor(sd, n), n, pairs))
-        classes[plan_signature(sigma, b, plan), sep * sd.slope, tuple(sorted(blocks))] += 1
+        if plan != head:
+            blocks = (
+                (n, tuple(sorted((sigma.components[i], b[i] + (i in arg)) for i in bl)))
+                for bl, n in zip(plan.blocks, plan.orbit_sizes)
+            )
+            classes[tuple(sorted(blocks))] += 1
 
+    d = sigma.degree
     terms = []
-    for (signature, t_exp, blocks), count in classes.items():
+    for blocks, count in classes.items():
+        signature = plan_signature(sd, sigma.m, [(n, len(pairs)) for n, pairs in blocks])
         weight = _cached(
             ("weight",) + signature,
             lambda: signature_weight(signature).substitute(GenFun.VARS, [[1], [0]]),
         )
+        sep = d * (d - 1)
         subs = _ONE
-        for h, n, pairs in blocks:
-            sub_sigma = SplittingType(tuple(c for c, _ in pairs), h, n // h)
+        for n, pairs in blocks:
+            block_deg = sum(e * f for (e, f), _ in pairs)
+            sep -= block_deg * (Fraction(block_deg, n) - 1)
+            h = base_ram_factor(sd, n)
+            k = n // h
+            assert all(e % h == 0 and f % k == 0 for (e, f), _ in pairs), "h | e and k | f"
+            sub_sigma = SplittingType(tuple((e // h, f // k) for (e, f), _ in pairs))
             assert sub_sigma.degree < d, "branch must shrink the degree"
             sub = disc_gen_fun(sub_sigma, tuple(bi for _, bi in pairs))
-            subs = subs * sub.substitute_t_power(n)
-        terms.append(weight * GenFun.monomial(t_exp=t_exp, coeff=count) * subs)
+            subs = subs * sub.substitute(GenFun.VARS, [[k, 0], [0, k]])
+        terms.append(weight * GenFun.monomial(t_exp=sep * sd.slope, coeff=count) * subs)
     return _tree_sum(terms, _ZERO)
 
 
@@ -314,27 +317,23 @@ def _tree_sum(items, zero):
     return items[0]
 
 
-def _subset_products(sigma: SplittingType, value):
-    """(n, value(sigma_A, all-0), value(sigma_Ac, all-1)) once per sub-multiset
-    A of the components, where n = prod C(mult_i, k_i) counts the subsets
-    that share A's multiset; the empty type's value is 1."""
+def _subset_masses(sigma: SplittingType, value, zero):
+    """The sum over subsets A of the components of value(sigma_A, all-0) *
+    value(sigma_Ac, all-1), the empty type's value being 1: one term per
+    sub-multiset A, times n = prod C(mult_i, k_i), the count of subsets that
+    share A's multiset."""
     by_comp: Dict[tuple, list] = {}
     for i, comp in enumerate(sigma.components):
         by_comp.setdefault(comp, []).append(i)
     groups = list(by_comp.values())
+    terms = []
     for ks in product(*(range(len(g) + 1) for g in groups)):
         picked = [i for g, k in zip(groups, ks) for i in g[:k]]
         rest = [i for g, k in zip(groups, ks) for i in g[k:]]
         va = value(sigma.restrict(picked), (0,) * len(picked)) if picked else 1
         vb = value(sigma.restrict(rest), (1,) * len(rest)) if rest else 1
-        yield prod(comb(len(g), k) for g, k in zip(groups, ks)), va, vb
-
-
-def _subset_masses(sigma: SplittingType) -> GenFun:
-    """Sum over subsets A of components of G(sigma_A, all-0) * G(sigma_Ac, all-1)."""
-    return _tree_sum(
-        (n * ga * gb for n, ga, gb in _subset_products(sigma, disc_gen_fun)), _ZERO
-    )
+        terms.append(prod(comb(len(g), k) for g, k in zip(groups, ks)) * va * vb)
+    return _tree_sum(terms, zero)
 
 
 def _rel_disc_exponent(sigma: SplittingType) -> int:
@@ -358,7 +357,7 @@ def density_gen_fun(sigma: SplittingType) -> GenFun:
     def build():
         w = leading_coeff_weight(rel.degree).substitute(GenFun.VARS, [[1], [0]])
         norm = GenFun.monomial(p_exp=Fraction(_rel_disc_exponent(rel), 2))
-        return w * _subset_masses(rel) * _scale(rel) / norm
+        return w * _subset_masses(rel, disc_gen_fun, _ZERO) * _scale(rel) / norm
 
     return _on_base(sigma, ("rho_pt", rel.key()), build)
 
@@ -390,10 +389,7 @@ def splitting_density(sigma: SplittingType) -> FracPoly:
     univariate; agreement with the two-variable assembly is covered by tests.
     """
     def start(rel):
-        masses = _tree_sum(
-            (n * ga * gb for n, ga, gb in _subset_products(rel, _at_t_star)),
-            FracPoly(0, var="p"),
-        )
+        masses = _subset_masses(rel, _at_t_star, FracPoly(0, var="p"))
         return leading_coeff_weight(rel.degree).substitute(("p",), [[1]]) * masses
 
     return _univariate("rho_q", sigma, start, 0)

@@ -9,10 +9,11 @@ first-differing-slot comparisons on exponents; no field arithmetic is needed
 and every computed valuation is exact.  One formula, _common_code, gives the
 exponent of each conjugate's coefficient on the common lattice.
 
-The oracle works over the base (e_base, f_base) = (1, 1) only.  Deeper bases
-are exercised indirectly: the engine's recursion visits them through its
-sub-calls while the oracle pins down the top level for every small splitting
-type.
+The oracle works over the base (e_base, f_base) = (1, 1) only.  The engine
+computes over e1f1 too and moves a value to a deeper base by one
+substitution; that step is checked apart from the oracle, by the proof in
+engine._recurse, test_base_change_is_a_substitution and the golden d = 7
+lines of e2f1 and e1f2.
 
 Both modes check their arguments in one place, _layout, before any work: the
 base, the prime's tameness, the depth vector, then the two bounds below.  The

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import DivisibilityError, SigmaParseError, WildInputError
 from .symbolic import FracPoly
@@ -140,9 +140,6 @@ def check_depths(sigma: SplittingType, b: BVector) -> None:
 
 
 def slope_data(sigma: SplittingType, b: BVector) -> SlopeData:
-    # a cheap length check on the recursion's hot path; check_depths is the full one
-    if len(b) != sigma.m:
-        raise ValueError("depth vector length does not match component count")
     e_rel = sigma.e_rel
     slopes = [Fraction(bi, ei) for bi, ei in zip(b, e_rel)]
     beta = min(slopes)
@@ -289,17 +286,17 @@ def enumerate_plans(sigma: SplittingType, b: BVector) -> Tuple[PartitionPlan, ..
     return tuple(plans)
 
 
-def plan_signature(sigma: SplittingType, b: BVector, plan: PartitionPlan) -> tuple:
+def plan_signature(sd: SlopeData, m: int, blocks: Iterable[Tuple[int, int]]) -> tuple:
     """Everything the weight of an admissible plan (one that
-    enumerate_plans returns) depends on: (slope denominator, whether the
-    argmin set is proper, the sorted (orbit size, (blocks, components))
-    counts)."""
-    sd = slope_data(sigma, b)
+    enumerate_plans returns) of an m-component type with slope data sd
+    depends on, from its (orbit size, block size) pairs: (slope
+    denominator, whether the argmin set is proper, the sorted (orbit size,
+    (blocks, components)) counts)."""
     by_size: dict = {}
-    for bl, n in zip(plan.blocks, plan.orbit_sizes):
+    for n, size in blocks:
         cnt, comps = by_size.get(n, (0, 0))
-        by_size[n] = (cnt + 1, comps + len(bl))
-    return (sd.denom, len(sd.argmin) < sigma.m, tuple(sorted(by_size.items())))
+        by_size[n] = (cnt + 1, comps + size)
+    return (sd.denom, len(sd.argmin) < m, tuple(sorted(by_size.items())))
 
 
 def _poly_mul(a: List[int], b: List[int]) -> List[int]:

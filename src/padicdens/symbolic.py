@@ -552,14 +552,6 @@ class _RatFuncBase:
         if o is None:
             return NotImplemented
         scale, n1, d1, n2, d2 = self._aligned(o)
-        if d1.keys() == d2.keys():
-            # proportional denominators d1 = a*P, d2 = b*P need no gcd
-            k0 = next(iter(d1))
-            a, b = d1[k0], d2[k0]
-            if all(v * b == d2[k] * a for k, v in d1.items()):
-                g = gcd(a, b)
-                num = _t_add(_t_scale(n1, b // g), _t_scale(n2, a // g))
-                return self._like(scale, num, _t_scale(d1, b // g))
         # pre-cancel the denominators' common factor to keep the final gcd small
         d1r, d2r = _cancel(d1, d2) or (d1, d2)
         num = _t_add(_t_mul(n1, d2r), _t_mul(n2, d1r))

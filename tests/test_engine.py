@@ -256,7 +256,7 @@ def test_multiset_splits_match_subset_sum():
                 ga = disc_gen_fun(sigma.restrict(picked), (0,) * r) if picked else 1
                 gb = disc_gen_fun(sigma.restrict(rest), (1,) * len(rest)) if rest else 1
                 total = total + ga * gb
-        assert engine._subset_masses(sigma) == total, sigma
+        assert engine._subset_masses(sigma, disc_gen_fun, GenFun(0)) == total, sigma
 
 
 def falling_factorial(x, length):
@@ -266,6 +266,10 @@ def falling_factorial(x, length):
     for j in range(length):
         out = out * (x - j)
     return out
+
+
+def _block_sizes(plan):
+    return [(n, len(bl)) for bl, n in zip(plan.blocks, plan.orbit_sizes)]
 
 
 def _reference_weight(sigma, b, plan):
@@ -314,7 +318,7 @@ def test_cached_plan_weights_match_reference():
         for plan in enumerate_plans(sigma, b):
             if plan == head_plan(sigma.m):
                 continue
-            signature = plan_signature(sigma, b, plan)
+            signature = plan_signature(slope_data(sigma, b), sigma.m, _block_sizes(plan))
             weight = cached[("weight",) + signature]
             reference = _reference_weight(sigma, b, plan).substitute(GenFun.VARS, [[1], [0]])
             assert weight == reference, (sigma, b, plan)
@@ -335,7 +339,7 @@ def _per_plan_branch(sigma, b):
     for plan in enumerate_plans(sigma, b):
         if plan == head:
             continue
-        weight = signature_weight(plan_signature(sigma, b, plan))
+        weight = signature_weight(plan_signature(sd, sigma.m, _block_sizes(plan)))
         sep = d * (d - 1)
         for bl, n in zip(plan.blocks, plan.orbit_sizes):
             block_deg = sum(degs[i] for i in bl)
@@ -411,6 +415,27 @@ def test_recursion_keys_name_no_base():
             continue  # plan weights and densities
         assert all(isinstance(pair, tuple) for pair in key), key
     clear_memo()
+
+
+def test_recursion_stays_on_e1f1(monkeypatch):
+    """Every value the four densities over catalog(5) reach, sub-values of
+    the recursion included, is read on e1f1: a block's sub-value is the
+    e1f1 type of its relative pairs under one substitution, so _on_base
+    never moves a value within the recursion."""
+    seen = set()
+    on_base = engine._on_base
+
+    def recording(sigma, key, build):
+        seen.add((sigma.e_base, sigma.f_base))
+        return on_base(sigma, key, build)
+
+    monkeypatch.setattr(engine, "_on_base", recording)
+    clear_memo()
+    for sigma in catalog(5):
+        for density in (splitting_density, monic_density, centered_monic_density, density_gen_fun):
+            density(sigma)
+    clear_memo()
+    assert seen == {(1, 1)}
 
 
 def test_two_variable_duality():

@@ -144,7 +144,8 @@ def test_enumerate_plans_ramified_quadratic_depth1():
 
 
 def _weight(sigma, b, plan):
-    return signature_weight(plan_signature(sigma, b, plan))
+    blocks = [(n, len(bl)) for bl, n in zip(plan.blocks, plan.orbit_sizes)]
+    return signature_weight(plan_signature(slope_data(sigma, b), sigma.m, blocks))
 
 
 def test_plan_weight_examples():
