@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Print a digest of every value the engine's memo holds after the catalogs.
+"""Print a digest of every value the engine's memo holds after the catalog.
 
-Usage: python scripts/cache_digest.py --degree-max D [--bases e1f1,e2f1,e1f2]
+Usage: python scripts/cache_digest.py --degree-max D
 
-Computes the four densities (rho_q, alpha_q, beta_q, rho_pt) of every
-splitting type of relative degree up to D over each base, then prints one
-line per kind of engine._CACHE entry: the kind, the entry count, and the
-sha256 over the lines ``repr(key) \\t symbolic.dumps(value) \\n`` in
-``repr(key)`` order.  Kind ``G`` is disc_gen_fun's entries (keys with no
-kind name); the others are the first element of the key.  Two builds that
-print the same lines hold the same exact values under the same keys.
+Computes the golden kinds (scripts/golden.py) of every e1f1 splitting type
+of degree up to D, then prints one line per kind of engine._CACHE entry: the
+kind, the entry count, and the sha256 over the lines
+``repr(key) \\t symbolic.dumps(value) \\n`` in ``repr(key)`` order.  Kind
+``G`` is disc_gen_fun's entries (keys with no kind name); the others are the
+first element of the key.  The memo holds e1f1 values only, so other bases
+add no entry.  Two builds that print the same lines hold the same exact
+values under the same keys.
 """
 
 import argparse
@@ -19,16 +20,14 @@ from collections import defaultdict
 
 from golden import KINDS
 from padicdens import engine, symbolic
-from padicdens.cli import _parse_bases
 
 
-def digest_lines(degree_max: int, bases) -> list:
-    """The digest lines of the memo after the catalogs, sorted by kind."""
+def digest_lines(degree_max: int) -> list:
+    """The digest lines of the memo after the catalog, sorted by kind."""
     engine.clear_memo()
-    for base in bases:
-        for sigma in engine.catalog(degree_max, *base):
-            for density in KINDS.values():
-                density(sigma)
+    for sigma in engine.catalog(degree_max):
+        for value in KINDS.values():
+            value(sigma)
     by_kind = defaultdict(list)
     for key, value in engine._CACHE.items():
         kind = key[0] if isinstance(key[0], str) else "G"
@@ -45,9 +44,8 @@ def digest_lines(degree_max: int, bases) -> list:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--degree-max", type=int, required=True)
-    ap.add_argument("--bases", type=_parse_bases, default="e1f1,e2f1,e1f2")
     args = ap.parse_args()
-    print("\n".join(digest_lines(args.degree_max, args.bases)))
+    print("\n".join(digest_lines(args.degree_max)))
     return 0
 
 

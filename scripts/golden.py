@@ -6,8 +6,10 @@ Usage: python scripts/golden.py DEGREE_MAX [--degree-min N]
 Writes tests/data/golden_d<DEGREE_MAX>.txt with one line per (base, sigma,
 kind) over the catalogs of degree N..DEGREE_MAX on the bases e1f1, e2f1 and
 e1f2.  A line reads ``base degree sigma kind sha256``, where the digest is
-that of ``symbolic.dumps(value)``; kind is one of rho_q, alpha_q, beta_q and
-rho_pt.  tests/test_golden.py recomputes the values and compares them.
+that of ``symbolic.dumps(value)``; kind is one of the densities rho_q,
+alpha_q, beta_q and rho_pt, or G0 and G1, the generating function
+disc_gen_fun(sigma, b) at b = (0, ..., 0) and (1, ..., 1).
+tests/test_golden.py recomputes the values and compares them.
 """
 
 import argparse
@@ -23,6 +25,8 @@ KINDS = {
     "alpha_q": engine.monic_density,
     "beta_q": engine.centered_monic_density,
     "rho_pt": engine.density_gen_fun,
+    "G0": lambda sigma: engine.disc_gen_fun(sigma, (0,) * sigma.m),
+    "G1": lambda sigma: engine.disc_gen_fun(sigma, (1,) * sigma.m),
 }
 DATA = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data"
 
@@ -31,8 +35,8 @@ def digest_lines(base: str, degree: int) -> list:
     """The snapshot lines of every type of this degree over this base."""
     lines = []
     for sigma in engine.degree_slice(degree, *BASES[base]):
-        for kind, density in KINDS.items():
-            digest = hashlib.sha256(symbolic.dumps(density(sigma)).encode()).hexdigest()
+        for kind, value in KINDS.items():
+            digest = hashlib.sha256(symbolic.dumps(value(sigma)).encode()).hexdigest()
             lines.append(f"{base} {degree} {sigma.display_pairs()} {kind} {digest}")
     return lines
 

@@ -317,7 +317,7 @@ def _tree_sum(items, zero):
     return items[0]
 
 
-def _subset_masses(sigma: SplittingType, value, zero):
+def _subset_masses(sigma: SplittingType, value):
     """The sum over subsets A of the components of value(sigma_A, all-0) *
     value(sigma_Ac, all-1), the empty type's value being 1: one term per
     sub-multiset A, times n = prod C(mult_i, k_i), the count of subsets that
@@ -333,7 +333,8 @@ def _subset_masses(sigma: SplittingType, value, zero):
         va = value(sigma.restrict(picked), (0,) * len(picked)) if picked else 1
         vb = value(sigma.restrict(rest), (1,) * len(rest)) if rest else 1
         terms.append(prod(comb(len(g), k) for g, k in zip(groups, ks)) * va * vb)
-    return _tree_sum(terms, zero)
+    # never empty: the empty sub-multiset is always a term
+    return _tree_sum(terms, None)
 
 
 def _rel_disc_exponent(sigma: SplittingType) -> int:
@@ -357,7 +358,7 @@ def density_gen_fun(sigma: SplittingType) -> GenFun:
     def build():
         w = leading_coeff_weight(rel.degree).substitute(GenFun.VARS, [[1], [0]])
         norm = GenFun.monomial(p_exp=Fraction(_rel_disc_exponent(rel), 2))
-        return w * _subset_masses(rel, disc_gen_fun, _ZERO) * _scale(rel) / norm
+        return w * _subset_masses(rel, disc_gen_fun) * _scale(rel) / norm
 
     return _on_base(sigma, ("rho_pt", rel.key()), build)
 
@@ -389,7 +390,7 @@ def splitting_density(sigma: SplittingType) -> FracPoly:
     univariate; agreement with the two-variable assembly is covered by tests.
     """
     def start(rel):
-        masses = _subset_masses(rel, _at_t_star, FracPoly(0, var="p"))
+        masses = _subset_masses(rel, _at_t_star)
         return leading_coeff_weight(rel.degree).substitute(("p",), [[1]]) * masses
 
     return _univariate("rho_q", sigma, start, 0)

@@ -256,7 +256,7 @@ def test_multiset_splits_match_subset_sum():
                 ga = disc_gen_fun(sigma.restrict(picked), (0,) * r) if picked else 1
                 gb = disc_gen_fun(sigma.restrict(rest), (1,) * len(rest)) if rest else 1
                 total = total + ga * gb
-        assert engine._subset_masses(sigma, disc_gen_fun, GenFun(0)) == total, sigma
+        assert engine._subset_masses(sigma, disc_gen_fun) == total, sigma
 
 
 def falling_factorial(x, length):

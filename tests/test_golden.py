@@ -1,5 +1,5 @@
 """Golden snapshot: every exact value of the d <= 7 catalogs over e1f1,
-e2f1 and e1f2, bit for bit.
+e2f1 and e1f2, bit for bit: the four densities and G at b = 0 and b = 1.
 
 tests/data/golden_d5.txt (d <= 5), golden_d6.txt (d = 6) and golden_d7.txt
 (d = 7) hold one line per (base, sigma, kind) with the sha256 of
@@ -7,8 +7,9 @@ tests/data/golden_d5.txt (d <= 5), golden_d6.txt (d = 6) and golden_d7.txt
 (base, degree) group is a case of its own, so a failure names the values that
 differ.  The engine computes over e1f1 only and moves a value to another
 base by one substitution, so once e1f1-d7 has run, e2f1-d7 and e1f2-d7 cost
-little; the snapshot lines of those bases were written when each base had a
-recursion of its own, so they check the base change independently.
+little; the density lines of those bases were written when each base had a
+recursion of its own, so they check the base change independently (the G0
+and G1 lines were written later, through the substitution).
 """
 
 import pathlib
