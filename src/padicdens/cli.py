@@ -249,6 +249,7 @@ def run_verify(job: argparse.Namespace) -> Tuple[str, bool]:
     checks += verify.functional_equation_checks(sigmas)
     checks += verify.duality_checks(sigmas)
     checks += verify.asymptotic_checks(sigmas)
+    checks += verify.mass_formula_checks(sigmas)
     checks += verify.min_disc_checks(sigmas)
     return _render_checks(checks, job.fmt)
 

@@ -8,6 +8,10 @@ exactly c.  A single recursion step splits off the minimal-slope Teichmuller
 coefficient, branching over partition plans; a rescaling identity closes the
 resulting geometric tail in closed form.
 
+Each value of the recursion (a branch sum, or G as the sum along its chain)
+and each subset assembly is one symbolic.sum_of_products: its products are
+built unreduced and the sum is normalized once.
+
 From that generating function the module assembles:
 
   * the density of degree-d polynomials with the given splitting type among
@@ -64,11 +68,10 @@ from .splitting import (
     signature_weight,
     slope_data,
 )
-from .symbolic import FracPoly, GenFun, rewrite_in_q
+from .symbolic import FracPoly, GenFun, rewrite_in_q, sum_of_products
 
 _CACHE: Dict[tuple, object] = {}
 _ZERO = GenFun(0)
-_ONE = GenFun(1)
 
 
 def clear_memo() -> None:
@@ -213,31 +216,30 @@ def _recurse(sigma: SplittingType, b: BVector) -> GenFun:
         # the head plan adds p * G(sigma, bump(0)), which the identity below
         # turns into the chain up to e_rel plus a rescaled G(sigma, 0);
         # solving for G(sigma, 0) closes the geometric tail
-        head = branch_sum(sigma, zero_b)
-        tail = _chain_sum(sigma, bump_argmin(sigma, zero_b), tuple(e_rel))
+        p = GenFun.monomial(p_exp=1)
+        tail = _chain(sigma, bump_argmin(sigma, zero_b), tuple(e_rel))
+        terms = [(1, [branch_sum(sigma, zero_b)])] + [(1, [p, v]) for v in tail]
         closure_den = 1 - GenFun.monomial(p_exp=1 - d, t_exp=t_step)
-        return (head + GenFun.monomial(p_exp=1) * tail) / closure_den
+        return sum_of_products(terms, _ZERO) / closure_den
 
     # G(sigma, b) = chain from b up to k_lim * e_rel + rescale * G(sigma, 0).
     # At b = 0 it is trivial (k_lim = 0, empty chain, rescale 1), so only the
     # branch above builds the closure, and g_zero = G(sigma, 0) is cached.
     k_lim = max(ceil(Fraction(bi, ei)) for bi, ei in zip(b, e_rel))
     target = tuple(k_lim * ei for ei in e_rel)
-    chain_sum = _chain_sum(sigma, b, target)
+    terms = [(1, [v]) for v in _chain(sigma, b, target)]
     g_zero = disc_gen_fun(sigma, zero_b)
     rescale = GenFun.monomial(p_exp=-d * k_lim, t_exp=t_step * k_lim)
-    return chain_sum + rescale * g_zero
+    return sum_of_products(terms + [(1, [rescale, g_zero])], _ZERO)
 
 
-def _chain_sum(sigma: SplittingType, start: BVector, stop: BVector) -> GenFun:
-    """The sum of branch_sum along the bump_argmin chain from start up to,
-    not including, stop."""
-    total = _ZERO
+def _chain(sigma: SplittingType, start: BVector, stop: BVector) -> Iterator[GenFun]:
+    """branch_sum along the bump_argmin chain from start up to, not
+    including, stop."""
     cur = start
     while cur != stop:
-        total = total + branch_sum(sigma, cur)
+        yield branch_sum(sigma, cur)
         cur = bump_argmin(sigma, cur)
-    return total
 
 
 def branch_sum(sigma: SplittingType, b: BVector) -> GenFun:
@@ -263,7 +265,11 @@ def _branch(sigma: SplittingType, b: BVector) -> GenFun:
 
     A block continues over the extension of ramification h = base_ram_factor
     and inertia k = n/h: its sub-value is G of the e1f1 type of its relative
-    pairs (e/h, f/k) under the one map (p, t) -> (p^k, t^k) (see _recurse)."""
+    pairs (e/h, f/k) under the one map (p, t) -> (p^k, t^k) (see _recurse).
+
+    Each class gives sum_of_products the term (count, [weight, t-monomial,
+    *sub-values]): the products are built unreduced and the sum is
+    normalized once."""
     sd = slope_data(sigma, b)
     arg = set(sd.argmin)
     head = head_plan(sigma.m)
@@ -285,7 +291,7 @@ def _branch(sigma: SplittingType, b: BVector) -> GenFun:
             lambda: signature_weight(signature).substitute(GenFun.VARS, [[1], [0]]),
         )
         sep = d * (d - 1)
-        subs = _ONE
+        subs = []
         for n, pairs in blocks:
             block_deg = sum(e * f for (e, f), _ in pairs)
             sep -= block_deg * (Fraction(block_deg, n) - 1)
@@ -295,33 +301,23 @@ def _branch(sigma: SplittingType, b: BVector) -> GenFun:
             sub_sigma = SplittingType(tuple((e // h, f // k) for (e, f), _ in pairs))
             assert sub_sigma.degree < d, "branch must shrink the degree"
             sub = disc_gen_fun(sub_sigma, tuple(bi for _, bi in pairs))
-            subs = subs * sub.substitute(GenFun.VARS, [[k, 0], [0, k]])
-        terms.append(weight * GenFun.monomial(t_exp=sep * sd.slope, coeff=count) * subs)
-    return _tree_sum(terms, _ZERO)
+            subs.append(sub.substitute(GenFun.VARS, [[k, 0], [0, k]]))
+        terms.append((count, [weight, GenFun.monomial(t_exp=sep * sd.slope), *subs]))
+    return sum_of_products(terms, _ZERO)
 
 
 # ---------------------------------------------------------------------------
 # density assembly
 # ---------------------------------------------------------------------------
 
-def _tree_sum(items, zero):
-    """Balanced pairwise summation: keeps intermediate denominators small."""
-    items = list(items)
-    if not items:
-        return zero
-    while len(items) > 1:
-        items = [
-            items[i] + items[i + 1] if i + 1 < len(items) else items[i]
-            for i in range(0, len(items), 2)
-        ]
-    return items[0]
-
-
-def _subset_masses(sigma: SplittingType, value):
+def _subset_masses(sigma: SplittingType, value, zero):
     """The sum over subsets A of the components of value(sigma_A, all-0) *
-    value(sigma_Ac, all-1), the empty type's value being 1: one term per
-    sub-multiset A, times n = prod C(mult_i, k_i), the count of subsets that
-    share A's multiset."""
+    value(sigma_Ac, all-1), the empty type's value being 1, as a value of
+    zero's shape: one term per sub-multiset A, times n = prod C(mult_i, k_i),
+    the count of subsets that share A's multiset.  Each term goes to
+    sum_of_products as (n, [value(sigma_A, 0), value(sigma_Ac, 1)]), the
+    empty type left out, so the products are built unreduced and the sum is
+    normalized once."""
     by_comp: Dict[tuple, list] = {}
     for i, comp in enumerate(sigma.components):
         by_comp.setdefault(comp, []).append(i)
@@ -330,11 +326,13 @@ def _subset_masses(sigma: SplittingType, value):
     for ks in product(*(range(len(g) + 1) for g in groups)):
         picked = [i for g, k in zip(groups, ks) for i in g[:k]]
         rest = [i for g, k in zip(groups, ks) for i in g[k:]]
-        va = value(sigma.restrict(picked), (0,) * len(picked)) if picked else 1
-        vb = value(sigma.restrict(rest), (1,) * len(rest)) if rest else 1
-        terms.append(prod(comb(len(g), k) for g, k in zip(groups, ks)) * va * vb)
-    # never empty: the empty sub-multiset is always a term
-    return _tree_sum(terms, None)
+        factors = []
+        if picked:
+            factors.append(value(sigma.restrict(picked), (0,) * len(picked)))
+        if rest:
+            factors.append(value(sigma.restrict(rest), (1,) * len(rest)))
+        terms.append((prod(comb(len(g), k) for g, k in zip(groups, ks)), factors))
+    return sum_of_products(terms, zero)
 
 
 def _rel_disc_exponent(sigma: SplittingType) -> int:
@@ -358,7 +356,7 @@ def density_gen_fun(sigma: SplittingType) -> GenFun:
     def build():
         w = leading_coeff_weight(rel.degree).substitute(GenFun.VARS, [[1], [0]])
         norm = GenFun.monomial(p_exp=Fraction(_rel_disc_exponent(rel), 2))
-        return w * _subset_masses(rel, disc_gen_fun) * _scale(rel) / norm
+        return w * _subset_masses(rel, disc_gen_fun, _ZERO) * _scale(rel) / norm
 
     return _on_base(sigma, ("rho_pt", rel.key()), build)
 
@@ -390,7 +388,7 @@ def splitting_density(sigma: SplittingType) -> FracPoly:
     univariate; agreement with the two-variable assembly is covered by tests.
     """
     def start(rel):
-        masses = _subset_masses(rel, _at_t_star)
+        masses = _subset_masses(rel, _at_t_star, FracPoly(0, var="p"))
         return leading_coeff_weight(rel.degree).substitute(("p",), [[1]]) * masses
 
     return _univariate("rho_q", sigma, start, 0)
@@ -422,7 +420,8 @@ def min_disc_valuation(sigma: SplittingType) -> Fraction:
     lowest = disc_gen_fun(sigma, (0,) * sigma.m).min_t_exponent()
     if lowest != c0:
         raise VerificationError(
-            f"minimal discriminant valuation mismatch: formula {c0}, series {lowest}"
+            f"minimal discriminant valuation mismatch for {sigma.display_pairs()}: "
+            f"formula {c0}, series {lowest}"
         )
     return c0
 

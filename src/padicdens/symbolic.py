@@ -50,6 +50,19 @@ coefficients by the lex-least denominator coefficient gives the Fraction
 coefficients of ``num_terms``/``den_terms`` and of the JSON writer, in which
 that coefficient is +1.
 
+Sums are normalized once.  :func:`sum_of_products` adds the products
+c * f_1 * ... * f_k of a list of terms, and ``+`` is its two-term case.  The
+products are built unreduced: numerators and denominators are multiplied on
+one lattice with no gcd.  The terms are then added pairwise in a balanced
+tree, each addition over a common denominator: for denominators d1 and d2
+with gcd g, it takes d1 (d2/g), one denominator gcd and no numerator gcd
+(Henrici, "A subroutine for computations with rational numbers", J. ACM 3,
+1956).  One full reduction of the final pair gives the normal form, as for
+any other arithmetic.  The tree matters: one running denominator for the
+whole sum multiplies every term's numerator by a cofactor of that whole
+denominator, and measured slower on the recursion's branch sums, where the
+denominators of the terms share most of their factors.
+
 Two concrete shapes are exposed: :class:`FracPoly` (one variable, default
 ``q``) and :class:`GenFun` (two variables, fixed ``p`` and ``t``).  All values
 are immutable after construction and all operations are pure functions, so
@@ -530,32 +543,25 @@ class _RatFuncBase:
             return other
         return None
 
+    def _on(self, scale: Scale) -> Tuple[Terms, Terms]:
+        """The numerator and denominator term maps on a lattice scale that
+        refines this value's."""
+        if scale == self._scale:
+            return dict(self._num), dict(self._den)
+        factors = tuple(map(floordiv, scale, self._scale))
+        return _t_stretch(dict(self._num), factors), _t_stretch(dict(self._den), factors)
+
     def _aligned(self, o):
         """(scale, n1, d1, n2, d2): the term maps of self and o as dicts on one
         lattice, the lcm of the two scales."""
-        s1, s2 = self._scale, o._scale
-        if s1 == s2:
-            return s1, dict(self._num), dict(self._den), dict(o._num), dict(o._den)
-        scale = tuple(map(lcm, s1, s2))
-        f1 = tuple(map(floordiv, scale, s1))
-        f2 = tuple(map(floordiv, scale, s2))
-        return (
-            scale,
-            _t_stretch(dict(self._num), f1),
-            _t_stretch(dict(self._den), f1),
-            _t_stretch(dict(o._num), f2),
-            _t_stretch(dict(o._den), f2),
-        )
+        scale = tuple(map(lcm, self._scale, o._scale))
+        return (scale, *self._on(scale), *o._on(scale))
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        scale, n1, d1, n2, d2 = self._aligned(o)
-        # pre-cancel the denominators' common factor to keep the final gcd small
-        d1r, d2r = _cancel(d1, d2) or (d1, d2)
-        num = _t_add(_t_mul(n1, d2r), _t_mul(n2, d1r))
-        return self._like(scale, num, _t_mul(d1, d2r))
+        return sum_of_products(((1, (self,)), (1, (o,))), self._coerce(0))
 
     __radd__ = __add__
 
@@ -810,6 +816,49 @@ def rewrite_in_q(f: FracPoly) -> FracPoly:
     if f._scale != (1,):
         raise NonIntegralExponentError(f"{f} has a non-integer exponent of {f.var}")
     return f.substitute(("q",), [[1]])
+
+
+def sum_of_products(terms, zero):
+    """The sum of c * f_1 * ... * f_k over the (int c, [f_1, ..., f_k])
+    terms, each f_i a value of zero's shape, normalized once; zero for an
+    empty sum.
+
+    Every factor goes onto one lattice, the lcm of the scales, and a term's
+    numerators and denominators are multiplied with no cross-cancel.  The
+    terms are then added pairwise, in a balanced tree, each addition over
+    the common denominator of its two halves (_add_pairs), and the one
+    reduction in _make yields the canonical form (module docstring, "Sums").
+    """
+    terms = [(c, factors) for c, factors in terms if c]
+    scale = zero._scale
+    for _, factors in terms:
+        for f in factors:
+            scale = tuple(map(lcm, scale, f._scale))
+    origin = (0,) * len(scale)
+    pairs = []
+    for c, factors in terms:
+        num, den = {origin: c}, {origin: 1}
+        for f in factors:
+            n, d = f._on(scale)
+            num, den = _t_mul(num, n), _t_mul(den, d)
+        if num:
+            pairs.append((num, den))
+    if not pairs:
+        return zero
+    while len(pairs) > 1:
+        pairs = [
+            _add_pairs(*pairs[i : i + 2]) if i + 1 < len(pairs) else pairs[i]
+            for i in range(0, len(pairs), 2)
+        ]
+    return zero._make(zero._vars, scale, *pairs[0])
+
+
+def _add_pairs(a, b):
+    """n1/d1 + n2/d2 of unreduced (num, den) pairs on one lattice: with
+    g = gcd(d1, d2), (n1 (d2/g) + n2 (d1/g)) / (d1 (d2/g)), unreduced."""
+    (n1, d1), (n2, d2) = a, b
+    d1r, d2r = _cancel(d1, d2) or (d1, d2)
+    return _t_add(_t_mul(n1, d2r), _t_mul(n2, d1r)), _t_mul(d1, d2r)
 
 
 def check_inversion_symmetry(f):

@@ -9,6 +9,7 @@ prints.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import perm
 from typing import Dict, Iterable, List, Set, Tuple
 
@@ -98,6 +99,33 @@ def root_moment_checks(sigmas: Iterable[SplittingType]) -> List[Check]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _partitions(k: int, m: int) -> int:
+    """p(k, m): the partitions of k into at most m parts."""
+    if k == 0:
+        return 1
+    if m == 0:
+        return 0
+    return _partitions(k, m - 1) + (_partitions(k - m, m) if k >= m else 0)
+
+
+def mass_formula_checks(sigmas: Iterable[SplittingType]) -> List[Check]:
+    """Bhargava's mass formula (IMRN 2007): summed over the degree-n types of
+    one base, density_asymptotic is sum_{k<n} p(k, n-k) q^(-k), with p(k, m)
+    the partitions of k into at most m parts.  The asymptotic reads the
+    relative pairs only, so the sum does not depend on the base."""
+    groups: Dict[Tuple[int, int, int], Set[SplittingType]] = {}
+    for s in sigmas:
+        groups.setdefault((s.e_base, s.f_base, s.degree), set()).add(s)
+    out = []
+    for (eb, fb, n), group in groups.items():
+        total = sum(map(engine.density_asymptotic, group), FracPoly(0))
+        mass = FracPoly({-k: _partitions(k, n - k) for k in range(n)})
+        where = "" if (eb, fb) == (1, 1) else f" @e{eb}f{fb}"
+        out.append((f"mass formula degree {n}{where}", total == mass, f"{total}"))
+    return out
+
+
 def functional_equation_checks(
     sigmas: Iterable[SplittingType],
 ) -> List[Check]:
@@ -183,7 +211,9 @@ def engine_masses_at(
     out: Dict[int, Fraction] = {}
     for c, v in engine.disc_gen_fun(sigma, b).series_coefficients(c_max, p).items():
         if c.denominator != 1:
-            raise AssertionError(f"non-integer valuation {c} over an unramified base")
+            raise VerificationError(
+                f"non-integer valuation {c} of {sigma.display_pairs()} at b = {list(b)}"
+            )
         out[int(c)] = v
     return out
 

@@ -22,7 +22,7 @@ from padicdens.engine import (
     monic_density,
     splitting_density,
 )
-from padicdens.errors import SigmaParseError
+from padicdens.errors import SigmaParseError, VerificationError
 from padicdens.splitting import (
     SplittingType,
     base_ram_factor,
@@ -113,6 +113,20 @@ def test_min_disc_valuation():
     assert min_disc_valuation(SplittingType(((3, 2),))) == 4
 
 
+def test_min_disc_valuation_mismatch_names_the_type(monkeypatch):
+    monkeypatch.setattr(engine, "_rel_disc_exponent", lambda sigma: 7)
+    with pytest.raises(VerificationError, match="e1f1,e2f1:"):
+        min_disc_valuation(SplittingType(((1, 1), (2, 1))))
+
+
+def test_engine_masses_at_names_type_and_depths():
+    """A half-integral valuation over a ramified base is a VerificationError,
+    which the CLI maps to an exit code, and names sigma and b."""
+    sigma = SplittingType(((4, 1), (2, 1)), 2, 1)
+    with pytest.raises(VerificationError, match=r"e4f1,e2f1@e2f1 at b = \[0, 1\]"):
+        verify.engine_masses_at(sigma, (0, 1), 4, 3)
+
+
 def test_measure_completeness():
     """Total mass over all valuations equals the cylinder measure."""
     for sigma in catalog(3):
@@ -177,6 +191,30 @@ def test_verify_root_moment_checks(monkeypatch):
     monkeypatch.setattr(engine, "splitting_density", lambda s: rho(s) + shift.get(s, 0))
     failed = [name for name, ok, _ in verify.root_moment_checks(catalog(4)) if not ok]
     assert failed == ["M_1(3) = 1"]
+
+
+def test_verify_mass_formula_checks(monkeypatch):
+    """verify.mass_formula_checks states Bhargava's mass formula, one line
+    per degree and base, and fails on the degree of a type whose asymptotic
+    is doubled."""
+    checks = verify.mass_formula_checks([*catalog(6), *catalog(3, 2, 1)])
+    assert [name for name, _, _ in checks] == [
+        *(f"mass formula degree {n}" for n in range(1, 7)),
+        *(f"mass formula degree {n} @e2f1" for n in range(1, 4)),
+    ]
+    assert all(ok for _, ok, _ in checks)
+    # degree 3: 1 + 1/q + 1/q^2, since p(0, 3) = p(1, 2) = p(2, 1) = 1
+    assert checks[2][2] == str(FracPoly({2: 1, 1: 1, 0: 1}, {2: 1}))
+
+    doubled = SplittingType(((1, 1), (2, 2)))
+    asymptotic = engine.density_asymptotic
+    monkeypatch.setattr(
+        engine,
+        "density_asymptotic",
+        lambda s: asymptotic(s) * (2 if s == doubled else 1),
+    )
+    failed = [name for name, ok, _ in verify.mass_formula_checks(catalog(6)) if not ok]
+    assert failed == ["mass formula degree 5"]
 
 
 def test_partition_of_unity_monic():
@@ -245,18 +283,20 @@ def test_branch_memo_key_is_permutation_invariant(base):
 
 
 def test_multiset_splits_match_subset_sum():
-    """The assembly over sub-multisets equals the sum over all 2^m subsets."""
+    """The assembly over sub-multisets equals the sum over all 2^m subsets,
+    added one product at a time, for G and for G at t = p^(-1/2)."""
     repeated = [s for s in catalog(5) if len(set(s.components)) < s.m]
     assert repeated
-    for sigma in repeated:
-        total = GenFun(0)
-        for r in range(sigma.m + 1):
-            for picked in itertools.combinations(range(sigma.m), r):
-                rest = [i for i in range(sigma.m) if i not in picked]
-                ga = disc_gen_fun(sigma.restrict(picked), (0,) * r) if picked else 1
-                gb = disc_gen_fun(sigma.restrict(rest), (1,) * len(rest)) if rest else 1
-                total = total + ga * gb
-        assert engine._subset_masses(sigma, disc_gen_fun) == total, sigma
+    for value, zero in ((disc_gen_fun, GenFun(0)), (engine._at_t_star, FracPoly(0, var="p"))):
+        for sigma in repeated:
+            total = zero
+            for r in range(sigma.m + 1):
+                for picked in itertools.combinations(range(sigma.m), r):
+                    rest = [i for i in range(sigma.m) if i not in picked]
+                    ga = value(sigma.restrict(picked), (0,) * r) if picked else 1
+                    gb = value(sigma.restrict(rest), (1,) * len(rest)) if rest else 1
+                    total = total + ga * gb
+            assert engine._subset_masses(sigma, value, zero) == total, sigma
 
 
 def falling_factorial(x, length):

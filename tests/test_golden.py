@@ -17,6 +17,7 @@ from collections import defaultdict
 
 import pytest
 
+import cache_digest
 from golden import BASES, digest_lines
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -49,3 +50,24 @@ def test_golden_values(base, degree):
     assert got_by_key.keys() == want_by_key.keys()
     differ = [k for k in want_by_key if got_by_key[k] != want_by_key[k]]
     assert not differ, "values differ from the snapshot: " + "; ".join(differ)
+
+
+# scripts/cache_digest.py --degree-max 5: one line per memo kind, the count of
+# entries and the sha256 of every (key, value) pair of that kind
+MEMO_DIGEST_D5 = [
+    "G 84 2f8887cee0b515c4b5b79ee295cf96747564262e50c3ca106d8526172da2aad2",
+    "alpha_q 37 6d09f3ad49da3e2a7d21f3e08726a85babafe260cf5f8239b8ed66571e1dcff2",
+    "beta_q 37 ffcb532c793bac2990d91bfc545c4714963bbdcfc61798ce72ea8a2e5b58280e",
+    "branch 69 ff64bafeebc0038b63884801521771fc4dce348b601ebec2fd19fb855296e800",
+    "rho_pt 37 14567cab00398afee864568cc61be4fc100d55ee5a2350aba8c9317b7dc2478b",
+    "rho_q 37 bb363a3ecb32ff49092a1b5a0ebd2a72304895235f9119ae8b944f467de12ff3",
+    "t_star 74 d23b284fe2e7d9c0248c73d0adbe4c35904ef1759edb44c96e58b1ac4e6ca72e",
+    "weight 46 a25b1b3b3e4c11508eee95127778cd33b7170f0e2dd7592fd3aceac95b5e69bf",
+]
+
+
+def test_memo_digest_d5():
+    """Every value the memo holds after the d <= 5 catalog, by kind: the
+    recursion's intermediates (branch, t_star, weight) as well as G and the
+    densities."""
+    assert cache_digest.digest_lines(5) == MEMO_DIGEST_D5

@@ -16,6 +16,7 @@ from padicdens.symbolic import (
     check_inversion_symmetry,
     dumps,
     rewrite_in_q,
+    sum_of_products,
 )
 
 P = GenFun.monomial(p_exp=1)
@@ -283,6 +284,71 @@ def test_normal_form_path_independent(a, b, c):
     assert left == right
     assert hash(left) == hash(right)
     assert (a / c + b / c) == (a + b) / c
+
+
+# -- sums of products -------------------------------------------------------------
+
+_fexp = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+def _fractional_values(shape):
+    """FracPoly or GenFun values with fractional exponents, so that the
+    factors of one sum sit on different lattices; a numerator may be empty
+    (zero)."""
+    key = _fexp if shape is FracPoly else st.tuples(_fexp, _fexp)
+    num = st.dictionaries(key, st.integers(-3, 3), max_size=2)
+    den = st.dictionaries(key, st.integers(1, 3), min_size=1, max_size=2)
+    return st.builds(shape, num, den)
+
+
+_SUM_TERMS = {
+    shape: st.lists(
+        st.tuples(st.integers(-3, 3), st.lists(_fractional_values(shape), max_size=3)),
+        max_size=3,
+    )
+    for shape in (FracPoly, GenFun)
+}
+
+
+def _fold(terms, zero):
+    """The sum of products by the binary operators, left to right."""
+    total = zero
+    for c, factors in terms:
+        term = type(zero)(c)
+        for f in factors:
+            term = term * f
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("shape", [FracPoly, GenFun])
+@given(data=st.data())
+def test_sum_of_products_is_a_fold(shape, data):
+    terms = data.draw(_SUM_TERMS[shape])
+    cancel = data.draw(st.booleans())
+    if cancel:  # every term again, negated: the sum is zero
+        terms += [(-c, factors) for c, factors in terms]
+    zero = shape(0)
+    got = sum_of_products(terms, zero)
+    assert type(got) is shape
+    assert got == _fold(terms, zero)
+    assert hash(got) == hash(_fold(terms, zero))
+    if cancel:
+        assert got.is_zero
+
+
+@pytest.mark.parametrize("shape", [FracPoly, GenFun])
+def test_sum_of_products_edge_cases(shape):
+    x = FracPoly.monomial(F(1, 2)) if shape is FracPoly else GenFun.monomial(F(1, 2), 1)
+    y = 1 / (1 - x * x)
+    zero = shape(0)
+    assert sum_of_products([], zero) is zero
+    assert sum_of_products([(3, [])], zero) == shape(3)
+    assert sum_of_products([(2, [y])], zero) == 2 * y
+    assert sum_of_products([(2, [x, zero, y])], zero).is_zero
+    assert sum_of_products([(0, [x]), (5, [zero])], zero).is_zero
+    assert sum_of_products([(1, [x, y]), (-1, [y, x])], zero).is_zero
+    assert sum_of_products([(1, [y]), (-1, [x, x, y])], zero) == shape(1)
 
 
 _points = [(F(2), F(1, 3)), (F(3), F(2)), (F(5), F(1, 3)), (F(7, 2), F(2))]
