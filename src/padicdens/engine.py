@@ -28,15 +28,21 @@ concrete primes are validated wherever one is supplied.
 Every value is computed once over e1f1 and kept in one memo, ``_CACHE``
 behind ``_cached`` (``clear_memo()`` empties it).  The recursion never leaves
 e1f1; ``_on_base`` moves a value to a deeper base for a public call on one
-(see ``_recurse``).  Its keys, where ``rkey`` is the sorted (relative
-component, b_i) pairs:
+(see ``_recurse``).  It runs at one of two points: at (p, t) for G and
+rho_pt, and at t = p^(-1/2) for rho_q, alpha_q and beta_q, which so never
+build a two-variable value.  The memo's keys, where ``rkey`` is the sorted
+(relative component, b_i) pairs:
 
   rkey                              disc_gen_fun(sigma, b)
   ("branch",) + rkey                branch_sum(sigma, b)
-  ("t_star",) + rkey                G(sigma, b) at t = p^(-1/2)
   ("weight",) + plan signature      splitting.signature_weight under
                                     p -> (p, t), the weight of every plan
                                     with that plan_signature
+  ("t_star",) + rkey                G(sigma, b) at t = p^(-1/2), the
+                                    recursion run at that point
+  ("t_star_branch",) + rkey         branch_sum(sigma, b) at t = p^(-1/2)
+  ("t_star_weight",) + signature    signature_weight itself, the plan
+                                    weight at t = p^(-1/2)
   (kind, _relative(sigma).key())    the densities, kind one of rho_q,
                                     alpha_q, beta_q and rho_pt
 
@@ -51,7 +57,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import ceil, comb, prod
-from typing import Dict, Iterator, Tuple
+from typing import Callable, Dict, Iterator, NamedTuple, Tuple
 
 from .errors import VerificationError
 from .splitting import (
@@ -68,7 +74,7 @@ from .splitting import (
     signature_weight,
     slope_data,
 )
-from .symbolic import FracPoly, GenFun, rewrite_in_q, sum_of_products
+from .symbolic import FracPoly, GenFun, Scalar, rewrite_in_q, sum_of_products
 
 _CACHE: Dict[tuple, object] = {}
 _ZERO = GenFun(0)
@@ -119,6 +125,45 @@ def _on_base(sigma: SplittingType, key: tuple, build) -> GenFun:
     return value.substitute(GenFun.VARS, rows)
 
 
+class _Point(NamedTuple):
+    """A point the recursion runs at (see _recurse): the monomial map of
+    the rows from (p, t) to vars, the memoized G and branch_sum of an e1f1
+    type there, g(sigma, b) and branch(sigma, b), and the memo kind of the
+    plan weights there."""
+
+    vars: Tuple[str, ...]
+    rows: Tuple[Tuple[Scalar, Scalar], ...]
+    g: Callable
+    branch: Callable
+    weight_kind: str
+
+    @property
+    def zero(self):
+        return _ZERO.substitute(self.vars, self.rows)
+
+    def mono(self, p_exp: Scalar = 0, t_exp: Scalar = 0):
+        """p^p_exp t^t_exp under the map, built from the image exponents
+        (a zero entry of the rows is skipped, not multiplied)."""
+        exps = [(a and a * p_exp) + (c and c * t_exp) for a, c in self.rows]
+        if len(exps) == 2:
+            return GenFun.monomial(*exps)
+        return FracPoly.monomial(*exps, var=self.vars[0])
+
+    def weight(self, signature: tuple):
+        """signature_weight, a polynomial in p, under the map, memoized on
+        the signature."""
+        rows = [row[:1] for row in self.rows]
+        build = lambda: signature_weight(signature).substitute(self.vars, rows)
+        return _cached((self.weight_kind,) + signature, build)
+
+    def stretch(self, value, k: int):
+        """value under the map of (p, t) -> (p^k, t^k): that is k times the
+        identity, which commutes with the rows, so every variable of the
+        point goes to its k-th power."""
+        n = len(self.vars)
+        return value.substitute(self.vars, [[k * (i == j) for i in range(n)] for j in range(n)])
+
+
 def disc_gen_fun(sigma: SplittingType, b: BVector) -> GenFun:
     """Generating function of discriminant-valuation masses for (sigma, b).
 
@@ -128,11 +173,11 @@ def disc_gen_fun(sigma: SplittingType, b: BVector) -> GenFun:
     """
     check_depths(sigma, b)
     rel = _relative(sigma)
-    return _on_base(sigma, _recursion_key(rel, b), lambda: _recurse(rel, b))
+    return _on_base(sigma, _recursion_key(rel, b), lambda: _recurse(_PT, rel, b))
 
 
-def _recurse(sigma: SplittingType, b: BVector) -> GenFun:
-    """The uncached value of disc_gen_fun.
+def _recurse(point: _Point, sigma: SplittingType, b: BVector):
+    """The uncached value of disc_gen_fun at point.
 
     The recursion ends, and needs no run-time guard:
 
@@ -197,6 +242,37 @@ def _recurse(sigma: SplittingType, b: BVector) -> GenFun:
     t = p^(-e_base f_base/2), G(sigma_rel, b)(p^f_base, p^(-f_base/2)) read
     in q = p^f_base is the e1f1 value at t = q^(-1/2), so rho_q, alpha_q and
     beta_q do not depend on the base.
+
+    The recursion runs at a point (_Point), a monomial map from (p, t) that
+    every constant passes through: the base case p^(-b), the head p, the
+    closure denominator 1 - p^(1-d) t^(d(d-1)), the rescale, each class's
+    t-monomial, the plan weight (a polynomial in p) and the block stretch
+    (p, t) -> (p^k, t^k).  The stretch is k times the identity, so it
+    commutes with every monomial map and sends each variable of the point
+    to its k-th power.  At (p, t) the map is the identity.  At t* it is
+    psi: t -> p^(-1/2), of rows [[1, -1/2]], and the recursion there equals
+    G(sigma, b) at t = p^(-1/2) without building G:
+
+      * psi is a ring map from the Laurent polynomials in (p, t) with
+        rational exponents to those in p, a domain.  It is not injective,
+        but it extends to the fractions whose denominator has a nonzero
+        image, and commutes there with sums, products and the division by
+        such a denominator.
+      * Every division the recursion makes is by a closure denominator
+        1 - p^(1-d) t^(d(d-1)), d >= 2, or by one stretched with k in a
+        sub-value; the other constants are monomials, units of the ring.
+        Their images 1 - p^(-k(d-1)(d+2)/2) are nonzero.  So is the image
+        of every divisor f of a product D = f g of them, since psi(f)
+        psi(g) = psi(D) != 0: the reduced denominator of each bivariate
+        value divides such a D, so psi is defined on it.
+      * Induction along the nesting above: both routes apply the same ring
+        operations to the psi-images of the same constants and sub-values,
+        so each value at t* is psi of the bivariate one, and the canonical
+        forms, being unique, are equal.
+
+    The memo keeps both points: at (p, t) under the keys of disc_gen_fun,
+    branch_sum and the plan weights, at t* under ("t_star",) + rkey,
+    ("t_star_branch",) + rkey and ("t_star_weight",) + signature.
     """
     # canonical component order; the value is symmetric under permutation
     order = sorted(range(sigma.m), key=lambda i: (sigma.components[i], b[i]))
@@ -207,7 +283,7 @@ def _recurse(sigma: SplittingType, b: BVector) -> GenFun:
     if sigma.m == 1 and e_rel[0] == 1 and sigma.f_rel[0] == 1:
         # single component equal to the base: degree-1 minimal polynomials
         # have unit discriminant, so all mass sits at t^0
-        return GenFun.monomial(p_exp=-b[0])
+        return point.mono(p_exp=-b[0])
     d = sigma.degree
     t_step = d * (d - 1)
     zero_b = (0,) * sigma.m
@@ -216,29 +292,29 @@ def _recurse(sigma: SplittingType, b: BVector) -> GenFun:
         # the head plan adds p * G(sigma, bump(0)), which the identity below
         # turns into the chain up to e_rel plus a rescaled G(sigma, 0);
         # solving for G(sigma, 0) closes the geometric tail
-        p = GenFun.monomial(p_exp=1)
-        tail = _chain(sigma, bump_argmin(sigma, zero_b), tuple(e_rel))
-        terms = [(1, [branch_sum(sigma, zero_b)])] + [(1, [p, v]) for v in tail]
-        closure_den = 1 - GenFun.monomial(p_exp=1 - d, t_exp=t_step)
-        return sum_of_products(terms, _ZERO) / closure_den
+        p = point.mono(p_exp=1)
+        tail = _chain(point, sigma, bump_argmin(sigma, zero_b), tuple(e_rel))
+        terms = [(1, [point.branch(sigma, zero_b)])] + [(1, [p, v]) for v in tail]
+        closure_den = 1 - point.mono(1 - d, t_step)
+        return sum_of_products(terms, point.zero) / closure_den
 
     # G(sigma, b) = chain from b up to k_lim * e_rel + rescale * G(sigma, 0).
     # At b = 0 it is trivial (k_lim = 0, empty chain, rescale 1), so only the
     # branch above builds the closure, and g_zero = G(sigma, 0) is cached.
     k_lim = max(ceil(Fraction(bi, ei)) for bi, ei in zip(b, e_rel))
     target = tuple(k_lim * ei for ei in e_rel)
-    terms = [(1, [v]) for v in _chain(sigma, b, target)]
-    g_zero = disc_gen_fun(sigma, zero_b)
-    rescale = GenFun.monomial(p_exp=-d * k_lim, t_exp=t_step * k_lim)
-    return sum_of_products(terms + [(1, [rescale, g_zero])], _ZERO)
+    terms = [(1, [v]) for v in _chain(point, sigma, b, target)]
+    g_zero = point.g(sigma, zero_b)
+    rescale = point.mono(-d * k_lim, t_step * k_lim)
+    return sum_of_products(terms + [(1, [rescale, g_zero])], point.zero)
 
 
-def _chain(sigma: SplittingType, start: BVector, stop: BVector) -> Iterator[GenFun]:
-    """branch_sum along the bump_argmin chain from start up to, not
-    including, stop."""
+def _chain(point: _Point, sigma: SplittingType, start: BVector, stop: BVector) -> Iterator:
+    """branch_sum at point along the bump_argmin chain from start up to,
+    not including, stop."""
     cur = start
     while cur != stop:
-        yield branch_sum(sigma, cur)
+        yield point.branch(sigma, cur)
         cur = bump_argmin(sigma, cur)
 
 
@@ -250,11 +326,11 @@ def branch_sum(sigma: SplittingType, b: BVector) -> GenFun:
     SigmaParseError on a depth vector that check_depths rejects."""
     check_depths(sigma, b)
     rel = _relative(sigma)
-    return _on_base(sigma, ("branch",) + _recursion_key(rel, b), lambda: _branch(rel, b))
+    return _on_base(sigma, ("branch",) + _recursion_key(rel, b), lambda: _branch(_PT, rel, b))
 
 
-def _branch(sigma: SplittingType, b: BVector) -> GenFun:
-    """The uncached value of branch_sum.
+def _branch(point: _Point, sigma: SplittingType, b: BVector):
+    """The uncached value of branch_sum at point.
 
     Plans fall into classes by their sorted blocks, a block read as (n, its
     sorted (component, sub-depth) pairs), and each class's term is built
@@ -286,10 +362,7 @@ def _branch(sigma: SplittingType, b: BVector) -> GenFun:
     terms = []
     for blocks, count in classes.items():
         signature = plan_signature(sd, sigma.m, [(n, len(pairs)) for n, pairs in blocks])
-        weight = _cached(
-            ("weight",) + signature,
-            lambda: signature_weight(signature).substitute(GenFun.VARS, [[1], [0]]),
-        )
+        weight = point.weight(signature)
         sep = d * (d - 1)
         subs = []
         for n, pairs in blocks:
@@ -300,10 +373,36 @@ def _branch(sigma: SplittingType, b: BVector) -> GenFun:
             assert all(e % h == 0 and f % k == 0 for (e, f), _ in pairs), "h | e and k | f"
             sub_sigma = SplittingType(tuple((e // h, f // k) for (e, f), _ in pairs))
             assert sub_sigma.degree < d, "branch must shrink the degree"
-            sub = disc_gen_fun(sub_sigma, tuple(bi for _, bi in pairs))
-            subs.append(sub.substitute(GenFun.VARS, [[k, 0], [0, k]]))
-        terms.append((count, [weight, GenFun.monomial(t_exp=sep * sd.slope), *subs]))
-    return sum_of_products(terms, _ZERO)
+            sub = point.g(sub_sigma, tuple(bi for _, bi in pairs))
+            subs.append(point.stretch(sub, k))
+        terms.append((count, [weight, point.mono(t_exp=sep * sd.slope), *subs]))
+    return sum_of_products(terms, point.zero)
+
+
+def _at_t_star(sigma: SplittingType, b: BVector) -> FracPoly:
+    """G(sigma, b) of an e1f1 type at t = p^(-1/2), where the univariate
+    densities live: the recursion run at that point, memoized on the
+    recursion key."""
+    key = ("t_star",) + _recursion_key(sigma, b)
+    return _cached(key, lambda: _recurse(_T_STAR, sigma, b))
+
+
+def _branch_at_t_star(sigma: SplittingType, b: BVector) -> FracPoly:
+    """branch_sum of an e1f1 type at t = p^(-1/2), memoized like _at_t_star."""
+    key = ("t_star_branch",) + _recursion_key(sigma, b)
+    return _cached(key, lambda: _branch(_T_STAR, sigma, b))
+
+
+# At (p, t) the nested calls go through disc_gen_fun and branch_sum by
+# name, so a wrapper installed on them (perfbench's tracer) sees each one.
+_PT = _Point(
+    GenFun.VARS,
+    ((1, 0), (0, 1)),
+    lambda sigma, b: disc_gen_fun(sigma, b),
+    lambda sigma, b: branch_sum(sigma, b),
+    "weight",
+)
+_T_STAR = _Point(("p",), ((1, Fraction(-1, 2)),), _at_t_star, _branch_at_t_star, "t_star_weight")
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +458,6 @@ def density_gen_fun(sigma: SplittingType) -> GenFun:
         return w * _subset_masses(rel, disc_gen_fun, _ZERO) * _scale(rel) / norm
 
     return _on_base(sigma, ("rho_pt", rel.key()), build)
-
-
-def _at_t_star(sigma: SplittingType, b: BVector) -> FracPoly:
-    """G(sigma, b) of an e1f1 type at t = p^(-1/2), where the univariate
-    densities live; memoized on the recursion key."""
-    key = ("t_star",) + _recursion_key(sigma, b)
-    return _cached(key, lambda: disc_gen_fun(sigma, b).eval_t_as_p_power(Fraction(-1, 2)))
 
 
 def _univariate(kind: str, sigma: SplittingType, start, shift: int) -> FracPoly:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
@@ -440,20 +441,69 @@ def test_base_change_is_a_substitution(base):
 
 
 def test_recursion_keys_name_no_base():
-    """The recursion runs over e1f1 only: no recursion, branch or t_star key
-    names a base, only (relative component, b_i) pairs."""
+    """The recursion runs over e1f1 only: no recursion, branch, t_star or
+    t_star_branch key names a base, only (relative component, b_i) pairs."""
     clear_memo()
     for sigma in catalog(4, 2, 1):
         disc_gen_fun(sigma, (0,) * sigma.m)
         splitting_density(sigma)
     kinds = {key[0] if isinstance(key[0], str) else "G" for key in engine._CACHE}
-    assert {"G", "branch", "t_star"} <= kinds
+    assert {"G", "branch", "t_star", "t_star_branch"} <= kinds
     for key in engine._CACHE:
-        if key[0] in ("branch", "t_star"):
+        if key[0] in ("branch", "t_star", "t_star_branch"):
             key = key[1:]
         elif isinstance(key[0], str):
             continue  # plan weights and densities
         assert all(isinstance(pair, tuple) for pair in key), key
+    clear_memo()
+
+
+def _univariate_catalog(degree_max):
+    """The three univariate densities of catalog(degree_max), from a cold
+    memo."""
+    clear_memo()
+    for sigma in catalog(degree_max):
+        for density in (splitting_density, monic_density, centered_monic_density):
+            density(sigma)
+
+
+def _from_recursion_key(rkey):
+    return SplittingType(tuple(comp for comp, _ in rkey)), tuple(bi for _, bi in rkey)
+
+
+def test_t_star_recursion_matches_bivariate_values():
+    """The recursion run at t = p^(-1/2) gives, under every t_star and
+    t_star_branch key the univariate densities of catalog(6) reach, the
+    bivariate value of the same recursion key specialized by
+    eval_t_as_p_power(-1/2), the route the specialization took before it
+    moved into the recursion; and under every t_star_weight key, the
+    bivariate plan weight so specialized."""
+    bivariate = {
+        "t_star": lambda rkey: disc_gen_fun(*_from_recursion_key(rkey)),
+        "t_star_branch": lambda rkey: branch_sum(*_from_recursion_key(rkey)),
+        "t_star_weight": lambda sig: signature_weight(sig).substitute(GenFun.VARS, [[1], [0]]),
+    }
+    _univariate_catalog(6)
+    at_t_star = [(k, v) for k, v in engine._CACHE.items() if k[0] in bivariate]
+    kinds = Counter()
+    for key, got in at_t_star:
+        assert got == bivariate[key[0]](key[1:]).eval_t_as_p_power(F(-1, 2)), key
+        kinds[key[0]] += 1
+    assert kinds.keys() == bivariate.keys()
+    clear_memo()
+
+
+def test_univariate_densities_build_no_bivariate_value():
+    """The three univariate densities of catalog(5), from a cold memo, hold
+    no bivariate G, branch or weight key; density_gen_fun fills them."""
+    is_bivariate = lambda key: not isinstance(key[0], str) or key[0] in ("branch", "weight")
+    _univariate_catalog(5)
+    assert not any(map(is_bivariate, engine._CACHE))
+    for sigma in catalog(5):
+        density_gen_fun(sigma)
+    bivariate = [key for key in engine._CACHE if is_bivariate(key)]
+    kinds = {key[0] if isinstance(key[0], str) else "G" for key in bivariate}
+    assert kinds == {"G", "branch", "weight"}
     clear_memo()
 
 

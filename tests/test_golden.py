@@ -61,13 +61,16 @@ MEMO_DIGEST_D5 = [
     "branch 69 ff64bafeebc0038b63884801521771fc4dce348b601ebec2fd19fb855296e800",
     "rho_pt 37 14567cab00398afee864568cc61be4fc100d55ee5a2350aba8c9317b7dc2478b",
     "rho_q 37 bb363a3ecb32ff49092a1b5a0ebd2a72304895235f9119ae8b944f467de12ff3",
-    "t_star 74 d23b284fe2e7d9c0248c73d0adbe4c35904ef1759edb44c96e58b1ac4e6ca72e",
+    "t_star 84 6936929753aabbef9b138a7f43223a6f0a778c667f7f7cfb9dc5cad510227a1f",
+    "t_star_branch 69 da29d372cc35e191b3e10ee340cbe8de4e93b2d4d655c5c4a68cbe2d6989f5ce",
+    "t_star_weight 46 acfd91fd2246537bde15bd79315ae4879cf82ca89b4739a5ffbda6c59c18ce80",
     "weight 46 a25b1b3b3e4c11508eee95127778cd33b7170f0e2dd7592fd3aceac95b5e69bf",
 ]
 
 
 def test_memo_digest_d5():
     """Every value the memo holds after the d <= 5 catalog, by kind: the
-    recursion's intermediates (branch, t_star, weight) as well as G and the
-    densities."""
+    recursion's intermediates at (p, t) (branch, weight) and at
+    t = p^(-1/2) (t_star, t_star_branch, t_star_weight) as well as G and
+    the densities."""
     assert cache_digest.digest_lines(5) == MEMO_DIGEST_D5
