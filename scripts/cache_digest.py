@@ -9,10 +9,11 @@ kind, the entry count, and the sha256 over the lines
 ``repr(key) \\t symbolic.dumps(value) \\n`` in ``repr(key)`` order.  Kind
 ``G`` is disc_gen_fun's entries (keys with no kind name); the others are the
 first element of the key: ``branch`` and ``weight`` (the recursion at
-(p, t)), ``t_star`` and ``t_star_branch`` (the recursion at t = p^(-1/2)),
-and the densities ``rho_q``, ``alpha_q``, ``beta_q`` and ``rho_pt``.  The
-memo holds e1f1 values only, so other bases add no entry.  Two builds that
-print the same lines hold the same exact values under the same keys.
+(p, t)), ``t_star``, ``t_star_branch`` and ``t_star_weight`` (the recursion
+at t = p^(-1/2)), and the densities ``rho_q``, ``alpha_q``, ``beta_q`` and
+``rho_pt``.  The memo holds e1f1 values only, so other bases add no entry.
+Two builds that print the same lines hold the same exact values under the
+same keys.
 """
 
 import argparse

@@ -30,8 +30,11 @@ behind ``_cached`` (``clear_memo()`` empties it).  The recursion never leaves
 e1f1; ``_on_base`` moves a value to a deeper base for a public call on one
 (see ``_recurse``).  It runs at one of two points: at (p, t) for G and
 rho_pt, and at t = p^(-1/2) for rho_q, alpha_q and beta_q, which so never
-build a two-variable value.  The memo's keys, where ``rkey`` is the sorted
-(relative component, b_i) pairs:
+build a two-variable value.  The assembly runs at a point too: one formula,
+``_rho``, gives rho_pt at (p, t) and rho_q at t = p^(-1/2), and one small
+prefactor, ``_prefactor``, normalizes each of the four densities with a
+single multiplication of its large value.  The memo's keys, where ``rkey``
+is the sorted (relative component, b_i) pairs:
 
   rkey                              disc_gen_fun(sigma, b)
   ("branch",) + rkey                branch_sum(sigma, b)
@@ -149,11 +152,14 @@ class _Point(NamedTuple):
             return GenFun.monomial(*exps)
         return FracPoly.monomial(*exps, var=self.vars[0])
 
+    def of_p(self, value):
+        """A function of p alone under the map."""
+        return value.substitute(self.vars, [row[:1] for row in self.rows])
+
     def weight(self, signature: tuple):
         """signature_weight, a polynomial in p, under the map, memoized on
         the signature."""
-        rows = [row[:1] for row in self.rows]
-        build = lambda: signature_weight(signature).substitute(self.vars, rows)
+        build = lambda: self.of_p(signature_weight(signature))
         return _cached((self.weight_kind,) + signature, build)
 
     def stretch(self, value, k: int):
@@ -409,14 +415,13 @@ _T_STAR = _Point(("p",), ((1, Fraction(-1, 2)),), _at_t_star, _branch_at_t_star,
 # density assembly
 # ---------------------------------------------------------------------------
 
-def _subset_masses(sigma: SplittingType, value, zero):
-    """The sum over subsets A of the components of value(sigma_A, all-0) *
-    value(sigma_Ac, all-1), the empty type's value being 1, as a value of
-    zero's shape: one term per sub-multiset A, times n = prod C(mult_i, k_i),
-    the count of subsets that share A's multiset.  Each term goes to
-    sum_of_products as (n, [value(sigma_A, 0), value(sigma_Ac, 1)]), the
-    empty type left out, so the products are built unreduced and the sum is
-    normalized once."""
+def _subset_masses(point: _Point, sigma: SplittingType):
+    """The sum over subsets A of the components of G(sigma_A, all-0) *
+    G(sigma_Ac, all-1) at point, the empty type's value being 1: one term
+    per sub-multiset A, times n = prod C(mult_i, k_i), the count of subsets
+    that share A's multiset.  Each term goes to sum_of_products as (n,
+    [G(sigma_A, 0), G(sigma_Ac, 1)]), the empty type left out, so the
+    products are built unreduced and the sum is normalized once."""
     by_comp: Dict[tuple, list] = {}
     for i, comp in enumerate(sigma.components):
         by_comp.setdefault(comp, []).append(i)
@@ -427,11 +432,11 @@ def _subset_masses(sigma: SplittingType, value, zero):
         rest = [i for g, k in zip(groups, ks) for i in g[k:]]
         factors = []
         if picked:
-            factors.append(value(sigma.restrict(picked), (0,) * len(picked)))
+            factors.append(point.g(sigma.restrict(picked), (0,) * len(picked)))
         if rest:
-            factors.append(value(sigma.restrict(rest), (1,) * len(rest)))
+            factors.append(point.g(sigma.restrict(rest), (1,) * len(rest)))
         terms.append((prod(comb(len(g), k) for g, k in zip(groups, ks)), factors))
-    return sum_of_products(terms, zero)
+    return sum_of_products(terms, point.zero)
 
 
 def _rel_disc_exponent(sigma: SplittingType) -> int:
@@ -444,57 +449,63 @@ def _scale(sigma: SplittingType) -> Fraction:
     return Fraction(1, perm_factor(sigma) * prod(sigma.f_rel))
 
 
+def _prefactor(point: _Point, sigma: SplittingType, shift: int = 0):
+    """p^(shift - h) / (perm * prod f_rel) at point, h = sum (e_rel - 1)
+    f_rel / 2: the small factor that normalizes a density, so that the
+    large value is multiplied once."""
+    return point.mono(p_exp=shift - Fraction(_rel_disc_exponent(sigma), 2)) * _scale(sigma)
+
+
+def _rho(point: _Point, sigma: SplittingType):
+    """The density of an e1f1 type at point: the leading-coefficient weight
+    times the subset masses, normalized."""
+    w = point.of_p(leading_coeff_weight(sigma.degree))
+    return w * _prefactor(point, sigma) * _subset_masses(point, sigma)
+
+
 def density_gen_fun(sigma: SplittingType) -> GenFun:
     """Bivariate density rho(p, t): the exact assembly with t left free.
 
     Specializing t to q^(-e_base/2) recovers the univariate density.  The
-    global residue-field prefactor q^(sum (e_rel-1) f_rel / 2) may carry a
-    fractional p-exponent; it cancels on the univariate path.
+    global residue-field factor q^(-sum (e_rel-1) f_rel / 2) of _prefactor
+    may carry a fractional p-exponent; it cancels on the univariate path.
     """
     rel = _relative(sigma)
-    def build():
-        w = leading_coeff_weight(rel.degree).substitute(GenFun.VARS, [[1], [0]])
-        norm = GenFun.monomial(p_exp=Fraction(_rel_disc_exponent(rel), 2))
-        return w * _subset_masses(rel, disc_gen_fun, _ZERO) * _scale(rel) / norm
-
-    return _on_base(sigma, ("rho_pt", rel.key()), build)
+    return _on_base(sigma, ("rho_pt", rel.key()), lambda: _rho(_PT, rel))
 
 
-def _univariate(kind: str, sigma: SplittingType, start, shift: int) -> FracPoly:
-    """The cached density start(rel) * p^(shift - h) / (perm * prod f_rel)
-    of rel = _relative(sigma), read in q = p; h = sum (e_rel - 1) f_rel / 2,
-    and start(rel) returns a function of p.  See _recurse: it is the density
+def _univariate(kind: str, sigma: SplittingType, build) -> FracPoly:
+    """The cached density build(rel) of rel = _relative(sigma), a function
+    of p at t = p^(-1/2), read in q = p.  See _recurse: it is the density
     over sigma's base."""
     rel = _relative(sigma)
-    def build():
-        exp = shift - Fraction(_rel_disc_exponent(rel), 2)
-        return rewrite_in_q(start(rel) * FracPoly.monomial(exp, _scale(rel), var="p"))
-
-    return _cached((kind, rel.key()), build)
+    return _cached((kind, rel.key()), lambda: rewrite_in_q(build(rel)))
 
 
 def splitting_density(sigma: SplittingType) -> FracPoly:
     """Density of degree-d polynomials with this splitting type, in q.
 
-    Assembled after specializing the valuation variable, so all gcd work is
-    univariate; agreement with the two-variable assembly is covered by tests.
+    The bivariate assembly run at t = p^(-1/2), so all gcd work is
+    univariate; agreement with density_gen_fun is covered by tests.
     """
-    def start(rel):
-        masses = _subset_masses(rel, _at_t_star, FracPoly(0, var="p"))
-        return leading_coeff_weight(rel.degree).substitute(("p",), [[1]]) * masses
-
-    return _univariate("rho_q", sigma, start, 0)
+    return _univariate("rho_q", sigma, lambda rel: _rho(_T_STAR, rel))
 
 
 def monic_density(sigma: SplittingType) -> FracPoly:
     """Density among monic degree-d polynomials (all roots integral)."""
-    return _univariate("alpha_q", sigma, lambda rel: _at_t_star(rel, (0,) * rel.m), 0)
+    def build(rel):
+        return _prefactor(_T_STAR, rel) * _T_STAR.g(rel, (0,) * rel.m)
+
+    return _univariate("alpha_q", sigma, build)
 
 
 def centered_monic_density(sigma: SplittingType) -> FracPoly:
     """Conditional density among monic polynomials congruent to x^d: all
     roots in the maximal ideal, rescaled by the measure q^d of that slice."""
-    return _univariate("beta_q", sigma, lambda rel: _at_t_star(rel, (1,) * rel.m), sigma.degree)
+    def build(rel):
+        return _prefactor(_T_STAR, rel, rel.degree) * _T_STAR.g(rel, (1,) * rel.m)
+
+    return _univariate("beta_q", sigma, build)
 
 
 def density_asymptotic(sigma: SplittingType) -> FracPoly:

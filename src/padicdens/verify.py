@@ -47,20 +47,30 @@ def golden_value_checks() -> List[Check]:
     return out
 
 
+def _by_base_and_degree(
+    sigmas: Iterable[SplittingType],
+) -> Dict[Tuple[str, int], Set[SplittingType]]:
+    """The types by (base, degree), in first-seen order, each base named by
+    the suffix of its check names: "" on e1f1, " @e{eb}f{fb}" on the others.
+    A base listed twice adds its types once."""
+    groups: Dict[Tuple[str, int], Set[SplittingType]] = {}
+    for s in sigmas:
+        where = "" if (s.e_base, s.f_base) == (1, 1) else f" @e{s.e_base}f{s.f_base}"
+        groups.setdefault((where, s.degree), set()).add(s)
+    return groups
+
+
 def partition_of_unity_checks(sigmas: Iterable[SplittingType]) -> List[Check]:
     """rho, alpha and beta each sum to 1 over the types of one degree and base."""
-    groups: Dict[Tuple[int, int, int], Set[SplittingType]] = {}
-    for s in sigmas:  # a base listed twice adds its types once
-        groups.setdefault((s.e_base, s.f_base, s.degree), set()).add(s)
+    groups = _by_base_and_degree(sigmas)
     out = []
     for name, density in (
         ("rho", engine.splitting_density),
         ("alpha", engine.monic_density),
         ("beta", engine.centered_monic_density),
     ):
-        for (eb, fb, d), group in groups.items():
+        for (where, d), group in groups.items():
             total = sum(map(density, group), FracPoly(0))
-            where = "" if (eb, fb) == (1, 1) else f" @e{eb}f{fb}"
             out.append((f"sum_{name} degree {d}{where} = 1", total == FracPoly(1), f"{total}"))
     return out
 
@@ -71,16 +81,15 @@ def root_moment_checks(sigmas: Iterable[SplittingType]) -> List[Check]:
     2022): M_k(n) is the sum over the degree-n types of r(r-1)...(r-k+1) rho.
     M_1(n) = 1, and M_k(n) = M_k(2k - 1) for 2k - 1 < n, k <= 4, on every
     base; no per-type check or partition of unity implies them."""
-    groups: Dict[Tuple[int, int], Dict[int, Set[SplittingType]]] = {}
-    for s in sigmas:
-        groups.setdefault((s.e_base, s.f_base), {}).setdefault(s.degree, set()).add(s)
+    bases: Dict[str, Dict[int, Set[SplittingType]]] = {}
+    for (where, n), group in _by_base_and_degree(sigmas).items():
+        bases.setdefault(where, {})[n] = group
     out = []
-    for (eb, fb), by_degree in groups.items():
-        where = "" if (eb, fb) == (1, 1) else f" @e{eb}f{fb}"
+    for where, by_degree in bases.items():
 
         def moment(n: int, k: int) -> FracPoly:
             terms = (
-                perm(s.components.count((eb, fb)), k) * engine.splitting_density(s)
+                perm(s.components.count((s.e_base, s.f_base)), k) * engine.splitting_density(s)
                 for s in by_degree[n]
             )
             return sum(terms, FracPoly(0))
@@ -114,14 +123,10 @@ def mass_formula_checks(sigmas: Iterable[SplittingType]) -> List[Check]:
     one base, density_asymptotic is sum_{k<n} p(k, n-k) q^(-k), with p(k, m)
     the partitions of k into at most m parts.  The asymptotic reads the
     relative pairs only, so the sum does not depend on the base."""
-    groups: Dict[Tuple[int, int, int], Set[SplittingType]] = {}
-    for s in sigmas:
-        groups.setdefault((s.e_base, s.f_base, s.degree), set()).add(s)
     out = []
-    for (eb, fb, n), group in groups.items():
+    for (where, n), group in _by_base_and_degree(sigmas).items():
         total = sum(map(engine.density_asymptotic, group), FracPoly(0))
         mass = FracPoly({-k: _partitions(k, n - k) for k in range(n)})
-        where = "" if (eb, fb) == (1, 1) else f" @e{eb}f{fb}"
         out.append((f"mass formula degree {n}{where}", total == mass, f"{total}"))
     return out
 

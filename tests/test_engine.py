@@ -240,12 +240,16 @@ def test_duality_small_catalog():
 
 
 def test_bivariate_specializes_to_univariate():
-    for sigma in (S12, S21, S11x2):
-        biv = density_gen_fun(sigma)
-        univ = biv.eval_t_as_p_power(F(-sigma.e_base * sigma.f_base, 2))
-        from padicdens.symbolic import rewrite_in_q
+    """rho_q is rho_pt at t = q^(-e_base/2) on whole catalogs.  Bases with
+    f_base > 1 would need q = p^f_base, so only ramified bases are read."""
+    from padicdens.symbolic import rewrite_in_q
 
-        assert rewrite_in_q(univ) == splitting_density(sigma)
+    sigmas = catalog(6) + catalog(4, 2, 1) + catalog(4, 3, 1)
+    assert len(sigmas) == 111
+    for sigma in sigmas:
+        biv = density_gen_fun(sigma)
+        univ = biv.eval_t_as_p_power(F(-sigma.e_base, 2))
+        assert rewrite_in_q(univ) == splitting_density(sigma), sigma
 
 
 def test_memoization_component_order_independent():
@@ -288,16 +292,16 @@ def test_multiset_splits_match_subset_sum():
     added one product at a time, for G and for G at t = p^(-1/2)."""
     repeated = [s for s in catalog(5) if len(set(s.components)) < s.m]
     assert repeated
-    for value, zero in ((disc_gen_fun, GenFun(0)), (engine._at_t_star, FracPoly(0, var="p"))):
+    for point in (engine._PT, engine._T_STAR):
         for sigma in repeated:
-            total = zero
+            total = point.zero
             for r in range(sigma.m + 1):
                 for picked in itertools.combinations(range(sigma.m), r):
                     rest = [i for i in range(sigma.m) if i not in picked]
-                    ga = value(sigma.restrict(picked), (0,) * r) if picked else 1
-                    gb = value(sigma.restrict(rest), (1,) * len(rest)) if rest else 1
+                    ga = point.g(sigma.restrict(picked), (0,) * r) if picked else 1
+                    gb = point.g(sigma.restrict(rest), (1,) * len(rest)) if rest else 1
                     total = total + ga * gb
-            assert engine._subset_masses(sigma, value, zero) == total, sigma
+            assert engine._subset_masses(point, sigma) == total, sigma
 
 
 def falling_factorial(x, length):
