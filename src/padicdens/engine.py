@@ -30,20 +30,23 @@ behind ``_cached`` (``clear_memo()`` empties it).  The recursion never leaves
 e1f1; ``_on_base`` moves a value to a deeper base for a public call on one
 (see ``_recurse``).  It runs at one of two points: at (p, t) for G and
 rho_pt, and at t = p^(-1/2) for rho_q, alpha_q and beta_q, which so never
-build a two-variable value.  The assembly runs at a point too: one formula,
-``_rho``, gives rho_pt at (p, t) and rho_q at t = p^(-1/2), and one small
-prefactor, ``_prefactor``, normalizes each of the four densities with a
-single multiplication of its large value.  The memo's keys, where ``rkey``
-is the sorted (relative component, b_i) pairs:
+build a two-variable value.  At either point, disc_gen_fun and branch_sum
+are the one memoized entry for G and for branch sums (the point is their
+internal last argument), and every nested call goes through them.  The
+assembly runs at a point too: one formula, ``_rho``, gives rho_pt at (p, t)
+and rho_q at t = p^(-1/2), and one small prefactor, ``_prefactor``,
+normalizes each of the four densities with a single multiplication of its
+large value.  The memo's keys, where ``rkey`` is the sorted (relative
+component, b_i) pairs:
 
   rkey                              disc_gen_fun(sigma, b)
   ("branch",) + rkey                branch_sum(sigma, b)
   ("weight",) + plan signature      splitting.signature_weight under
                                     p -> (p, t), the weight of every plan
                                     with that plan_signature
-  ("t_star",) + rkey                G(sigma, b) at t = p^(-1/2), the
-                                    recursion run at that point
-  ("t_star_branch",) + rkey         branch_sum(sigma, b) at t = p^(-1/2)
+  ("t_star",) + rkey                disc_gen_fun(sigma, b, _T_STAR), G
+                                    at t = p^(-1/2)
+  ("t_star_branch",) + rkey         branch_sum(sigma, b, _T_STAR)
   ("t_star_weight",) + signature    signature_weight itself, the plan
                                     weight at t = p^(-1/2)
   (kind, _relative(sigma).key())    the densities, kind one of rho_q,
@@ -60,7 +63,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import ceil, comb, prod
-from typing import Callable, Dict, Iterator, NamedTuple, Tuple
+from typing import Dict, Iterator, NamedTuple, Tuple
 
 from .errors import VerificationError
 from .splitting import (
@@ -117,11 +120,10 @@ def _relative(sigma: SplittingType) -> SplittingType:
     return SplittingType(tuple(zip(sigma.e_rel, sigma.f_rel)))
 
 
-def _on_base(sigma: SplittingType, key: tuple, build) -> GenFun:
-    """The cached e1f1 value under key, moved to sigma's base by
-    p -> p^f_base, t -> t^(1/e_base); on e1f1, the cached value itself.
-    The moved value is not cached."""
-    value = _cached(key, build)
+def _on_base(sigma: SplittingType, value):
+    """value, an e1f1 value, moved to sigma's base by p -> p^f_base,
+    t -> t^(1/e_base); on e1f1, value itself.  Callers cache the e1f1
+    value, not the moved one."""
     if sigma.e_base == sigma.f_base == 1:
         return value
     rows = [[sigma.f_base, 0], [0, Fraction(1, sigma.e_base)]]
@@ -130,14 +132,13 @@ def _on_base(sigma: SplittingType, key: tuple, build) -> GenFun:
 
 class _Point(NamedTuple):
     """A point the recursion runs at (see _recurse): the monomial map of
-    the rows from (p, t) to vars, the memoized G and branch_sum of an e1f1
-    type there, g(sigma, b) and branch(sigma, b), and the memo kind of the
-    plan weights there."""
+    the rows from (p, t) to vars, and the memo key prefixes there of G, of
+    branch sums and of the plan weights."""
 
     vars: Tuple[str, ...]
     rows: Tuple[Tuple[Scalar, Scalar], ...]
-    g: Callable
-    branch: Callable
+    g_prefix: tuple
+    branch_prefix: tuple
     weight_kind: str
 
     @property
@@ -170,16 +171,25 @@ class _Point(NamedTuple):
         return value.substitute(self.vars, [[k * (i == j) for i in range(n)] for j in range(n)])
 
 
-def disc_gen_fun(sigma: SplittingType, b: BVector) -> GenFun:
+_PT = _Point(GenFun.VARS, ((1, 0), (0, 1)), (), ("branch",), "weight")
+_T_STAR = _Point(("p",), ((1, Fraction(-1, 2)),), ("t_star",), ("t_star_branch",), "t_star_weight")
+
+
+def disc_gen_fun(sigma: SplittingType, b: BVector, point: _Point = _PT) -> GenFun | FracPoly:
     """Generating function of discriminant-valuation masses for (sigma, b).
 
     Memoized on a canonical key, so results are independent of call order and
     of component ordering.  Raises SigmaParseError on a depth vector that
     check_depths rejects.
+
+    point is internal: the recursion passes the point it runs at.  At
+    _T_STAR the value is G at t = p^(-1/2), a FracPoly in p, and callers
+    pass e1f1 types only, so _on_base returns it unchanged.
     """
     check_depths(sigma, b)
     rel = _relative(sigma)
-    return _on_base(sigma, _recursion_key(rel, b), lambda: _recurse(_PT, rel, b))
+    value = _cached(point.g_prefix + _recursion_key(rel, b), lambda: _recurse(point, rel, b))
+    return _on_base(sigma, value)
 
 
 def _recurse(point: _Point, sigma: SplittingType, b: BVector):
@@ -276,15 +286,11 @@ def _recurse(point: _Point, sigma: SplittingType, b: BVector):
         so each value at t* is psi of the bivariate one, and the canonical
         forms, being unique, are equal.
 
-    The memo keeps both points: at (p, t) under the keys of disc_gen_fun,
-    branch_sum and the plan weights, at t* under ("t_star",) + rkey,
-    ("t_star_branch",) + rkey and ("t_star_weight",) + signature.
+    Both points go through disc_gen_fun and branch_sum, which key a value
+    by the point's memo prefixes (_Point).  The components need no
+    reordering: the key is sorted and the value, symmetric under permuting
+    them, is canonical.
     """
-    # canonical component order; the value is symmetric under permutation
-    order = sorted(range(sigma.m), key=lambda i: (sigma.components[i], b[i]))
-    sigma = sigma.restrict(order)
-    b = tuple(b[i] for i in order)
-
     e_rel = sigma.e_rel
     if sigma.m == 1 and e_rel[0] == 1 and sigma.f_rel[0] == 1:
         # single component equal to the base: degree-1 minimal polynomials
@@ -300,7 +306,7 @@ def _recurse(point: _Point, sigma: SplittingType, b: BVector):
         # solving for G(sigma, 0) closes the geometric tail
         p = point.mono(p_exp=1)
         tail = _chain(point, sigma, bump_argmin(sigma, zero_b), tuple(e_rel))
-        terms = [(1, [point.branch(sigma, zero_b)])] + [(1, [p, v]) for v in tail]
+        terms = [(1, [branch_sum(sigma, zero_b, point)])] + [(1, [p, v]) for v in tail]
         closure_den = 1 - point.mono(1 - d, t_step)
         return sum_of_products(terms, point.zero) / closure_den
 
@@ -310,7 +316,7 @@ def _recurse(point: _Point, sigma: SplittingType, b: BVector):
     k_lim = max(ceil(Fraction(bi, ei)) for bi, ei in zip(b, e_rel))
     target = tuple(k_lim * ei for ei in e_rel)
     terms = [(1, [v]) for v in _chain(point, sigma, b, target)]
-    g_zero = point.g(sigma, zero_b)
+    g_zero = disc_gen_fun(sigma, zero_b, point)
     rescale = point.mono(-d * k_lim, t_step * k_lim)
     return sum_of_products(terms + [(1, [rescale, g_zero])], point.zero)
 
@@ -320,19 +326,21 @@ def _chain(point: _Point, sigma: SplittingType, start: BVector, stop: BVector) -
     not including, stop."""
     cur = start
     while cur != stop:
-        yield point.branch(sigma, cur)
+        yield branch_sum(sigma, cur, point)
         cur = bump_argmin(sigma, cur)
 
 
-def branch_sum(sigma: SplittingType, b: BVector) -> GenFun:
+def branch_sum(sigma: SplittingType, b: BVector, point: _Point = _PT) -> GenFun | FracPoly:
     """One recursion step: the sum over non-head partition plans of
     weight * t^(pair-separation exponent) * product of rescaled sub-values.
 
-    Memoized like disc_gen_fun, on the same canonical key.  Raises
-    SigmaParseError on a depth vector that check_depths rejects."""
+    Memoized like disc_gen_fun, on the same canonical key, and internal
+    point as there.  Raises SigmaParseError on a depth vector that
+    check_depths rejects."""
     check_depths(sigma, b)
     rel = _relative(sigma)
-    return _on_base(sigma, ("branch",) + _recursion_key(rel, b), lambda: _branch(_PT, rel, b))
+    value = _cached(point.branch_prefix + _recursion_key(rel, b), lambda: _branch(point, rel, b))
+    return _on_base(sigma, value)
 
 
 def _branch(point: _Point, sigma: SplittingType, b: BVector):
@@ -379,36 +387,10 @@ def _branch(point: _Point, sigma: SplittingType, b: BVector):
             assert all(e % h == 0 and f % k == 0 for (e, f), _ in pairs), "h | e and k | f"
             sub_sigma = SplittingType(tuple((e // h, f // k) for (e, f), _ in pairs))
             assert sub_sigma.degree < d, "branch must shrink the degree"
-            sub = point.g(sub_sigma, tuple(bi for _, bi in pairs))
+            sub = disc_gen_fun(sub_sigma, tuple(bi for _, bi in pairs), point)
             subs.append(point.stretch(sub, k))
         terms.append((count, [weight, point.mono(t_exp=sep * sd.slope), *subs]))
     return sum_of_products(terms, point.zero)
-
-
-def _at_t_star(sigma: SplittingType, b: BVector) -> FracPoly:
-    """G(sigma, b) of an e1f1 type at t = p^(-1/2), where the univariate
-    densities live: the recursion run at that point, memoized on the
-    recursion key."""
-    key = ("t_star",) + _recursion_key(sigma, b)
-    return _cached(key, lambda: _recurse(_T_STAR, sigma, b))
-
-
-def _branch_at_t_star(sigma: SplittingType, b: BVector) -> FracPoly:
-    """branch_sum of an e1f1 type at t = p^(-1/2), memoized like _at_t_star."""
-    key = ("t_star_branch",) + _recursion_key(sigma, b)
-    return _cached(key, lambda: _branch(_T_STAR, sigma, b))
-
-
-# At (p, t) the nested calls go through disc_gen_fun and branch_sum by
-# name, so a wrapper installed on them (perfbench's tracer) sees each one.
-_PT = _Point(
-    GenFun.VARS,
-    ((1, 0), (0, 1)),
-    lambda sigma, b: disc_gen_fun(sigma, b),
-    lambda sigma, b: branch_sum(sigma, b),
-    "weight",
-)
-_T_STAR = _Point(("p",), ((1, Fraction(-1, 2)),), _at_t_star, _branch_at_t_star, "t_star_weight")
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +414,9 @@ def _subset_masses(point: _Point, sigma: SplittingType):
         rest = [i for g, k in zip(groups, ks) for i in g[k:]]
         factors = []
         if picked:
-            factors.append(point.g(sigma.restrict(picked), (0,) * len(picked)))
+            factors.append(disc_gen_fun(sigma.restrict(picked), (0,) * len(picked), point))
         if rest:
-            factors.append(point.g(sigma.restrict(rest), (1,) * len(rest)))
+            factors.append(disc_gen_fun(sigma.restrict(rest), (1,) * len(rest), point))
         terms.append((prod(comb(len(g), k) for g, k in zip(groups, ks)), factors))
     return sum_of_products(terms, point.zero)
 
@@ -471,7 +453,7 @@ def density_gen_fun(sigma: SplittingType) -> GenFun:
     may carry a fractional p-exponent; it cancels on the univariate path.
     """
     rel = _relative(sigma)
-    return _on_base(sigma, ("rho_pt", rel.key()), lambda: _rho(_PT, rel))
+    return _on_base(sigma, _cached(("rho_pt", rel.key()), lambda: _rho(_PT, rel)))
 
 
 def _univariate(kind: str, sigma: SplittingType, build) -> FracPoly:
@@ -494,7 +476,7 @@ def splitting_density(sigma: SplittingType) -> FracPoly:
 def monic_density(sigma: SplittingType) -> FracPoly:
     """Density among monic degree-d polynomials (all roots integral)."""
     def build(rel):
-        return _prefactor(_T_STAR, rel) * _T_STAR.g(rel, (0,) * rel.m)
+        return _prefactor(_T_STAR, rel) * disc_gen_fun(rel, (0,) * rel.m, _T_STAR)
 
     return _univariate("alpha_q", sigma, build)
 
@@ -503,7 +485,7 @@ def centered_monic_density(sigma: SplittingType) -> FracPoly:
     """Conditional density among monic polynomials congruent to x^d: all
     roots in the maximal ideal, rescaled by the measure q^d of that slice."""
     def build(rel):
-        return _prefactor(_T_STAR, rel, rel.degree) * _T_STAR.g(rel, (1,) * rel.m)
+        return _prefactor(_T_STAR, rel, rel.degree) * disc_gen_fun(rel, (1,) * rel.m, _T_STAR)
 
     return _univariate("beta_q", sigma, build)
 

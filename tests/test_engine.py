@@ -298,8 +298,8 @@ def test_multiset_splits_match_subset_sum():
             for r in range(sigma.m + 1):
                 for picked in itertools.combinations(range(sigma.m), r):
                     rest = [i for i in range(sigma.m) if i not in picked]
-                    ga = point.g(sigma.restrict(picked), (0,) * r) if picked else 1
-                    gb = point.g(sigma.restrict(rest), (1,) * len(rest)) if rest else 1
+                    ga = engine.disc_gen_fun(sigma.restrict(picked), (0,) * r, point) if picked else 1
+                    gb = engine.disc_gen_fun(sigma.restrict(rest), (1,) * len(rest), point) if rest else 1
                     total = total + ga * gb
             assert engine._subset_masses(point, sigma) == total, sigma
 
@@ -513,15 +513,15 @@ def test_univariate_densities_build_no_bivariate_value():
 
 def test_recursion_stays_on_e1f1(monkeypatch):
     """Every value the four densities over catalog(5) reach, sub-values of
-    the recursion included, is read on e1f1: a block's sub-value is the
-    e1f1 type of its relative pairs under one substitution, so _on_base
-    never moves a value within the recursion."""
+    the recursion at both points included, is read on e1f1: a block's
+    sub-value is the e1f1 type of its relative pairs under one
+    substitution, so _on_base never moves a value within the recursion."""
     seen = set()
     on_base = engine._on_base
 
-    def recording(sigma, key, build):
+    def recording(sigma, value):
         seen.add((sigma.e_base, sigma.f_base))
-        return on_base(sigma, key, build)
+        return on_base(sigma, value)
 
     monkeypatch.setattr(engine, "_on_base", recording)
     clear_memo()
@@ -530,6 +530,33 @@ def test_recursion_stays_on_e1f1(monkeypatch):
             density(sigma)
     clear_memo()
     assert seen == {(1, 1)}
+
+
+def test_wrappers_see_the_recursion_at_t_star(monkeypatch):
+    """Wrappers installed on disc_gen_fun and branch_sum by name, as
+    perfbench's tracer installs them, see every value of the recursion at
+    t = p^(-1/2): the keys they see computed there are the t_star and
+    t_star_branch entries of the memo after a cold rho_q catalog."""
+    computed = set()
+
+    def wrapping(fn, prefix):
+        def wrapper(sigma, b, point=engine._PT):
+            key = prefix(point) + engine._recursion_key(sigma, b)
+            if point is engine._T_STAR and key not in engine._CACHE:
+                computed.add(key)
+            return fn(sigma, b, point)
+
+        return wrapper
+
+    monkeypatch.setattr(engine, "disc_gen_fun", wrapping(engine.disc_gen_fun, lambda pt: pt.g_prefix))
+    monkeypatch.setattr(engine, "branch_sum", wrapping(engine.branch_sum, lambda pt: pt.branch_prefix))
+    clear_memo()
+    for sigma in catalog(5):
+        splitting_density(sigma)
+    at_t_star = {key for key in engine._CACHE if key[0] in ("t_star", "t_star_branch")}
+    clear_memo()
+    assert at_t_star
+    assert computed == at_t_star
 
 
 def test_two_variable_duality():
