@@ -19,7 +19,8 @@ Exit codes:
 
   0  success
   2  bad input: parse error, invalid component or depth vector, negative
-     --samples, --seed or --cmax, --degree-max below 1, oracle without -p,
+     --samples, --seed or --cmax, --degree-max below 1, a -p of 2^64 or
+     more (beyond the exact primality test), oracle without -p,
      unsupported oracle base, an --emit path that cannot be written, a
      standard output closed before the report is written (e.g. piped into
      head)
@@ -359,12 +360,15 @@ _LOWER_BOUNDS = {"cmax": 0, "samples": 0, "seed": 0, "degree_max": 1}
 
 
 def job_from_args(args: argparse.Namespace) -> argparse.Namespace:
-    """Check the numeric options' lower bounds; the parsed arguments are the job."""
+    """Check the numeric options' bounds; the parsed arguments are the job."""
     for dest, bound in _LOWER_BOUNDS.items():
         value = getattr(args, dest, bound)
         if value < bound:
             option = "--" + dest.replace("_", "-")
             raise SigmaParseError(f"{option} must be at least {bound}, got {value}")
+    p = getattr(args, "p", None)
+    if p is not None and p >= 2**64:  # splitting.is_prime is exact below 2^64
+        raise SigmaParseError(f"-p must be below 2^64, got {p}")
     return args
 
 

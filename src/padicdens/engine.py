@@ -83,7 +83,6 @@ from .splitting import (
 from .symbolic import FracPoly, GenFun, Scalar, rewrite_in_q, sum_of_products
 
 _CACHE: Dict[tuple, object] = {}
-_ZERO = GenFun(0)
 
 
 def clear_memo() -> None:
@@ -132,18 +131,15 @@ def _on_base(sigma: SplittingType, value):
 
 class _Point(NamedTuple):
     """A point the recursion runs at (see _recurse): the monomial map of
-    the rows from (p, t) to vars, and the memo key prefixes there of G, of
-    branch sums and of the plan weights."""
+    the rows from (p, t) to vars, the memo key prefixes there of G, of
+    branch sums and of the plan weights, and the zero value over vars."""
 
     vars: Tuple[str, ...]
     rows: Tuple[Tuple[Scalar, Scalar], ...]
     g_prefix: tuple
     branch_prefix: tuple
     weight_kind: str
-
-    @property
-    def zero(self):
-        return _ZERO.substitute(self.vars, self.rows)
+    zero: GenFun | FracPoly
 
     def mono(self, p_exp: Scalar = 0, t_exp: Scalar = 0):
         """p^p_exp t^t_exp under the map, built from the image exponents
@@ -171,8 +167,9 @@ class _Point(NamedTuple):
         return value.substitute(self.vars, [[k * (i == j) for i in range(n)] for j in range(n)])
 
 
-_PT = _Point(GenFun.VARS, ((1, 0), (0, 1)), (), ("branch",), "weight")
-_T_STAR = _Point(("p",), ((1, Fraction(-1, 2)),), ("t_star",), ("t_star_branch",), "t_star_weight")
+_PT = _Point(GenFun.VARS, ((1, 0), (0, 1)), (), ("branch",), "weight", GenFun(0))
+_T_STAR = _Point(("p",), ((1, Fraction(-1, 2)),), ("t_star",), ("t_star_branch",),
+                 "t_star_weight", FracPoly(0, var="p"))
 
 
 def disc_gen_fun(sigma: SplittingType, b: BVector, point: _Point = _PT) -> GenFun | FracPoly:
@@ -232,8 +229,8 @@ def _recurse(point: _Point, sigma: SplittingType, b: BVector):
         phi(p); the closure and rescale monomials are phi of p^(1-d)
         t^(d(d-1)) and p^(-d k) t^(d(d-1) k); t^(sep slope/e_base) =
         phi(t^(sep slope)); a weight is built from p^f_base and the orbit
-        counts over F_(p^f_base), phi(mobius_orbit_count(k)), by products
-        and falling factorials, so it is phi of the e1f1 weight.
+        counts over F_(p^f_base), phi of polynomials in p, by products and
+        falling factorials, so it is phi of the e1f1 weight.
         The base case p^(-b f_base) is phi(p^(-b)).
       * A block of orbit size n, with h = base_ram_factor and k = n/h, has
         the sub-type tau over (e_base h, f_base k) with relative pairs

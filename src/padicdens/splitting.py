@@ -160,14 +160,17 @@ def base_ram_factor(sd: SlopeData, orbit_size: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Trial division; the primes a tame computation names are small."""
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Miller-Rabin on the twelve prime bases 2, 3, 5, ..., 37: exact for
+    n < 2^64, as the least strong pseudoprime to all twelve is about
+    3.2 * 10^23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    for a in bases:
+        if pow(a, d, n) != 1 and all(pow(a, d << r, n) != n - 1 for r in range(s)):
             return False
-        d += 1
     return True
 
 
@@ -207,13 +210,6 @@ def _orbit_count_coeffs(k_prime: int) -> List[int]:
         coeffs[k_prime // s] += sign
         coeffs[0] -= sign
     return coeffs
-
-
-def mobius_orbit_count(k_prime: int) -> FracPoly:
-    """Number of Frobenius orbits of exact size k' among the nonzero elements
-    of the field with p^k' elements, as a polynomial in p; over F_(p^f) it
-    is this polynomial at p^f."""
-    return FracPoly(dict(enumerate(_orbit_count_coeffs(k_prime))), k_prime, var="p")
 
 
 def set_partitions(n: int) -> Iterator[Tuple[Tuple[int, ...], ...]]:

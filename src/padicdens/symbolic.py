@@ -31,7 +31,10 @@ candidate that divides both inputs is their gcd, and every xi past finitely
 many unlucky ones yields it, so the result is exact and the loop ends.  The
 block comment above ``_z_gcd`` gives both proofs.  The gcd also returns the
 quotients of its trial division, the two cofactors, so cancelling a common
-factor divides each operand once.
+factor divides each operand once.  ``_cancel(a, b)`` always returns a pair:
+those cofactors, (a/h, b/h) for h the gcd with its content (stretched back
+from a coarser lattice), or (a, b) when either side has at most one term.
+Each caller is correct for any common factor, so none tells the cases apart.
 
 Every change of variables (x -> 1/x, t -> t^n, t = p^r, p -> q, p -> (p, t),
 and p -> p^f, t -> t^(1/e) of a base change) is one call of
@@ -51,14 +54,15 @@ coefficients of ``num_terms``/``den_terms`` and of the JSON writer, in which
 that coefficient is +1.
 
 Sums are normalized once.  :func:`sum_of_products` adds the products
-c * f_1 * ... * f_k of a list of terms, and ``+`` is its two-term case.  The
-products are built unreduced: numerators and denominators are multiplied on
-one lattice with no gcd.  The terms are then added pairwise in a balanced
-tree, each addition over a common denominator: for denominators d1 and d2
-with gcd g, it takes d1 (d2/g), one denominator gcd and no numerator gcd
-(Henrici, "A subroutine for computations with rational numbers", J. ACM 3,
-1956).  One full reduction of the final pair gives the normal form, as for
-any other arithmetic.  The tree matters: one running denominator for the
+c * f_1 * ... * f_k of a list of terms; ``+`` and ``-`` are its two-term
+cases, ``-`` with the coefficients 1 and -1.  The products are built
+unreduced: numerators and denominators are multiplied on one lattice with no
+gcd.  The terms are then added pairwise in a balanced tree, each addition
+over a common denominator: for denominators d1 and d2 with gcd g, it takes
+d1 (d2/g), one denominator gcd and no numerator gcd (Henrici, "A subroutine
+for computations with rational numbers", J. ACM 3, 1956).  One full
+reduction of the final pair gives the normal form, as for any other
+arithmetic.  The tree matters: one running denominator for the
 whole sum multiplies every term's numerator by a cofactor of that whole
 denominator, and measured slower on the recursion's branch sums, where the
 denominators of the terms share most of their factors.
@@ -297,25 +301,19 @@ def _z_gcd(f: Terms, g: Terms) -> Tuple[Terms, Terms, Terms]:
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
 
 
-def _cancel(a: Terms, b: Terms) -> Tuple[Terms, Terms] | None:
-    """(a/g, b/g) for g the primitive polynomial gcd of two int term maps
-    with nonnegative exponents; None when g is a constant."""
-    if len(a) == 1 or len(b) == 1:
-        return None
+def _cancel(a: Terms, b: Terms) -> Tuple[Terms, Terms]:
+    """(a/h, b/h) for h the gcd, content included, of two int term maps with
+    nonnegative exponents; (a, b) when either has at most one term."""
+    if len(a) <= 1 or len(b) <= 1:
+        return a, b
     # the coarsest lattice holding both: divide each axis by the gcd of its
     # exponents (x -> x^k commutes with the gcd and with exact division)
     steps = tuple(gcd(*col) or 1 for col in zip(*a, *b))
-    coarse = any(s != 1 for s in steps)
-    if coarse:
-        down = lambda t: {tuple(map(floordiv, k, steps)): v for k, v in t.items()}
-        a, b = down(a), down(b)
-    h, a, b = _z_gcd(a, b)
-    if len(h) == 1 and not any(next(iter(h))):
-        return None
-    # h is its content times g, so a/g is that content times a/h
-    content = gcd(*h.values())
-    a, b = _t_scale(a, content), _t_scale(b, content)
-    return (_t_stretch(a, steps), _t_stretch(b, steps)) if coarse else (a, b)
+    if all(s == 1 for s in steps):
+        return _z_gcd(a, b)[1:]
+    down = lambda t: {tuple(map(floordiv, k, steps)): v for k, v in t.items()}
+    _, a, b = _z_gcd(down(a), down(b))
+    return _t_stretch(a, steps), _t_stretch(b, steps)
 
 
 def _normalize_pair(
@@ -335,7 +333,7 @@ def _normalize_pair(
         num = _t_shift(num, shift)
         den = _t_shift(den, shift)
     if not reduced:
-        num, den = _cancel(num, den) or (num, den)
+        num, den = _cancel(num, den)
     content = gcd(*num.values(), *den.values())
     if den[min(den)] < 0:
         content = -content
@@ -443,7 +441,7 @@ class _RatFuncBase:
     holds the lattice scale of each axis.
     """
 
-    __slots__ = ("_vars", "_scale", "_num", "_den", "_hash")
+    __slots__ = ("_vars", "_scale", "_num", "_den")
 
     def _init(
         self, vars: Tuple[str, ...], scale: Scale, num: Terms, den: Terms, reduced: bool = False
@@ -453,7 +451,6 @@ class _RatFuncBase:
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_num", tuple(sorted(n.items())))
         object.__setattr__(self, "_den", tuple(sorted(d.items())))
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _make(
@@ -519,16 +516,11 @@ class _RatFuncBase:
         return self._num == o._num and self._den == o._den and self._scale == o._scale
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            zero = (0,) * len(self._vars)
-            if all(k == zero for k, _ in self._num + self._den):
-                # a constant hashes like the Fraction it equals
-                h = hash(Fraction(self._num[0][1] if self._num else 0, self._den[0][1]))
-            else:
-                h = hash((self._vars, self._scale, self._num, self._den))
-            object.__setattr__(self, "_hash", h)
-        return h
+        zero = (0,) * len(self._vars)
+        if all(k == zero for k, _ in self._num + self._den):
+            # a constant hashes like the Fraction it equals
+            return hash(Fraction(self._num[0][1] if self._num else 0, self._den[0][1]))
+        return hash((self._vars, self._scale, self._num, self._den))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -573,21 +565,20 @@ class _RatFuncBase:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return sum_of_products(((1, (self,)), (-1, (o,))), self._coerce(0))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return sum_of_products(((1, (o,)), (-1, (self,))), self._coerce(0))
 
     def _cross_reduced_product(self, scale, n1, d1, n2, d2):
         """(n1/d1) * (n2/d2) for normalized operands on one lattice: after
         cancelling the two cross gcds the product pair is coprime, so
         normalization skips the gcd."""
-        if n1 and n2:
-            n1, d2 = _cancel(n1, d2) or (n1, d2)
-            n2, d1 = _cancel(n2, d1) or (n2, d1)
+        n1, d2 = _cancel(n1, d2)
+        n2, d1 = _cancel(n2, d1)
         return self._like(scale, _t_mul(n1, n2), _t_mul(d1, d2), reduced=True)
 
     def __mul__(self, other):
@@ -857,7 +848,7 @@ def _add_pairs(a, b):
     """n1/d1 + n2/d2 of unreduced (num, den) pairs on one lattice: with
     g = gcd(d1, d2), (n1 (d2/g) + n2 (d1/g)) / (d1 (d2/g)), unreduced."""
     (n1, d1), (n2, d2) = a, b
-    d1r, d2r = _cancel(d1, d2) or (d1, d2)
+    d1r, d2r = _cancel(d1, d2)
     return _t_add(_t_mul(n1, d2r), _t_mul(n2, d1r)), _t_mul(d1, d2r)
 
 

@@ -9,8 +9,9 @@ No CLI command runs this code.  It is the independent side of four checks:
   * brute-force counts of conjugate orbits against the closed form the
     recursion's plan weights use (``test_oracle.py``, acceptance
     criterion 7);
-  * direct Frobenius-orbit counting against
-    ``splitting.mobius_orbit_count`` (``test_splitting.py``, criterion 7);
+  * direct Frobenius-orbit counting against ``mobius_orbit_count``, the
+    closed form of ``splitting._orbit_count_coeffs`` as a value
+    (``test_splitting.py``, criterion 7);
   * the reader of the CLI's JSON format, which parses what
     ``symbolic.to_json_obj`` wrote back into a value through the public
     constructors (``test_cli.py``, ``test_symbolic.py``).
@@ -34,7 +35,7 @@ import numpy as np
 
 from padicdens.errors import PadicDensError, WildInputError
 from padicdens.oracle import _common_code
-from padicdens.splitting import is_prime, mobius_orbit_count
+from padicdens.splitting import _orbit_count_coeffs, is_prime
 from padicdens.symbolic import FracPoly, GenFun
 
 
@@ -247,6 +248,13 @@ def orbit_choices_closed_form(e: int, f: int, b: int, k: int, p: int) -> int:
     val = mobius_orbit_count(kk).evaluate(p)
     assert val.denominator == 1
     return g * kk * int(val)
+
+
+def mobius_orbit_count(k_prime: int) -> FracPoly:
+    """Number of Frobenius orbits of exact size k' among the nonzero elements
+    of the field with p^k' elements, as a polynomial in p; over F_(p^f) it
+    is this polynomial at p^f."""
+    return FracPoly(dict(enumerate(_orbit_count_coeffs(k_prime))), k_prime, var="p")
 
 
 def brute_frobenius_orbit_count(f: int, k: int, p: int) -> int:

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -309,6 +310,9 @@ ORACLE_11 = ["oracle", "--sigma", "e1f1,e1f1", "-p", "5"]
         ),
         pytest.param(["compute", "--sigma", "e1f2", "-p", "-1"], None, EXIT_WILD, id="p-not-prime"),
         pytest.param(
+            ["compute", "--sigma", "e1f1", "-p", str(2**64)], None, EXIT_PARSE, id="p-too-large"
+        ),
+        pytest.param(
             ["oracle", "--sigma", "e1f1,e1f1", "-p", "3", "--cmax", "2", "--samples", str(10**12)],
             None, EXIT_TOO_LARGE, id="samples-too-many",
         ),
@@ -364,6 +368,15 @@ def test_failures_exit_with_documented_code(argv, patch, code, monkeypatch, caps
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_large_prime_is_quick(capsys):
+    """-p is tested by Miller-Rabin, not trial division: the largest prime
+    below 2^64 takes well under a second."""
+    start = time.perf_counter()
+    assert main(["compute", "--sigma", "e1f1", "-p", str(2**64 - 59)]) == EXIT_OK
+    assert time.perf_counter() - start < 1
+    assert "numeric at p=18446744073709551557" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["verify", "conjecture"])

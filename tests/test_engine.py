@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracle_reference import mobius_orbit_count
 from padicdens import engine, verify
 from padicdens.engine import (
     branch_sum,
@@ -30,7 +31,6 @@ from padicdens.splitting import (
     bump_argmin,
     enumerate_plans,
     head_plan,
-    mobius_orbit_count,
     plan_signature,
     signature_weight,
     slope_data,

@@ -1,13 +1,13 @@
 """Splitting-type combinatorics: slopes, plans, weights, orbit counts."""
 
 from fractions import Fraction as F
-from math import ceil
+from math import ceil, isqrt
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracle_reference import brute_frobenius_orbit_count
+from oracle_reference import brute_frobenius_orbit_count, mobius_orbit_count
 from padicdens.errors import DivisibilityError
 from padicdens.splitting import (
     PartitionPlan,
@@ -16,7 +16,7 @@ from padicdens.splitting import (
     bump_argmin,
     enumerate_plans,
     head_plan,
-    mobius_orbit_count,
+    is_prime,
     perm_factor,
     plan_signature,
     set_partitions,
@@ -110,6 +110,27 @@ def test_mobius_orbit_count_vs_brute_force(p, f, k):
     if p ** (f * k) > 5**6:
         pytest.skip("beyond the brute-force range")
     assert mobius_orbit_count(k).evaluate(p**f) == brute_frobenius_orbit_count(f, k, p)
+
+
+def test_is_prime_matches_sieve():
+    n = 10**5
+    sieve = [False, False] + [True] * (n - 2)
+    for i in range(2, isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = [False] * len(range(i * i, n, i))
+    assert [is_prime(k) for k in range(n)] == sieve
+    assert not is_prime(-7)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        pytest.param(3215031751, id="strong-pseudoprime-to-2-3-5-7"),
+        pytest.param(3825123056546413051, id="strong-pseudoprime-to-2-through-31"),
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
 
 
 def test_set_partition_counts():

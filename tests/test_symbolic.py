@@ -494,21 +494,18 @@ _BIPOLYS = st.dictionaries(
 
 def _check_cancel(f, g):
     """_cancel on the term maps of sympy polys f and g (two or more terms
-    each): the cofactors times sympy's primitive gcd give back f and g, up to
-    one common sign, and the cofactors have a constant gcd."""
+    each): f and g are the cofactors times one h, the cofactors have gcd 1,
+    and h is sympy's primitive gcd times an integer (its content)."""
     sympy = pytest.importorskip("sympy")
     p, t = f.gens
     terms = lambda h: {k: int(v) for k, v in h.as_dict().items()}
     poly = lambda terms: sympy.Poly.from_dict(terms, p, t)
-    got = _cancel(terms(f), terms(g))
-    want = sympy.gcd(f, g).primitive()[1]
-    if got is None:
-        assert want.is_ground
-        return
-    assert not want.is_ground
-    fc, gc = map(poly, got)
-    assert (fc * want, gc * want) in ((f, g), (-f, -g))
-    assert sympy.gcd(fc, gc).is_ground
+    fc, gc = map(poly, _cancel(terms(f), terms(g)))
+    h, rem = sympy.div(f, fc)
+    assert rem.is_zero and h.domain == sympy.ZZ and gc * h == g
+    assert sympy.gcd(fc, gc).is_one
+    k, rem = sympy.div(h, sympy.gcd(f, g).primitive()[1])
+    assert rem.is_zero and k.is_ground
 
 
 @given(_BIPOLYS, _BIPOLYS, _BIPOLYS, st.booleans())
@@ -536,6 +533,25 @@ def test_cancel_on_coarse_lattice(a, b, c):
     f, g = poly(a) * poly(c), poly(b) * poly(c)
     assume(len(f.terms()) > 1 and len(g.terms()) > 1)
     _check_cancel(f, g)
+
+
+def _value(make, num, den):
+    """A value of make's shape from two _BIPOLYS maps: GenFun reads them as
+    (p, t) exponents, FracPoly reads half the first exponent."""
+    if make is FracPoly:
+        num, den = ({F(i, 2): v for (i, _), v in m.items()} for m in (num, den))
+    return make(num, den)
+
+
+@pytest.mark.parametrize("make", [FracPoly, GenFun], ids=["FracPoly", "GenFun"])
+@given(
+    _BIPOLYS, _BIPOLYS, _BIPOLYS, _BIPOLYS,
+    st.one_of(st.integers(-50, 50), st.fractions(max_denominator=20)),
+)
+def test_subtraction_is_a_signed_sum(make, a, b, c, d, k):
+    x, y = _value(make, a, b), _value(make, c, d)
+    assert x - y == x + (-y)
+    assert k - x == k + (-x)
 
 
 def test_json_round_trip_fractional_exponents():
