@@ -7,7 +7,10 @@ integrality is only asserted where it is mathematically required (see
 Values are stored on an integer lattice.  Each value keeps one positive int
 ``_scale`` per variable: the stored int exponent k on axis i means the
 exponent k / _scale[i].  Numerator and denominator are sorted tuples of
-(int exponent tuple, nonzero int coefficient).  The normal form is canonical:
+(int key, nonzero int coefficient) pairs, one int key per vector of stored
+exponents (the block comment "exponent keys" below): the exponent itself on
+one axis, e_p * 2^32 + e_t on two.  Keys add as the vectors do and sort as
+they sort lexicographically.  The normal form is canonical:
 
   * each axis scale is minimal: the lcm of the denominators of the exponents
     that occur on that axis,
@@ -89,8 +92,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, repeat
 from math import floor, gcd, isqrt, lcm
-from operator import add, floordiv, mul, sub
+from operator import add, and_, floordiv, mul, rshift
 from typing import Dict, Tuple, Union
 
 from .errors import (
@@ -98,16 +102,113 @@ from .errors import (
     NoSeriesExpansionError,
 )
 
-# Sparse term maps on the lattice: int exponent tuple -> nonzero int coefficient.
+# Sparse term maps on the lattice: int key of an exponent vector -> nonzero
+# int coefficient (see "exponent keys" below).
 Exp = Tuple[int, ...]
-Terms = Dict[Exp, int]
+Terms = Dict[int, int]
 Scale = Tuple[int, ...]
 
 Scalar = Union[int, Fraction]
 
 
 # ---------------------------------------------------------------------------
-# sparse term helpers (arity-generic)
+# exponent keys
+# ---------------------------------------------------------------------------
+#
+# A term map keys each exponent vector by one int.  With one axis the key is
+# the exponent; with none (the gcd's integer images) it is 0; with two,
+# (e_p, e_t) has the key e_p * 2^32 + e_t.  While |e_t| < 2^31 the key
+# determines the vector, e_p = (k + 2^31) >> 32 and e_t = ((k + 2^31) & (2^32
+# - 1)) - 2^31, keys add as the vectors do, and keys compare as the vectors
+# compare lexicographically; for e_t >= 0 the decoding is e_p = k >> 32 and
+# e_t = k & (2^32 - 1).  So sums, the term order, max, sorted and the leading
+# terms are the same on keys as on vectors.  e_p is an unbounded int: only a
+# t-exponent out of range could carry into it.
+#
+# No t-exponent leaves the range silently.  Every term map below the normal
+# form has nonnegative exponents (a normal form has exponent minimum 0 on each
+# axis), and a key is built in only these ways:
+#   * from a vector (_pack, and substitute's image), which checks e_t;
+#   * by stretching (_t_stretch), which checks the stretched e_t;
+#   * by _normalize_pair's shift, which checks the span when it raises an
+#     exponent (a negative minimum, from Laurent input);
+#   * by lowering exponents: _t_shrink, and _normalize_pair's shift when
+#     every minimum is nonnegative;
+#   * in the gcd, where _eval_first drops the first axis, _lift puts back a
+#     t-exponent of the image gcd, at most the t-degree of the inputs, and
+#     _sparse_divexact keeps every key within its dividend's t-degree;
+#   * by products (_t_mul).  For a pair n/d let T be the larger t-degree of n
+#     and d.  The t-degree of a product is the sum of the t-degrees of its
+#     factors, and a cofactor d2/g has at most the t-degree of d2.  So T of a
+#     product of pairs is at most the sum of their T, and so is T of the sum
+#     n1 (d2/g) + n2 (d1/g) over d1 (d2/g), and of every product and gcd
+#     input inside it.  The sum of T over the factors thus bounds every
+#     intermediate of sum_of_products (its products and _add_pairs) and of
+#     _cross_reduced_product, and both check that sum before any key of a
+#     product is read.  It is a bound: a sum of many terms can fail the check
+#     with a value that would fit.
+# A check past the range raises OverflowError.
+
+_SHIFT = 32
+_HALF = 1 << (_SHIFT - 1)
+_MASK = (1 << _SHIFT) - 1
+
+
+def _check_t(e: int) -> None:
+    if e >= _HALF:
+        raise OverflowError(f"t-exponent {e} is past the key range, |e| < 2^{_SHIFT - 1}")
+
+
+def _pack(exps: Exp) -> int:
+    """The key of an exponent vector of 0, 1 or 2 int components; raises
+    OverflowError for a t-exponent out of the key range."""
+    if len(exps) == 2:
+        p, t = exps
+        _check_t(abs(t))
+        return (p << _SHIFT) + t
+    return exps[0] if exps else 0
+
+
+def _unpack(key: int, nvars: int) -> Exp:
+    """The exponent vector of a key on nvars axes: _unpack(_pack(e), len(e)) == e."""
+    if nvars == 2:
+        key += _HALF
+        return key >> _SHIFT, (key & _MASK) - _HALF
+    return (key,) if nvars else ()
+
+
+def _lows(keys):
+    """The t-exponents of two-axis keys with nonnegative exponents."""
+    return map(and_, keys, repeat(_MASK))
+
+
+def _highs(keys):
+    """The p-exponents of two-axis keys with nonnegative exponents."""
+    return map(rshift, keys, repeat(_SHIFT))
+
+
+def _vectors(keys, nvars: int):
+    """The exponent vectors of a list of keys with nonnegative exponents."""
+    return zip(keys) if nvars == 1 else zip(_highs(keys), _lows(keys))
+
+
+def _combine(row, cols):
+    """The exponents sum_i row[i] * cols[i], entry by entry, of the int row
+    over the exponent columns cols (one per axis)."""
+    parts = [col if c == 1 else list(map(c.__mul__, col)) for c, col in zip(row, cols) if c]
+    if not parts:
+        return [0] * len(cols[0])
+    return list(map(add, *parts)) if len(parts) == 2 else parts[0]
+
+
+def _t_degree(num: Terms, den: Terms) -> int:
+    """T of a two-axis pair with nonnegative exponents: the larger t-degree
+    of num and den (num may be empty)."""
+    return max(_lows(chain(num, den)))
+
+
+# ---------------------------------------------------------------------------
+# sparse term helpers
 # ---------------------------------------------------------------------------
 
 def _t_add(a: Terms, b: Terms) -> Terms:
@@ -132,18 +233,35 @@ def _t_mul(a: Terms, b: Terms) -> Terms:
     get = out.get
     for ka, va in a.items():
         for kb, vb in b.items():
-            k = tuple(map(add, ka, kb))
+            k = ka + kb
             out[k] = get(k, 0) + va * vb
     return {k: v for k, v in out.items() if v}
 
 
-def _t_shift(a: Terms, shift: Exp) -> Terms:
-    return {tuple(map(add, k, shift)): v for k, v in a.items()}
+def _t_shift(a: Terms, shift: int) -> Terms:
+    return dict(zip(map(shift.__add__, a), a.values()))
 
 
 def _t_stretch(a: Terms, factors: Exp) -> Terms:
-    """Every exponent multiplied, axis by axis, by factors."""
-    return {tuple(map(mul, k, factors)): v for k, v in a.items()}
+    """Every exponent of a (nonnegative) multiplied, axis by axis, by
+    factors; checks the t-exponents it builds."""
+    if len(factors) == 1:
+        f = factors[0]
+        return {k * f: v for k, v in a.items()}
+    fp, ft = factors
+    if ft != 1 and a:
+        _check_t(max(_lows(a)) * ft)
+    return {((k >> _SHIFT) * fp << _SHIFT) + (k & _MASK) * ft: v for k, v in a.items()}
+
+
+def _t_shrink(a: Terms, steps: Exp) -> Terms:
+    """Every exponent of a (nonnegative) divided, axis by axis, by steps,
+    which divide them."""
+    if len(steps) == 1:
+        s = steps[0]
+        return {k // s: v for k, v in a.items()}
+    sp, st = steps
+    return {((k >> _SHIFT) // sp << _SHIFT) + (k & _MASK) // st: v for k, v in a.items()}
 
 
 def _t_scale(a: Terms, c: int) -> Terms:
@@ -152,32 +270,46 @@ def _t_scale(a: Terms, c: int) -> Terms:
     return {k: v * c for k, v in a.items()}
 
 
-def _sparse_divexact(a: Terms, b: Terms) -> Terms | None:
+def _axis_gcds(keys, nvars: int) -> Exp:
+    """The gcd of each axis's exponents over keys (nonnegative exponents)."""
+    if nvars == 1:
+        return (gcd(*keys),)
+    return gcd(*_highs(keys)), gcd(*_lows(keys))
+
+
+def _sparse_divexact(a: Terms, b: Terms, bits: int) -> Terms | None:
     """Exact division of integer polynomials (nonnegative exponents), or None
-    when b does not divide a with an integral quotient.
+    when b does not divide a with an integral quotient; bits is the width of
+    the axes after the first in a key, 32 on two axes and 0 on one.
 
     For a primitive b that is the same as division over Q (Gauss's lemma: a
-    quotient over Q of an integral a by a primitive b is integral).  Uses
-    lexicographic term order; exact quotients always reduce the leading term,
-    so the division terminates.
+    quotient over Q of an integral a by a primitive b is integral).  Keys
+    sort as the vectors do lexicographically; exact quotients always reduce
+    the leading term, so the division terminates.  A quotient term with a
+    t-exponent past deg_t(a) - deg_t(b) belongs to no exact quotient, so the
+    division stops there, and every key of the remainder keeps a t-exponent
+    of at most deg_t(a).
     """
     if not a:
         return {}
     lead_b = max(b)
     cb = b[lead_b]
+    room = max(_lows(a)) - max(_lows(b)) if bits else 0
+    mask = (1 << bits) - 1
     out: Terms = {}
     rem = dict(a)
     while rem:
         lead_a = max(rem)
-        shift = tuple(map(sub, lead_a, lead_b))
-        if min(shift) < 0:
+        shift = lead_a - lead_b
+        # a negative t-part of the shift reads as at least 2^31 > room
+        if shift < 0 or shift & mask > room:
             return None
         c, r = divmod(rem[lead_a], cb)
         if r:
             return None
         out[shift] = c
         for k, v in b.items():
-            kk = tuple(map(add, k, shift))
+            kk = k + shift
             s = rem.get(kk, 0) - c * v
             if s:
                 rem[kk] = s
@@ -207,6 +339,9 @@ def _sparse_divexact(a: Terms, b: Terms) -> Terms | None:
 #     Otherwise grow xi and repeat.  The cofactors returned with it are the
 #     quotients of that trial division (f and g themselves for P = 1) times
 #     cont(f)/c and cont(g)/c.
+#
+# The leading coefficient is the one of the largest key, the lexicographic
+# leading term.
 #
 # Correctness.  Let f, g be primitive, h = gcd(f, g), say |g| <= |f|, so that
 # xi >= 2|g| + 3, and suppose P divides f and g.  Then P divides h; write
@@ -239,41 +374,47 @@ def _sparse_divexact(a: Terms, b: Terms) -> Terms | None:
 # digits G = +-Delta h, P = h, and the trial division succeeds.  xi grows
 # without bound, so the loop ends; it needs no iteration cap.
 
-def _eval_first(f: Terms, xi: int) -> Terms:
-    """f at first variable = xi, a term map on the other variables."""
+def _eval_first(f: Terms, xi: int, bits: int) -> Terms:
+    """f at first variable = xi, a term map on the other variables (bits as
+    in _sparse_divexact)."""
+    if not bits:
+        value = sum(map(mul, f.values(), map(pow, repeat(xi), f)))
+        return {0: value} if value else {}
     out: Terms = {}
     get = out.get
-    for k, v in f.items():
-        rest = k[1:]
-        out[rest] = get(rest, 0) + v * xi ** k[0]
+    powers = map(pow, repeat(xi), _highs(f))
+    for rest, v in zip(_lows(f), map(mul, f.values(), powers)):
+        out[rest] = get(rest, 0) + v
     return {k: v for k, v in out.items() if v}
 
 
-def _lift(image: Terms, xi: int) -> Terms:
+def _lift(image: Terms, xi: int, bits: int) -> Terms:
     """The polynomial whose first-variable coefficients are the balanced
-    base-xi digits, in (-xi/2, xi/2], of the coefficients of image."""
+    base-xi digits, in (-xi/2, xi/2], of the coefficients of image (bits as
+    in _sparse_divexact)."""
     half = xi // 2
+    radix = 1 << bits
     out: Terms = {}
     for k, v in image.items():
-        i = 0
         while v:
             d = v % xi
             if d > half:
                 d -= xi
             if d:
-                out[(i, *k)] = d
+                out[k] = d
             v = (v - d) // xi
-            i += 1
+            k += radix
     return out
 
 
-def _z_gcd(f: Terms, g: Terms) -> Tuple[Terms, Terms, Terms]:
+def _z_gcd(f: Terms, g: Terms, nvars: int) -> Tuple[Terms, Terms, Terms]:
     """(h, f/h, g/h): h the gcd, content included, of two nonzero int term
-    maps with nonnegative exponents, and the two cofactors; the heuristic gcd
-    of the block comment above."""
-    if not next(iter(f)):  # no variables left
-        h = gcd(f[()], g[()])
-        return {(): h}, {(): f[()] // h}, {(): g[()] // h}
+    maps on nvars axes with nonnegative exponents, and the two cofactors; the
+    heuristic gcd of the block comment above."""
+    if not nvars:
+        h = gcd(f[0], g[0])
+        return {0: h}, {0: f[0] // h}, {0: g[0] // h}
+    bits = _SHIFT if nvars == 2 else 0
     cf = gcd(*f.values())
     cg = gcd(*g.values())
     c = gcd(cf, cg)
@@ -281,19 +422,19 @@ def _z_gcd(f: Terms, g: Terms) -> Tuple[Terms, Terms, Terms]:
     g = {k: v // cg for k, v in g.items()}
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 3
     while True:
-        fx = _eval_first(f, xi)
-        gx = _eval_first(g, xi)
+        fx = _eval_first(f, xi, bits)
+        gx = _eval_first(g, xi, bits)
         if fx and gx:
-            cand = _lift(_z_gcd(fx, gx)[0], xi)
+            cand = _lift(_z_gcd(fx, gx, nvars - 1)[0], xi, bits)
             content = gcd(*cand.values())
             if cand[max(cand)] < 0:
                 content = -content
             cand = {k: v // content for k, v in cand.items()}
-            if len(cand) == 1 and not any(next(iter(cand))):
+            if len(cand) == 1 and 0 in cand:
                 fq, gq = f, g  # P = 1 divides both
             else:
-                fq = _sparse_divexact(f, cand)
-                gq = None if fq is None else _sparse_divexact(g, cand)
+                fq = _sparse_divexact(f, cand, bits)
+                gq = None if fq is None else _sparse_divexact(g, cand, bits)
             if gq is not None:
                 return _t_scale(cand, c), _t_scale(fq, cf // c), _t_scale(gq, cg // c)
         # sympy's growth, about 2.73 xi^(5/4): on the d <= 6 catalogs no call
@@ -301,18 +442,18 @@ def _z_gcd(f: Terms, g: Terms) -> Tuple[Terms, Terms, Terms]:
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
 
 
-def _cancel(a: Terms, b: Terms) -> Tuple[Terms, Terms]:
-    """(a/h, b/h) for h the gcd, content included, of two int term maps with
-    nonnegative exponents; (a, b) when either has at most one term."""
+def _cancel(a: Terms, b: Terms, nvars: int) -> Tuple[Terms, Terms]:
+    """(a/h, b/h) for h the gcd, content included, of two int term maps on
+    nvars axes with nonnegative exponents; (a, b) when either has at most one
+    term."""
     if len(a) <= 1 or len(b) <= 1:
         return a, b
     # the coarsest lattice holding both: divide each axis by the gcd of its
     # exponents (x -> x^k commutes with the gcd and with exact division)
-    steps = tuple(gcd(*col) or 1 for col in zip(*a, *b))
+    steps = tuple(s or 1 for s in _axis_gcds([*a, *b], nvars))
     if all(s == 1 for s in steps):
-        return _z_gcd(a, b)[1:]
-    down = lambda t: {tuple(map(floordiv, k, steps)): v for k, v in t.items()}
-    _, a, b = _z_gcd(down(a), down(b))
+        return _z_gcd(a, b, nvars)[1:]
+    _, a, b = _z_gcd(_t_shrink(a, steps), _t_shrink(b, steps), nvars)
     return _t_stretch(a, steps), _t_stretch(b, steps)
 
 
@@ -326,14 +467,22 @@ def _normalize_pair(
         raise ZeroDivisionError("zero denominator")
     nvars = len(scale)
     if not num:
-        return (1,) * nvars, {}, {(0,) * nvars: 1}
-    mins = tuple(map(min, zip(*num, *den)))
-    if any(mins):
-        shift = tuple(-m for m in mins)
+        return (1,) * nvars, {}, {0: 1}
+    least = min(min(num), min(den))  # the key of the least vector: its e_p is least
+    if nvars == 1:
+        shift = -least
+    else:
+        # e_t + 2^31 of every key, in [0, 2^32)
+        lows = [(k + _HALF) & _MASK for k in chain(num, den)]
+        t_min = min(lows) - _HALF
+        if t_min < 0:
+            _check_t(max(lows) - _HALF - t_min)
+        shift = -((((least + _HALF) >> _SHIFT) << _SHIFT) + t_min)
+    if shift:
         num = _t_shift(num, shift)
         den = _t_shift(den, shift)
     if not reduced:
-        num, den = _cancel(num, den)
+        num, den = _cancel(num, den, nvars)
     content = gcd(*num.values(), *den.values())
     if den[min(den)] < 0:
         content = -content
@@ -341,10 +490,10 @@ def _normalize_pair(
         num = {k: v // content for k, v in num.items()}
         den = {k: v // content for k, v in den.items()}
     if any(s != 1 for s in scale):
-        steps = tuple(gcd(s, *col) for s, col in zip(scale, zip(*num, *den)))
+        steps = tuple(map(gcd, scale, _axis_gcds([*num, *den], nvars)))
         if any(s != 1 for s in steps):
-            num = {tuple(map(floordiv, k, steps)): v for k, v in num.items()}
-            den = {tuple(map(floordiv, k, steps)): v for k, v in den.items()}
+            num = _t_shrink(num, steps)
+            den = _t_shrink(den, steps)
             scale = tuple(map(floordiv, scale, steps))
     return scale, num, den
 
@@ -392,15 +541,34 @@ def _coerce_terms(spec, nvars: int) -> Dict[Tuple[Fraction, ...], Fraction]:
     return {k: v for k, v in out.items() if v}
 
 
+def _int_terms(spec, nvars: int) -> Terms | None:
+    """spec on the lattice as it is, when it is an int or a mapping of int
+    exponents (a 2-tuple of them on two axes) to int coefficients; else None."""
+    if type(spec) is int:
+        return {0: spec} if spec else {}
+    if not isinstance(spec, dict) or not all(type(v) is int for v in spec.values()):
+        return None
+    if nvars == 1:
+        if all(type(k) is int for k in spec):
+            return {k: v for k, v in spec.items() if v}
+    elif all(type(k) is tuple and len(k) == 2 and type(k[0]) is type(k[1]) is int for k in spec):
+        return {_pack(k): v for k, v in spec.items() if v}
+    return None
+
+
 def _parse(num, den, nvars: int) -> Tuple[Scale, Terms, Terms]:
     """Constructor input on the lattice: (scale, num, den) with int exponents
-    and int coefficients, before normalization."""
+    and int coefficients, before normalization.  Int input goes onto the
+    lattice as it is; anything else is parsed through Fractions."""
+    n, d = _int_terms(num, nvars), _int_terms(den, nvars)
+    if n is not None and d is not None:
+        return (1,) * nvars, n, d
     num = _coerce_terms(num, nvars)
     den = _coerce_terms(den, nvars)
     scale = tuple(lcm(*(e.denominator for e in col)) for col in zip(*num, *den))
     m = lcm(*(c.denominator for c in (*num.values(), *den.values())))
     conv = lambda terms: {
-        tuple(e.numerator * (s // e.denominator) for e, s in zip(k, scale)):
+        _pack(tuple(e.numerator * (s // e.denominator) for e, s in zip(k, scale))):
             c.numerator * (m // c.denominator)
         for k, c in terms.items()
     }
@@ -410,11 +578,14 @@ def _parse(num, den, nvars: int) -> Tuple[Scale, Terms, Terms]:
 def _render(terms, names: Tuple[str, ...], scale: Scale) -> str:
     """Stored terms, walked in reverse, as text; an exponent k on scale s
     prints as the int k // s when s divides k, else as the Fraction k / s."""
+    if not terms:
+        return "0"
+    keys, coeffs = zip(*reversed(terms))
     parts = []
-    for k, coeff in reversed(terms):
+    for exps, coeff in zip(_vectors(keys, len(names)), coeffs):
         mono = "*".join(
             n if e == s else (f"{n}^{e // s}" if e % s == 0 else f"{n}^({Fraction(e, s)})")
-            for n, e, s in zip(names, k, scale)
+            for n, e, s in zip(names, exps, scale)
             if e
         )
         if not mono:
@@ -431,7 +602,7 @@ def _render(terms, names: Tuple[str, ...], scale: Scale) -> str:
             parts.append("- " + piece[1:])
         else:
             parts.append(piece)
-    return " ".join(parts) if parts else "0"
+    return " ".join(parts)
 
 
 class _RatFuncBase:
@@ -469,12 +640,12 @@ class _RatFuncBase:
         is, Fraction input is parsed."""
         n = len(vars)
         if type(coeff) is int and all(type(e) is int for e in exps):
-            num = {exps: coeff} if coeff else {}
-            return cls._make(vars, (1,) * n, num, {(0,) * n: 1}, reduced=True)
+            num = {_pack(exps): coeff} if coeff else {}
+            return cls._make(vars, (1,) * n, num, {0: 1}, reduced=True)
         exps = tuple(Fraction(e) for e in exps)
         c = Fraction(coeff)
-        num = {tuple(e.numerator for e in exps): c.numerator} if c else {}
-        den = {(0,) * n: c.denominator}
+        num = {_pack(tuple(e.numerator for e in exps)): c.numerator} if c else {}
+        den = {0: c.denominator}
         return cls._make(vars, tuple(e.denominator for e in exps), num, den, reduced=True)
 
     def __setattr__(self, *a):
@@ -485,8 +656,8 @@ class _RatFuncBase:
 
     # -- raw access -----------------------------------------------------
 
-    def _exps(self, k: Exp) -> Tuple[Fraction, ...]:
-        return tuple(Fraction(e, s) for e, s in zip(k, self._scale))
+    def _exps(self, k: int) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(e, s) for e, s in zip(_unpack(k, len(self._scale)), self._scale))
 
     def _fraction_terms(self, terms) -> Dict[Tuple[Fraction, ...], Fraction]:
         """terms with Fraction exponents and coefficients over the lex-least
@@ -516,8 +687,7 @@ class _RatFuncBase:
         return self._num == o._num and self._den == o._den and self._scale == o._scale
 
     def __hash__(self):
-        zero = (0,) * len(self._vars)
-        if all(k == zero for k, _ in self._num + self._den):
+        if all(k == 0 for k, _ in self._num + self._den):
             # a constant hashes like the Fraction it equals
             return hash(Fraction(self._num[0][1] if self._num else 0, self._den[0][1]))
         return hash((self._vars, self._scale, self._num, self._den))
@@ -576,9 +746,13 @@ class _RatFuncBase:
     def _cross_reduced_product(self, scale, n1, d1, n2, d2):
         """(n1/d1) * (n2/d2) for normalized operands on one lattice: after
         cancelling the two cross gcds the product pair is coprime, so
-        normalization skips the gcd."""
-        n1, d2 = _cancel(n1, d2)
-        n2, d1 = _cancel(n2, d1)
+        normalization skips the gcd.  Checks the key range (T of the
+        "exponent keys" comment)."""
+        nvars = len(scale)
+        if nvars == 2:
+            _check_t(_t_degree(n1, d1) + _t_degree(n2, d2))
+        n1, d2 = _cancel(n1, d2, nvars)
+        n2, d1 = _cancel(n2, d1, nvars)
         return self._like(scale, _t_mul(n1, n2), _t_mul(d1, d2), reduced=True)
 
     def __mul__(self, other):
@@ -637,10 +811,20 @@ class _RatFuncBase:
             return self
 
         def image(terms) -> Terms:
+            if not terms:
+                return {}
+            keys, values = zip(*terms)
+            cols = (keys,) if len(self._scale) == 1 else (tuple(_highs(keys)), tuple(_lows(keys)))
+            exps = [_combine(row, cols) for row in coef]
+            if len(exps) == 2:
+                ps, ts = exps
+                _check_t(max(map(abs, ts)))
+                exps = [list(map(add, map(_SHIFT.__rlshift__, ps), ts))]
+            if injective:
+                return dict(zip(exps[0], values))
             out: Terms = {}
             get = out.get
-            keys = zip(*[[sum(map(mul, c, k)) for k, _ in terms] for c in coef])
-            for key, (_, v) in zip(keys, terms):
+            for key, v in zip(exps[0], values):
                 out[key] = get(key, 0) + v
             return {k: v for k, v in out.items() if v}
 
@@ -663,7 +847,7 @@ class _RatFuncBase:
 
         def ev(terms) -> Fraction:
             total = Fraction(0)
-            for exps, c in terms:
+            for exps, (_, c) in zip(_vectors([k for k, _ in terms], len(point)), terms):
                 for x, e, s in zip(point, exps, self._scale):
                     if e % s:
                         raise NonIntegralExponentError(
@@ -754,7 +938,7 @@ class GenFun(_RatFuncBase):
         """Order of vanishing in t at t = 0."""
         if self.is_zero:
             raise ValueError("zero has no minimal exponent")
-        low = lambda terms: min(k[1] for k, _ in terms)
+        low = lambda terms: min(_lows(k for k, _ in terms))
         return Fraction(low(self._num) - low(self._den), self._scale[1])
 
     def series_coefficients(self, c_max: Scalar, p: Scalar) -> Dict[Fraction, Fraction]:
@@ -770,7 +954,8 @@ class GenFun(_RatFuncBase):
 
         def slices(terms) -> Dict[int, Fraction]:
             out: Dict[int, Fraction] = {}
-            for (pe, te), c in terms:
+            for key, c in terms:
+                pe, te = key >> _SHIFT, key & _MASK
                 if pe % sp:
                     raise NonIntegralExponentError(
                         f"cannot evaluate fractional exponent {Fraction(pe, sp)} numerically"
@@ -825,30 +1010,35 @@ def sum_of_products(terms, zero):
     for _, factors in terms:
         for f in factors:
             scale = tuple(map(lcm, scale, f._scale))
-    origin = (0,) * len(scale)
+    nvars = len(scale)
     pairs = []
+    bound = 0  # T of the whole sum (the "exponent keys" comment)
     for c, factors in terms:
-        num, den = {origin: c}, {origin: 1}
+        num, den = {0: c}, {0: 1}
         for f in factors:
             n, d = f._on(scale)
+            if nvars == 2:
+                bound += _t_degree(n, d)
             num, den = _t_mul(num, n), _t_mul(den, d)
         if num:
             pairs.append((num, den))
+    _check_t(bound)
     if not pairs:
         return zero
     while len(pairs) > 1:
         pairs = [
-            _add_pairs(*pairs[i : i + 2]) if i + 1 < len(pairs) else pairs[i]
+            _add_pairs(*pairs[i : i + 2], nvars) if i + 1 < len(pairs) else pairs[i]
             for i in range(0, len(pairs), 2)
         ]
     return zero._make(zero._vars, scale, *pairs[0])
 
 
-def _add_pairs(a, b):
-    """n1/d1 + n2/d2 of unreduced (num, den) pairs on one lattice: with
-    g = gcd(d1, d2), (n1 (d2/g) + n2 (d1/g)) / (d1 (d2/g)), unreduced."""
+def _add_pairs(a, b, nvars: int):
+    """n1/d1 + n2/d2 of unreduced (num, den) pairs on one lattice of nvars
+    axes: with g = gcd(d1, d2), (n1 (d2/g) + n2 (d1/g)) / (d1 (d2/g)),
+    unreduced."""
     (n1, d1), (n2, d2) = a, b
-    d1r, d2r = _cancel(d1, d2)
+    d1r, d2r = _cancel(d1, d2, nvars)
     return _t_add(_t_mul(n1, d2r), _t_mul(n2, d1r)), _t_mul(d1, d2r)
 
 

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 
 from oracle_reference import loads
 from padicdens.errors import NonIntegralExponentError, NoSeriesExpansionError
+from padicdens import symbolic
 from padicdens.symbolic import (
     FracPoly,
     GenFun,
     _cancel,
+    _pack,
+    _unpack,
     check_inversion_symmetry,
     dumps,
     rewrite_in_q,
@@ -495,12 +498,13 @@ _BIPOLYS = st.dictionaries(
 def _check_cancel(f, g):
     """_cancel on the term maps of sympy polys f and g (two or more terms
     each): f and g are the cofactors times one h, the cofactors have gcd 1,
-    and h is sympy's primitive gcd times an integer (its content)."""
+    and h is sympy's primitive gcd times an integer (its content).  The maps
+    cross the boundary as packed keys."""
     sympy = pytest.importorskip("sympy")
     p, t = f.gens
-    terms = lambda h: {k: int(v) for k, v in h.as_dict().items()}
-    poly = lambda terms: sympy.Poly.from_dict(terms, p, t)
-    fc, gc = map(poly, _cancel(terms(f), terms(g)))
+    terms = lambda h: {_pack(k): int(v) for k, v in h.as_dict().items()}
+    poly = lambda terms: sympy.Poly.from_dict({_unpack(k, 2): v for k, v in terms.items()}, p, t)
+    fc, gc = map(poly, _cancel(terms(f), terms(g), 2))
     h, rem = sympy.div(f, fc)
     assert rem.is_zero and h.domain == sympy.ZZ and gc * h == g
     assert sympy.gcd(fc, gc).is_one
@@ -610,12 +614,104 @@ def test_constant_hashes_like_its_scalar(make, c):
 )
 def test_monomial_equals_its_mapping(exps, coeff):
     """A monomial given by ints skips the parse, and lands on the value the
-    parsing constructor builds, with the same hash."""
+    parsing constructor builds, with the same hash.  The mapping is given
+    with Fractions, since an int mapping skips the parse too."""
+    parsed = lambda e: {tuple(map(F, e)): F(coeff)}
     g = GenFun.monomial(*exps, coeff)
-    assert g == GenFun({exps: coeff}) and hash(g) == hash(GenFun({exps: coeff}))
+    assert g == GenFun(parsed(exps)) and hash(g) == hash(GenFun(parsed(exps)))
     f = FracPoly.monomial(exps[0], coeff, var="p")
-    assert f == FracPoly({exps[0]: coeff}, var="p")
-    assert hash(f) == hash(FracPoly({exps[0]: coeff}, var="p"))
+    assert f == FracPoly(parsed(exps[:1]), var="p")
+    assert hash(f) == hash(FracPoly(parsed(exps[:1]), var="p"))
+
+
+def test_int_mappings_skip_the_parse(monkeypatch):
+    """An int or a mapping of int exponents to int coefficients goes onto
+    the lattice as it is, and lands on the value the parse builds."""
+    specs = [
+        (FracPoly, {3: 2, 0: -1, 1: 0}, {1: 4, 0: 2}),
+        (FracPoly, 5, {2: 1, 0: -1}),
+        (GenFun, {(2, 1): 3, (0, 0): 1, (-1, 4): -2}, {(1, 0): 1, (0, 2): -2}),
+        (GenFun, {(1, 1): 6}, 4),
+    ]
+    as_fractions = lambda spec: F(spec) if isinstance(spec, int) else {
+        tuple(map(F, k)) if isinstance(k, tuple) else F(k): F(v) for k, v in spec.items()
+    }
+    parsed = [make(as_fractions(n), as_fractions(d)) for make, n, d in specs]
+
+    def no_parse(*args):
+        raise AssertionError("int input was parsed")
+
+    monkeypatch.setattr(symbolic, "_coerce_terms", no_parse)
+    for (make, n, d), value in zip(specs, parsed):
+        built = make(n, d)
+        assert built == value and hash(built) == hash(value) and str(built) == str(value)
+
+
+# -- exponent keys -----------------------------------------------------------------
+
+_T_EXP = st.integers(-(2**31) + 1, 2**31 - 1)
+
+
+@st.composite
+def _vectors(draw, nvars, t_exp=_T_EXP):
+    """Exponent vectors on nvars axes, negative components included."""
+    if nvars == 1:
+        return (draw(st.integers(-(2**70), 2**70)),)
+    return draw(st.integers(-(2**40), 2**40)), draw(t_exp)
+
+
+@pytest.mark.parametrize("nvars", [1, 2])
+@given(data=st.data())
+def test_key_round_trip(nvars, data):
+    e = data.draw(_vectors(nvars))
+    assert _unpack(_pack(e), nvars) == e
+
+
+@pytest.mark.parametrize("nvars", [1, 2])
+@given(data=st.data())
+def test_keys_sort_as_vectors(nvars, data):
+    vectors = data.draw(st.lists(_vectors(nvars), max_size=12))
+    assert [_unpack(k, nvars) for k in sorted(map(_pack, vectors))] == sorted(vectors)
+
+
+@pytest.mark.parametrize("nvars", [1, 2])
+@given(data=st.data())
+def test_keys_add_as_vectors(nvars, data):
+    half = st.integers(-(2**30) + 1, 2**30 - 1)
+    a, b = data.draw(_vectors(nvars, half)), data.draw(_vectors(nvars, half))
+    assert _pack(a) + _pack(b) == _pack(tuple(map(operator.add, a, b)))
+
+
+def test_out_of_range_t_exponent_raises():
+    """A t-exponent of 2^31 or more, in any key a value builds, raises
+    instead of carrying into the p-exponent.  Each case but the first
+    builds a t-exponent of 2^32 + 2 or 2^32 - 2, which, carried, would
+    read as an exponent in range."""
+    big = 2**31
+    for e in [(0, big), (5, -big), (-1, big + 7)]:
+        with pytest.raises(OverflowError):
+            _pack(e)
+    near = GenFun.monomial(t_exp=big - 1)
+    wraps = GenFun.monomial(t_exp=(2**32 + 2) // 3)  # times 3 is 2^32 + 2
+    for build in [
+        lambda: GenFun({(0, big): 1}),
+        lambda: GenFun({(0, 2**32 + 2): 1}),
+        lambda: GenFun.monomial(1, 2**32 - 2),
+        lambda: near * near,
+        lambda: near / GenFun.monomial(t_exp=1 - big),
+        lambda: sum_of_products([(1, [near, near])], GenFun(0)),
+        lambda: wraps + GenFun.monomial(t_exp=F(1, 3)),  # the common lattice triples it
+        lambda: wraps.substitute_t_power(3),
+        lambda: GenFun({(0, big - 1): 1, (0, 1 - big): 1}),  # the shift to exponent 0
+    ]:
+        with pytest.raises(OverflowError):
+            build()
+    half = GenFun.monomial(t_exp=2**30)
+    quarter = GenFun.monomial(t_exp=2**29)
+    # the largest t-exponent in range
+    top = half * GenFun.monomial(t_exp=2**30 - 1)
+    assert top.min_t_exponent() == big - 1 and top == GenFun.monomial(t_exp=big - 1)
+    assert sum_of_products([(1, [quarter] * 3)], GenFun(0)).min_t_exponent() == 3 * 2**29
 
 
 # -- printing ----------------------------------------------------------------------
