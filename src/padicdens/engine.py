@@ -184,6 +184,7 @@ def disc_gen_fun(sigma: SplittingType, b: BVector, point: _Point = _PT) -> GenFu
     pass e1f1 types only, so _on_base returns it unchanged.
     """
     check_depths(sigma, b)
+    b = tuple(b)  # the recursion compares b with tuples
     rel = _relative(sigma)
     value = _cached(point.g_prefix + _recursion_key(rel, b), lambda: _recurse(point, rel, b))
     return _on_base(sigma, value)
@@ -335,6 +336,7 @@ def branch_sum(sigma: SplittingType, b: BVector, point: _Point = _PT) -> GenFun 
     point as there.  Raises SigmaParseError on a depth vector that
     check_depths rejects."""
     check_depths(sigma, b)
+    b = tuple(b)
     rel = _relative(sigma)
     value = _cached(point.branch_prefix + _recursion_key(rel, b), lambda: _branch(point, rel, b))
     return _on_base(sigma, value)

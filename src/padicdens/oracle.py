@@ -147,8 +147,6 @@ def _valuations_for_digits(digit_arrays, jays, layout, p):
         comp = per[i]
         for slot in range(comp["b"], comp["n_slots"]):
             mc = slot * comp["step"]
-            if mc >= n_common:
-                continue
             dig = digit_arrays[(i, slot)]
             e, f = comp["e"], comp["f"]
             code = _common_code(e * (dig - 1), slot, jays[i], r, s, p, e, f, M)

@@ -33,8 +33,11 @@ class SplittingType:
     f_base: int = 1
 
     def __post_init__(self):
-        comps = tuple((int(e), int(f)) for e, f in self.components)
+        comps = tuple((e, f) for e, f in self.components)
         object.__setattr__(self, "components", comps)
+        pairs = ((self.e_base, self.f_base), *comps)
+        if not all(isinstance(x, int) for pair in pairs for x in pair):
+            raise ValueError(f"invariants must be ints: {comps} over {pairs[0]}")
         if self.e_base < 1 or self.f_base < 1:
             raise ValueError("base invariants must be positive")
         for e, f in comps:
@@ -133,8 +136,10 @@ def perm_factor(sigma: SplittingType) -> int:
 
 
 def check_depths(sigma: SplittingType, b: BVector) -> None:
-    """The one statement of a valid depth vector: one nonnegative entry per
-    component of sigma."""
+    """The one statement of a valid depth vector: one nonnegative int entry
+    per component of sigma."""
+    if not all(isinstance(x, int) for x in b):
+        raise SigmaParseError(f"depth vector {list(b)} must have int entries")
     if len(b) != sigma.m or any(x < 0 for x in b):
         raise SigmaParseError(f"depth vector {list(b)} must have {sigma.m} nonnegative entries")
 

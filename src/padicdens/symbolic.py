@@ -6,11 +6,11 @@ integrality is only asserted where it is mathematically required (see
 
 Values are stored on an integer lattice.  Each value keeps one positive int
 ``_scale`` per variable: the stored int exponent k on axis i means the
-exponent k / _scale[i].  Numerator and denominator are sorted tuples of
-(int key, nonzero int coefficient) pairs, one int key per vector of stored
-exponents (the block comment "exponent keys" below): the exponent itself on
-one axis, e_p * 2^32 + e_t on two.  Keys add as the vectors do and sort as
-they sort lexicographically.  The normal form is canonical:
+exponent k / _scale[i].  Numerator and denominator are term maps: dicts
+from an int key to a nonzero int coefficient, one int key per vector of
+stored exponents (the block comment "exponent keys" below): the exponent
+itself on one axis, e_p * 2^32 + e_t on two.  Keys add as the vectors do and
+sort as they sort lexicographically.  The normal form is canonical:
 
   * each axis scale is minimal: the lcm of the denominators of the exponents
     that occur on that axis,
@@ -22,7 +22,13 @@ they sort lexicographically.  The normal form is canonical:
 
 Two values built along different arithmetic paths from the same rational
 function therefore compare equal with ``==``, and a constant value equals,
-and hashes like, its Fraction.
+and hashes like, its Fraction.  A term map's insertion order carries no
+meaning: values compare as dicts, and hash their items in no order.
+
+No function here writes to a term map it is given; _t_add and
+_sparse_divexact copy theirs before they update it.  So a value hands its
+own term maps to the kernels uncopied, and a value built from them, such as
+its negation, may share them.
 
 The gcd behind the coprime pair is the heuristic gcd of Char, Geddes and
 Gonnet, on the same sparse int term maps: set the first variable to an
@@ -49,12 +55,13 @@ The printed and serialized form is a bijective image of the stored one.  A
 positive scale per axis keeps the lexicographic term order, so dividing each
 exponent by its scale gives the exponents, in the same order, and the stored
 coefficients, the integer pair with joint content 1, are the ones
-:meth:`_RatFuncBase.render_pair` prints.  So printing walks the stored terms
-in reverse, with no sort, and prints an exponent k on scale s as the int
-k // s; it makes a Fraction only for a non-integral exponent.  Dividing the
-coefficients by the lex-least denominator coefficient gives the Fraction
-coefficients of ``num_terms``/``den_terms`` and of the JSON writer, in which
-that coefficient is +1.
+:meth:`_RatFuncBase.render_pair` prints.  Term order is made only here, on
+output: printing sorts the keys from the highest down, and prints an
+exponent k on scale s as the int k // s; it makes a Fraction only for a
+non-integral exponent.  Dividing the coefficients by the lex-least
+denominator coefficient gives the Fraction coefficients of
+``num_terms``/``den_terms`` and of the JSON writer, in which that
+coefficient is +1; they list the terms from the lowest key up.
 
 Sums are normalized once.  :func:`sum_of_products` adds the products
 c * f_1 * ... * f_k of a list of terms; ``+`` and ``-`` are its two-term
@@ -75,16 +82,17 @@ Two concrete shapes are exposed: :class:`FracPoly` (one variable, default
 are immutable after construction and all operations are pure functions, so
 values may be freely shared between threads.
 
-There are two ways in, and both end in the same normalization.  The public
-constructors parse: they accept scalars and mappings with int or Fraction
-exponents and coefficients and convert them onto the lattice; a monomial
-given by ints, and an int operand of arithmetic, skip the parse.  Arithmetic
-and substitutions build through the internal ``_make``, which trusts its
-scale and int term maps, and may be told that the pair is coprime so that the
-gcd is skipped.  Fractions appear only at that boundary: in parsing Fraction
-input, in ``num_terms``/``den_terms``, in ``evaluate`` and
-``series_coefficients``, in printing a non-integral exponent and in the JSON
-writer.
+Values are built in two ways, and both end in the same normalization.  The
+public constructors take scalars and mappings with int or Fraction exponents
+and coefficients, and put them onto the lattice along one route, ``_parse``;
+an int has a numerator and a denominator just as a Fraction does, so int
+input builds no Fraction.  A monomial given by ints, and an int operand of
+arithmetic, skip even that.  Arithmetic and substitutions build through the
+internal ``_make``, which trusts its scale and int term maps, and may be told
+that the pair is coprime so that the gcd is skipped.  Fractions appear only
+at that boundary: in parsing non-int input, in ``num_terms``/``den_terms``,
+in ``evaluate`` and ``series_coefficients``, in printing a non-integral
+exponent and in the JSON writer.
 """
 
 from __future__ import annotations
@@ -188,7 +196,8 @@ def _highs(keys):
 
 
 def _vectors(keys, nvars: int):
-    """The exponent vectors of a list of keys with nonnegative exponents."""
+    """The exponent vectors of keys, a sequence or a term map, with
+    nonnegative exponents."""
     return zip(keys) if nvars == 1 else zip(_highs(keys), _lows(keys))
 
 
@@ -522,49 +531,30 @@ def _lattice_map(scale: Scale, rows: Tuple[Tuple[Scalar, ...], ...]):
     return target, coef, True, identity
 
 
-def _coerce_terms(spec, nvars: int) -> Dict[Tuple[Fraction, ...], Fraction]:
-    """Build a Fraction term dict from a scalar or a {exponent(s): coefficient}
-    mapping."""
-    if isinstance(spec, (int, Fraction)):
-        c = Fraction(spec)
-        return {(Fraction(0),) * nvars: c} if c else {}
-    out: Dict[Tuple[Fraction, ...], Fraction] = {}
-    for k, v in spec.items():
-        if not isinstance(k, tuple):
-            k = (k,)
-        if len(k) != nvars:
-            raise ValueError(f"expected {nvars} exponents per term, got {k!r}")
-        key = tuple(Fraction(x) for x in k)
-        c = Fraction(v)
-        if c:
-            out[key] = out.get(key, Fraction(0)) + c
-    return {k: v for k, v in out.items() if v}
-
-
-def _int_terms(spec, nvars: int) -> Terms | None:
-    """spec on the lattice as it is, when it is an int or a mapping of int
-    exponents (a 2-tuple of them on two axes) to int coefficients; else None."""
-    if type(spec) is int:
-        return {0: spec} if spec else {}
-    if not isinstance(spec, dict) or not all(type(v) is int for v in spec.values()):
-        return None
-    if nvars == 1:
-        if all(type(k) is int for k in spec):
-            return {k: v for k, v in spec.items() if v}
-    elif all(type(k) is tuple and len(k) == 2 and type(k[0]) is type(k[1]) is int for k in spec):
-        return {_pack(k): v for k, v in spec.items() if v}
-    return None
+def _rational(x) -> Scalar:
+    """x as an int or a Fraction, either of which has a numerator and a
+    denominator."""
+    return x if type(x) is int else Fraction(x)
 
 
 def _parse(num, den, nvars: int) -> Tuple[Scale, Terms, Terms]:
     """Constructor input on the lattice: (scale, num, den) with int exponents
-    and int coefficients, before normalization.  Int input goes onto the
-    lattice as it is; anything else is parsed through Fractions."""
-    n, d = _int_terms(num, nvars), _int_terms(den, nvars)
-    if n is not None and d is not None:
-        return (1,) * nvars, n, d
-    num = _coerce_terms(num, nvars)
-    den = _coerce_terms(den, nvars)
+    and int coefficients, before normalization.  num and den are each a
+    scalar or a {exponent(s): coefficient} mapping."""
+    sides = []
+    for spec in (num, den):
+        if isinstance(spec, (int, Fraction)):
+            spec = {(0,) * nvars: spec}
+        side: Dict[Tuple[Scalar, ...], Scalar] = {}
+        for k, c in spec.items():
+            if not isinstance(k, tuple):
+                k = (k,)
+            if len(k) != nvars:
+                raise ValueError(f"expected {nvars} exponents per term, got {k!r}")
+            k = tuple(map(_rational, k))
+            side[k] = side.get(k, 0) + _rational(c)
+        sides.append({k: c for k, c in side.items() if c})
+    num, den = sides
     scale = tuple(lcm(*(e.denominator for e in col)) for col in zip(*num, *den))
     m = lcm(*(c.denominator for c in (*num.values(), *den.values())))
     conv = lambda terms: {
@@ -575,12 +565,12 @@ def _parse(num, den, nvars: int) -> Tuple[Scale, Terms, Terms]:
     return scale, conv(num), conv(den)
 
 
-def _render(terms, names: Tuple[str, ...], scale: Scale) -> str:
-    """Stored terms, walked in reverse, as text; an exponent k on scale s
-    prints as the int k // s when s divides k, else as the Fraction k / s."""
+def _render(terms: Terms, names: Tuple[str, ...], scale: Scale) -> str:
+    """A term map as text, from the highest key down; an exponent k on scale
+    s prints as the int k // s when s divides k, else as the Fraction k / s."""
     if not terms:
         return "0"
-    keys, coeffs = zip(*reversed(terms))
+    keys, coeffs = zip(*sorted(terms.items(), reverse=True))
     parts = []
     for exps, coeff in zip(_vectors(keys, len(names)), coeffs):
         mono = "*".join(
@@ -620,16 +610,17 @@ class _RatFuncBase:
         scale, n, d = _normalize_pair(num, den, scale, reduced)
         object.__setattr__(self, "_vars", vars)
         object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_num", tuple(sorted(n.items())))
-        object.__setattr__(self, "_den", tuple(sorted(d.items())))
+        object.__setattr__(self, "_num", n)
+        object.__setattr__(self, "_den", d)
 
     @classmethod
     def _make(
         cls, vars: Tuple[str, ...], scale: Scale, num: Terms, den: Terms, reduced: bool = False
     ):
         """The value num/den from int term maps on the lattice scale, with no
-        zero coefficient; nothing is parsed.  With reduced=True the caller
-        vouches that num and den are coprime."""
+        zero coefficient; nothing is parsed, and the value may keep num and
+        den themselves.  With reduced=True the caller vouches that num and
+        den are coprime."""
         self = object.__new__(cls)
         self._init(vars, scale, num, den, reduced)
         return self
@@ -652,18 +643,18 @@ class _RatFuncBase:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return self._make, (self._vars, self._scale, dict(self._num), dict(self._den), True)
+        return self._make, (self._vars, self._scale, self._num, self._den, True)
 
     # -- raw access -----------------------------------------------------
 
     def _exps(self, k: int) -> Tuple[Fraction, ...]:
         return tuple(Fraction(e, s) for e, s in zip(_unpack(k, len(self._scale)), self._scale))
 
-    def _fraction_terms(self, terms) -> Dict[Tuple[Fraction, ...], Fraction]:
-        """terms with Fraction exponents and coefficients over the lex-least
-        denominator coefficient."""
-        lead = self._den[0][1]
-        return {self._exps(k): Fraction(c, lead) for k, c in terms}
+    def _fraction_terms(self, terms: Terms) -> Dict[Tuple[Fraction, ...], Fraction]:
+        """terms, from the lowest key up, with Fraction exponents and
+        coefficients over the lex-least denominator coefficient."""
+        lead = self._den[min(self._den)]
+        return {self._exps(k): Fraction(c, lead) for k, c in sorted(terms.items())}
 
     @property
     def num_terms(self) -> Dict[Tuple[Fraction, ...], Fraction]:
@@ -687,10 +678,11 @@ class _RatFuncBase:
         return self._num == o._num and self._den == o._den and self._scale == o._scale
 
     def __hash__(self):
-        if all(k == 0 for k, _ in self._num + self._den):
-            # a constant hashes like the Fraction it equals
-            return hash(Fraction(self._num[0][1] if self._num else 0, self._den[0][1]))
-        return hash((self._vars, self._scale, self._num, self._den))
+        num, den = self._num, self._den
+        if not any(num) and not any(den):
+            # every key is 0: a constant hashes like the Fraction it equals
+            return hash(Fraction(num.get(0, 0), den[0]))
+        return hash((self._vars, self._scale, frozenset(num.items()), frozenset(den.items())))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -709,12 +701,12 @@ class _RatFuncBase:
         """The numerator and denominator term maps on a lattice scale that
         refines this value's."""
         if scale == self._scale:
-            return dict(self._num), dict(self._den)
+            return self._num, self._den
         factors = tuple(map(floordiv, scale, self._scale))
-        return _t_stretch(dict(self._num), factors), _t_stretch(dict(self._den), factors)
+        return _t_stretch(self._num, factors), _t_stretch(self._den, factors)
 
     def _aligned(self, o):
-        """(scale, n1, d1, n2, d2): the term maps of self and o as dicts on one
+        """(scale, n1, d1, n2, d2): the term maps of self and o on one
         lattice, the lcm of the two scales."""
         scale = tuple(map(lcm, self._scale, o._scale))
         return (scale, *self._on(scale), *o._on(scale))
@@ -729,7 +721,7 @@ class _RatFuncBase:
 
     def __neg__(self):
         # negation keeps a normalized pair normalized
-        return self._like(self._scale, _t_neg(dict(self._num)), dict(self._den), reduced=True)
+        return self._like(self._scale, _t_neg(self._num), self._den, reduced=True)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -810,21 +802,20 @@ class _RatFuncBase:
         if identity and vars == self._vars:
             return self
 
-        def image(terms) -> Terms:
+        def image(terms: Terms) -> Terms:
             if not terms:
                 return {}
-            keys, values = zip(*terms)
-            cols = (keys,) if len(self._scale) == 1 else (tuple(_highs(keys)), tuple(_lows(keys)))
+            cols = (terms,) if len(self._scale) == 1 else (list(_highs(terms)), list(_lows(terms)))
             exps = [_combine(row, cols) for row in coef]
             if len(exps) == 2:
                 ps, ts = exps
                 _check_t(max(map(abs, ts)))
                 exps = [list(map(add, map(_SHIFT.__rlshift__, ps), ts))]
             if injective:
-                return dict(zip(exps[0], values))
+                return dict(zip(exps[0], terms.values()))
             out: Terms = {}
             get = out.get
-            for key, v in zip(exps[0], values):
+            for key, v in zip(exps[0], terms.values()):
                 out[key] = get(key, 0) + v
             return {k: v for k, v in out.items() if v}
 
@@ -845,9 +836,9 @@ class _RatFuncBase:
             )
         point = tuple(Fraction(x) for x in point)
 
-        def ev(terms) -> Fraction:
+        def ev(terms: Terms) -> Fraction:
             total = Fraction(0)
-            for exps, (_, c) in zip(_vectors([k for k, _ in terms], len(point)), terms):
+            for exps, c in zip(_vectors(terms, len(point)), terms.values()):
                 for x, e, s in zip(point, exps, self._scale):
                     if e % s:
                         raise NonIntegralExponentError(
@@ -938,8 +929,7 @@ class GenFun(_RatFuncBase):
         """Order of vanishing in t at t = 0."""
         if self.is_zero:
             raise ValueError("zero has no minimal exponent")
-        low = lambda terms: min(_lows(k for k, _ in terms))
-        return Fraction(low(self._num) - low(self._den), self._scale[1])
+        return Fraction(min(_lows(self._num)) - min(_lows(self._den)), self._scale[1])
 
     def series_coefficients(self, c_max: Scalar, p: Scalar) -> Dict[Fraction, Fraction]:
         """Power-series coefficients in t up to exponent c_max, at the point p.
@@ -952,9 +942,9 @@ class GenFun(_RatFuncBase):
         sp, st = self._scale
         p = Fraction(p)
 
-        def slices(terms) -> Dict[int, Fraction]:
+        def slices(terms: Terms) -> Dict[int, Fraction]:
             out: Dict[int, Fraction] = {}
-            for key, c in terms:
+            for key, c in terms.items():
                 pe, te = key >> _SHIFT, key & _MASK
                 if pe % sp:
                     raise NonIntegralExponentError(

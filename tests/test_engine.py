@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import signal
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
@@ -610,6 +611,35 @@ def test_recursion_terminates(base):
 def test_disc_gen_fun_rejects_bad_depths(b):
     with pytest.raises(SigmaParseError, match=r"must have 2 nonnegative entries"):
         disc_gen_fun(S11x2, b)
+
+
+@pytest.mark.parametrize("b", [(0, 0), (1, 1)], ids=str)
+def test_list_depths_give_the_tuple_value(b):
+    """A list depth vector, on a cold memo, gives the tuple's values under
+    the tuple's memo keys.  A list once sent the argmin chain past its stop,
+    so an alarm turns a hang into a failure."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"depth vector {list(b)} did not return")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(30)
+    try:
+        clear_memo()
+        from_list = disc_gen_fun(S11x2, list(b)), branch_sum(S11x2, list(b))
+        keys = set(engine._CACHE)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    clear_memo()
+    assert from_list == (disc_gen_fun(S11x2, b), branch_sum(S11x2, b))
+    assert set(engine._CACHE) == keys
+
+
+@pytest.mark.parametrize("call", [disc_gen_fun, branch_sum])
+def test_non_int_depths_are_rejected(call):
+    with pytest.raises(SigmaParseError, match=r"must have int entries"):
+        call(S11x2, [0.5, 0])
 
 
 def test_leading_coeff_boundary_at_four_split_factors():

@@ -34,6 +34,17 @@ def test_component_divisibility_validated():
 
 
 @pytest.mark.parametrize(
+    "args",
+    [(((F(5, 2), 1),),), (((2.7, 1),),), (((2, 1),), 2.0, 1), (((1, "1"),),)],
+    ids=["fraction", "float", "float-base", "str"],
+)
+def test_non_int_invariants_rejected(args):
+    """A non-int invariant raises instead of being truncated or kept."""
+    with pytest.raises(ValueError, match="must be ints"):
+        SplittingType(*args)
+
+
+@pytest.mark.parametrize(
     "comps,expected",
     [
         (((1, 1), (1, 1)), 2),

@@ -354,6 +354,44 @@ def test_sum_of_products_edge_cases(shape):
     assert sum_of_products([(1, [y]), (-1, [x, x, y])], zero) == shape(1)
 
 
+def _operations(a, b):
+    """Every operation on values, with a and b (of one shape) as operands."""
+    shape = type(a)
+    one_row = [[2]] if shape is FracPoly else [[1, F(-1, 2)]]
+    two_rows = [[1], [F(1, 2)]] if shape is FracPoly else [[1, 0], [0, 3]]
+    return [
+        lambda: a + b,
+        lambda: a - b,
+        lambda: a * b,
+        lambda: a / b,
+        lambda: a**2,
+        lambda: a**-1,
+        lambda: -a,
+        lambda: a.substitute(("x",), one_row),
+        lambda: a.substitute(("p", "t"), two_rows),
+        lambda: a.subs_inverse(),
+        lambda: sum_of_products([(2, [a, b]), (-1, [b])], shape(0)),
+        lambda: a.evaluate(*[2] * len(a._vars)),
+        lambda: a.render_pair(),
+        lambda: dumps(a),
+    ]
+
+
+@pytest.mark.parametrize("shape", [FracPoly, GenFun])
+@given(data=st.data())
+def test_operations_leave_operand_terms_alone(shape, data):
+    """No operation writes to its operands' term maps, which values hand to
+    the kernels uncopied and share with each other (module docstring)."""
+    a, b = data.draw(_fractional_values(shape)), data.draw(_fractional_values(shape))
+    for op in _operations(a, b):
+        before = [(dict(v._num), dict(v._den)) for v in (a, b)]
+        try:
+            op()
+        except (ZeroDivisionError, NonIntegralExponentError):
+            pass
+        assert [(v._num, v._den) for v in (a, b)] == before
+
+
 _points = [(F(2), F(1, 3)), (F(3), F(2)), (F(5), F(1, 3)), (F(7, 2), F(2))]
 
 
@@ -626,7 +664,8 @@ def test_monomial_equals_its_mapping(exps, coeff):
 
 def test_int_mappings_skip_the_parse(monkeypatch):
     """An int or a mapping of int exponents to int coefficients goes onto
-    the lattice as it is, and lands on the value the parse builds."""
+    the lattice with no Fraction built, and lands on the value that the same
+    input given as Fractions builds."""
     specs = [
         (FracPoly, {3: 2, 0: -1, 1: 0}, {1: 4, 0: 2}),
         (FracPoly, 5, {2: 1, 0: -1}),
@@ -638,13 +677,15 @@ def test_int_mappings_skip_the_parse(monkeypatch):
     }
     parsed = [make(as_fractions(n), as_fractions(d)) for make, n, d in specs]
 
-    def no_parse(*args):
-        raise AssertionError("int input was parsed")
+    class NoFraction(F):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("int input built a Fraction")
 
-    monkeypatch.setattr(symbolic, "_coerce_terms", no_parse)
-    for (make, n, d), value in zip(specs, parsed):
-        built = make(n, d)
-        assert built == value and hash(built) == hash(value) and str(built) == str(value)
+    with monkeypatch.context() as m:
+        m.setattr(symbolic, "Fraction", NoFraction)
+        built = [make(n, d) for make, n, d in specs]
+    for b, value in zip(built, parsed):
+        assert b == value and hash(b) == hash(value) and str(b) == str(value)
 
 
 # -- exponent keys -----------------------------------------------------------------
@@ -761,5 +802,7 @@ def _printable(draw):
 
 @given(_printable())
 def test_render_pair_matches_sorted_reference(value):
-    render = lambda terms: _render_terms(((value._exps(k), c) for k, c in terms), value._vars)
+    render = lambda terms: _render_terms(
+        ((value._exps(k), c) for k, c in sorted(terms.items())), value._vars
+    )
     assert value.render_pair() == (render(value._num), render(value._den))
