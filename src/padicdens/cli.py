@@ -28,8 +28,10 @@ Exit codes:
   4  non-integral exponent
   5  verification failure
   6  enumeration too large: more than the oracle's 2,048 common slots, a
-     --depths entry above its bound of 16, or --samples x conjugates x
-     common slots above its 40,000,000 bound
+     --depths entry above its bound of 16, --samples x conjugates x common
+     slots above its 40,000,000 bound, or a --samples run whose codes could
+     pass numpy's int64 (a -p whose p^f, times p^(f-1) for the Frobenius
+     conjugates, nears 2^63)
 
 Identical job specifications (including seeds) produce byte-identical
 reports; catalog entries are emitted in a canonical order.

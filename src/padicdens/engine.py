@@ -102,9 +102,7 @@ def _cached(key: tuple, build):
 
 def leading_coeff_weight(d: int) -> FracPoly:
     """Weight of the leading-coefficient distribution for degree-d inputs:
-    (q^(d+1) - q^d)/(q^(d+1) - 1), with the degree-0 convention of 1."""
-    if d == 0:
-        return FracPoly(1, var="q")
+    (q^(d+1) - q^d)/(q^(d+1) - 1), which is 1 at d = 0."""
     return FracPoly({d + 1: 1, d: -1}, {d + 1: 1, 0: -1}, var="q")
 
 

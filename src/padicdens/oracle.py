@@ -307,8 +307,9 @@ def sampled_disc_masses(
 
     Unbiased estimates of the same unconditional masses, with standard
     errors; deterministic for a fixed seed.  Raises, before any draw, what
-    _layout raises, and TooLargeError when samples x conjugates x common
-    slots exceeds GUARD.
+    _layout raises, then TooLargeError when samples x conjugates x common
+    slots exceeds GUARD, or when an int64 intermediate of the codes could
+    reach 2^63.
     """
     layout = _layout(sigma, b, c_max, p)
     E, M, n_common, per = layout
@@ -316,6 +317,21 @@ def sampled_disc_masses(
     if samples * n_rows * n_common > GUARD:
         raise TooLargeError(
             f"{samples} samples x {n_rows} conjugates x {n_common} slots exceeds the guard"
+        )
+    # _common_code on int64 arrays: with m = e (p^f - 1), a digit is below
+    # p^f <= m + 1, a + n j is below m + n_slots e, times p^r <= p^(f-1) plus
+    # n s (p^f - 1) < n_slots m it is below (m + n_slots e) p^(f-1) + n_slots m,
+    # and reduced mod m and moved to the common modulus it is below M.  numpy
+    # raises on a bound past int64, or wraps silently inside the product.
+    top = M
+    for comp in per:
+        m = comp["e"] * (comp["radix"] - 1)
+        slots = comp["n_slots"]
+        top = max(top, (m + slots * comp["e"]) * p ** (comp["f"] - 1) + slots * m)
+    if top >= 2**63:
+        raise TooLargeError(
+            f"the sampled codes of {sigma.display_pairs()} at p={p} could reach {top},"
+            " past int64"
         )
     import numpy as np
 

@@ -35,6 +35,8 @@ class SplittingType:
     def __post_init__(self):
         comps = tuple((e, f) for e, f in self.components)
         object.__setattr__(self, "components", comps)
+        if not comps:
+            raise ValueError("a splitting type needs at least one component")
         pairs = ((self.e_base, self.f_base), *comps)
         if not all(isinstance(x, int) for pair in pairs for x in pair):
             raise ValueError(f"invariants must be ints: {comps} over {pairs[0]}")

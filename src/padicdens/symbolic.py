@@ -86,13 +86,14 @@ Values are built in two ways, and both end in the same normalization.  The
 public constructors take scalars and mappings with int or Fraction exponents
 and coefficients, and put them onto the lattice along one route, ``_parse``;
 an int has a numerator and a denominator just as a Fraction does, so int
-input builds no Fraction.  A monomial given by ints, and an int operand of
-arithmetic, skip even that.  Arithmetic and substitutions build through the
-internal ``_make``, which trusts its scale and int term maps, and may be told
-that the pair is coprime so that the gcd is skipped.  Fractions appear only
-at that boundary: in parsing non-int input, in ``num_terms``/``den_terms``,
-in ``evaluate`` and ``series_coefficients``, in printing a non-integral
-exponent and in the JSON writer.
+input builds no Fraction.  A monomial and a scalar operand of arithmetic
+are read the same way, with no mapping to walk (``_monomial``).  Arithmetic
+and substitutions build through the internal ``_make``, which trusts its
+scale and int term maps, and may be told that the pair is coprime so that
+the gcd is skipped.  Fractions appear only at that boundary: in parsing
+non-int input, in ``num_terms``/``den_terms``, in ``evaluate`` and
+``series_coefficients``, in printing a non-integral exponent and in the JSON
+writer.
 """
 
 from __future__ import annotations
@@ -124,14 +125,14 @@ Scalar = Union[int, Fraction]
 # ---------------------------------------------------------------------------
 #
 # A term map keys each exponent vector by one int.  With one axis the key is
-# the exponent; with none (the gcd's integer images) it is 0; with two,
-# (e_p, e_t) has the key e_p * 2^32 + e_t.  While |e_t| < 2^31 the key
-# determines the vector, e_p = (k + 2^31) >> 32 and e_t = ((k + 2^31) & (2^32
-# - 1)) - 2^31, keys add as the vectors do, and keys compare as the vectors
-# compare lexicographically; for e_t >= 0 the decoding is e_p = k >> 32 and
-# e_t = k & (2^32 - 1).  So sums, the term order, max, sorted and the leading
-# terms are the same on keys as on vectors.  e_p is an unbounded int: only a
-# t-exponent out of range could carry into it.
+# the exponent; with two, (e_p, e_t) has the key e_p * 2^32 + e_t.  The gcd's
+# integer images have no axis, and key their one term by 0.  While
+# |e_t| < 2^31 the key determines the vector, e_p = (k + 2^31) >> 32 and
+# e_t = ((k + 2^31) & (2^32 - 1)) - 2^31, keys add as the vectors do, and keys
+# compare as the vectors compare lexicographically; for e_t >= 0 the decoding
+# is e_p = k >> 32 and e_t = k & (2^32 - 1).  So sums, the term order, max,
+# sorted and the leading terms are the same on keys as on vectors.  e_p is an
+# unbounded int: only a t-exponent out of range could carry into it.
 #
 # No t-exponent leaves the range silently.  Every term map below the normal
 # form has nonnegative exponents (a normal form has exponent minimum 0 on each
@@ -168,21 +169,22 @@ def _check_t(e: int) -> None:
 
 
 def _pack(exps: Exp) -> int:
-    """The key of an exponent vector of 0, 1 or 2 int components; raises
+    """The key of an exponent vector of one or two int components; raises
     OverflowError for a t-exponent out of the key range."""
-    if len(exps) == 2:
-        p, t = exps
-        _check_t(abs(t))
-        return (p << _SHIFT) + t
-    return exps[0] if exps else 0
+    if len(exps) == 1:
+        return exps[0]
+    p, t = exps
+    _check_t(abs(t))
+    return (p << _SHIFT) + t
 
 
 def _unpack(key: int, nvars: int) -> Exp:
-    """The exponent vector of a key on nvars axes: _unpack(_pack(e), len(e)) == e."""
-    if nvars == 2:
-        key += _HALF
-        return key >> _SHIFT, (key & _MASK) - _HALF
-    return (key,) if nvars else ()
+    """The exponent vector of a key on nvars (one or two) axes:
+    _unpack(_pack(e), len(e)) == e."""
+    if nvars == 1:
+        return (key,)
+    key += _HALF
+    return key >> _SHIFT, (key & _MASK) - _HALF
 
 
 def _lows(keys):
@@ -510,25 +512,23 @@ def _normalize_pair(
 @lru_cache(maxsize=1024)
 def _lattice_map(scale: Scale, rows: Tuple[Tuple[Scalar, ...], ...]):
     """(target scale, int rows, injective, identity) of substitute's map on
-    this lattice: on the target scale S_j, the lcm of s_i * den(rows[j][i]),
-    a stored exponent k_i (meaning k_i / s_i) adds the int
-    k_i * rows[j][i] * S_j / s_i.  The map is injective when the columns are
-    independent (fraction-free elimination)."""
+    this lattice of one or two axes, to one or two rows: on the target scale
+    S_j, the lcm of s_i * den(rows[j][i]), a stored exponent k_i (meaning
+    k_i / s_i) adds the int k_i * rows[j][i] * S_j / s_i.  The map is
+    injective when the int rows have rank len(scale): on one axis some entry
+    is nonzero, on two the two rows have a nonzero determinant.  It is the
+    identity when the int rows are the identity rows of one or two axes and
+    the target is the scale."""
     target = tuple(lcm(*(s * r.denominator for s, r in zip(scale, row) if r)) for row in rows)
     coef = tuple(
         tuple(r.numerator * (S // (s * r.denominator)) for s, r in zip(scale, row))
         for S, row in zip(target, rows)
     )
-    unit = tuple(tuple(int(i == j) for i in range(len(scale))) for j in range(len(scale)))
-    identity = target == scale and coef == unit
-    cols = [list(c) for c in zip(*coef)]
-    for i, c in enumerate(cols):
-        j = next((j for j, x in enumerate(c) if x), None)
-        if j is None:
-            return target, coef, False, False
-        for d in cols[i + 1:]:
-            d[:] = [c[j] * y - d[j] * x for x, y in zip(c, d)]
-    return target, coef, True, identity
+    if len(scale) == 1:
+        injective = any(row[0] for row in coef)
+    else:
+        injective = len(coef) == 2 and coef[0][0] * coef[1][1] != coef[0][1] * coef[1][0]
+    return target, coef, injective, target == scale and coef in (((1,),), ((1, 0), (0, 1)))
 
 
 def _rational(x) -> Scalar:
@@ -627,14 +627,10 @@ class _RatFuncBase:
 
     @classmethod
     def _monomial(cls, vars: Tuple[str, ...], exps: Tuple[Scalar, ...], coeff: Scalar):
-        """coeff * prod x_i^exps[i]; int input goes onto the lattice as it
-        is, Fraction input is parsed."""
-        n = len(vars)
-        if type(coeff) is int and all(type(e) is int for e in exps):
-            num = {_pack(exps): coeff} if coeff else {}
-            return cls._make(vars, (1,) * n, num, {0: 1}, reduced=True)
-        exps = tuple(Fraction(e) for e in exps)
-        c = Fraction(coeff)
+        """coeff * prod x_i^exps[i], read through the numerators and
+        denominators of _rational, so int input builds no Fraction."""
+        exps = tuple(map(_rational, exps))
+        c = _rational(coeff)
         num = {_pack(tuple(e.numerator for e in exps)): c.numerator} if c else {}
         den = {0: c.denominator}
         return cls._make(vars, tuple(e.denominator for e in exps), num, den, reduced=True)
@@ -686,9 +682,6 @@ class _RatFuncBase:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _like(self, scale: Scale, num: Terms, den: Terms, reduced: bool = False) -> "_RatFuncBase":
-        return self._make(self._vars, scale, num, den, reduced)
-
     def _coerce(self, other):
         """other as a value of this shape and these variables, or None."""
         if isinstance(other, (int, Fraction)):
@@ -721,7 +714,7 @@ class _RatFuncBase:
 
     def __neg__(self):
         # negation keeps a normalized pair normalized
-        return self._like(self._scale, _t_neg(self._num), self._den, reduced=True)
+        return self._make(self._vars, self._scale, _t_neg(self._num), self._den, reduced=True)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -745,7 +738,7 @@ class _RatFuncBase:
             _check_t(_t_degree(n1, d1) + _t_degree(n2, d2))
         n1, d2 = _cancel(n1, d2, nvars)
         n2, d1 = _cancel(n2, d1, nvars)
-        return self._like(scale, _t_mul(n1, n2), _t_mul(d1, d2), reduced=True)
+        return self._make(self._vars, scale, _t_mul(n1, n2), _t_mul(d1, d2), reduced=True)
 
     def __mul__(self, other):
         o = self._coerce(other)

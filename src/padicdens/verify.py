@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Set, Tuple
 from . import engine, oracle
 from .errors import VerificationError
 from .splitting import SplittingType
-from .symbolic import FracPoly, GenFun, check_inversion_symmetry
+from .symbolic import FracPoly, GenFun, check_inversion_symmetry, sum_of_products
 
 Check = Tuple[str, bool, str]
 
@@ -70,7 +70,7 @@ def partition_of_unity_checks(sigmas: Iterable[SplittingType]) -> List[Check]:
         ("beta", engine.centered_monic_density),
     ):
         for (where, d), group in groups.items():
-            total = sum(map(density, group), FracPoly(0))
+            total = sum_of_products(((1, [density(s)]) for s in group), FracPoly(0))
             out.append((f"sum_{name} degree {d}{where} = 1", total == FracPoly(1), f"{total}"))
     return out
 
@@ -89,10 +89,10 @@ def root_moment_checks(sigmas: Iterable[SplittingType]) -> List[Check]:
 
         def moment(n: int, k: int) -> FracPoly:
             terms = (
-                perm(s.components.count((s.e_base, s.f_base)), k) * engine.splitting_density(s)
+                (perm(s.components.count((s.e_base, s.f_base)), k), [engine.splitting_density(s)])
                 for s in by_degree[n]
             )
-            return sum(terms, FracPoly(0))
+            return sum_of_products(terms, FracPoly(0))
 
         for n in sorted(by_degree):
             m1 = moment(n, 1)
@@ -125,7 +125,7 @@ def mass_formula_checks(sigmas: Iterable[SplittingType]) -> List[Check]:
     relative pairs only, so the sum does not depend on the base."""
     out = []
     for (where, n), group in _by_base_and_degree(sigmas).items():
-        total = sum(map(engine.density_asymptotic, group), FracPoly(0))
+        total = sum_of_products(((1, [engine.density_asymptotic(s)]) for s in group), FracPoly(0))
         mass = FracPoly({-k: _partitions(k, n - k) for k in range(n)})
         out.append((f"mass formula degree {n}{where}", total == mass, f"{total}"))
     return out

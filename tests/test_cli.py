@@ -320,6 +320,14 @@ ORACLE_11 = ["oracle", "--sigma", "e1f1,e1f1", "-p", "5"]
             ["oracle", "--sigma", "e1f1,e1f1", "-p", "3", "--cmax", str(10**8)],
             None, EXIT_TOO_LARGE, id="cmax-too-large",
         ),
+        pytest.param(
+            ["oracle", "--sigma", "e1f1", "-p", str(2**64 - 59), "--cmax", "0", "--samples", "3"],
+            None, EXIT_TOO_LARGE, id="sampled-digits-past-int64",
+        ),
+        pytest.param(
+            ["oracle", "--sigma", "e1f2", "-p", "4000037", "--cmax", "2", "--samples", "3"],
+            None, EXIT_TOO_LARGE, id="sampled-codes-past-int64",
+        ),
         pytest.param(["compute", "--sigma", ""], None, EXIT_PARSE, id="sigma-empty"),
         pytest.param(["oracle", "--sigma", "", "-p", "5"], None, EXIT_PARSE, id="oracle-sigma-empty"),
         pytest.param(["table", "--degree-max", "2", "--base", ""], None, EXIT_PARSE, id="base-empty"),

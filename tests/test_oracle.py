@@ -28,12 +28,13 @@ from padicdens.errors import SigmaParseError, TooLargeError, WildInputError
 from padicdens.oracle import (
     MAX_B_ENTRY,
     MassEstimate,
+    _common_code,
     _layout,
     _valuations_for_digits,
     exact_disc_masses,
     sampled_disc_masses,
 )
-from padicdens.splitting import SplittingType
+from padicdens.splitting import SplittingType, is_prime
 from padicdens.verify import engine_masses_at
 
 
@@ -242,6 +243,34 @@ def test_sampling_ramified_spot():
     s21 = SplittingType(((2, 1),))
     est = sampled_disc_masses(s21, (0,), 1, 5, 50_000, seed=5)[1]
     assert abs(est.estimate - 4 / 5) <= 3 * est.stderr
+
+
+def test_sampled_codes_fit_int64_at_the_bound():
+    """At the largest e1f2 prime that the sampler's int64 bound accepts for
+    c_max 2, the numpy codes equal the int codes for every r, extreme digits
+    included; the next prime up is refused before any draw."""
+    e1f2 = SplittingType(((1, 2),))
+    p, refused = 2**21 + 100, []
+    while True:
+        if is_prime(p):
+            try:
+                sampled_disc_masses(e1f2, (0,), 2, p, 1, seed=0)
+                break
+            except TooLargeError:
+                refused.append(p)
+        p -= 1
+    assert refused  # the search started above the bound
+    E, M, n_common, per = _layout(e1f2, (0,), 2, p)
+    (comp,) = per
+    e, f, top = comp["e"], comp["f"], comp["radix"] - 1
+    digits = np.array([1, 2, p, top // 2, top - 1, top], dtype=np.int64)
+    jays = np.zeros(len(digits), dtype=np.int64)  # gcd(p^2 - 1, 1) = 1 class
+    for n in range(comp["n_slots"]):
+        for r in range(f):
+            for s in range(e):
+                codes = _common_code(e * (digits - 1), n, jays, r, s, p, e, f, M)
+                ints = [_common_code(e * (int(d) - 1), n, 0, r, s, p, e, f, M) for d in digits]
+                assert codes.tolist() == ints, (n, r, s)
 
 
 @pytest.mark.parametrize(

@@ -44,6 +44,12 @@ def test_non_int_invariants_rejected(args):
         SplittingType(*args)
 
 
+def test_empty_type_rejected():
+    """A type with no component is invalid, not a type of density 1."""
+    with pytest.raises(ValueError, match="at least one component"):
+        SplittingType(())
+
+
 @pytest.mark.parametrize(
     "comps,expected",
     [

@@ -14,6 +14,7 @@ from padicdens.symbolic import (
     FracPoly,
     GenFun,
     _cancel,
+    _lattice_map,
     _pack,
     _unpack,
     check_inversion_symmetry,
@@ -663,19 +664,22 @@ def test_monomial_equals_its_mapping(exps, coeff):
 
 
 def test_int_mappings_skip_the_parse(monkeypatch):
-    """An int or a mapping of int exponents to int coefficients goes onto
-    the lattice with no Fraction built, and lands on the value that the same
-    input given as Fractions builds."""
+    """An int, a mapping of int exponents to int coefficients, or a monomial
+    of int exponent and coefficient goes onto the lattice with no Fraction
+    built, and lands on the value that the same input given as Fractions
+    builds."""
     specs = [
         (FracPoly, {3: 2, 0: -1, 1: 0}, {1: 4, 0: 2}),
         (FracPoly, 5, {2: 1, 0: -1}),
         (GenFun, {(2, 1): 3, (0, 0): 1, (-1, 4): -2}, {(1, 0): 1, (0, 2): -2}),
         (GenFun, {(1, 1): 6}, 4),
+        (GenFun.monomial, 3, 5, 2),
+        (lambda e, c: FracPoly.monomial(e, c, var="p"), 4, -3),
     ]
     as_fractions = lambda spec: F(spec) if isinstance(spec, int) else {
         tuple(map(F, k)) if isinstance(k, tuple) else F(k): F(v) for k, v in spec.items()
     }
-    parsed = [make(as_fractions(n), as_fractions(d)) for make, n, d in specs]
+    parsed = [make(*map(as_fractions, args)) for make, *args in specs]
 
     class NoFraction(F):
         def __new__(cls, *args, **kwargs):
@@ -683,9 +687,29 @@ def test_int_mappings_skip_the_parse(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(symbolic, "Fraction", NoFraction)
-        built = [make(n, d) for make, n, d in specs]
+        built = [make(*args) for make, *args in specs]
     for b, value in zip(built, parsed):
         assert b == value and hash(b) == hash(value) and str(b) == str(value)
+
+
+_ROW_ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-7, 7).map(lambda k: F(k, 2)))
+
+
+@given(data=st.data())
+def test_lattice_map_rank_and_identity(data):
+    """substitute's map is injective exactly when its rows have full column
+    rank, zero rows included, and it is the identity exactly for the
+    identity rows, on every scale of one or two axes."""
+    sympy = pytest.importorskip("sympy")
+    nvars = data.draw(st.sampled_from([1, 2]))
+    scale = tuple(data.draw(st.lists(st.integers(1, 6), min_size=nvars, max_size=nvars)))
+    row = st.tuples(*[_ROW_ENTRIES] * nvars)
+    rows = tuple(data.draw(st.lists(row, min_size=1, max_size=2)))
+    _, _, injective, identity = _lattice_map(scale, rows)
+    assert injective == (sympy.Matrix(rows).rank() == nvars)
+    unit = tuple(tuple(int(i == j) for i in range(nvars)) for j in range(nvars))
+    assert identity == (rows == unit)
+    assert _lattice_map((1,) * nvars, unit)[3]
 
 
 # -- exponent keys -----------------------------------------------------------------
