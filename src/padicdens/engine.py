@@ -181,10 +181,17 @@ def disc_gen_fun(sigma: SplittingType, b: BVector, point: _Point = _PT) -> GenFu
     _T_STAR the value is G at t = p^(-1/2), a FracPoly in p, and callers
     pass e1f1 types only, so _on_base returns it unchanged.
     """
+    return _memoized(point.g_prefix, _recurse, point, sigma, b)
+
+
+def _memoized(prefix: tuple, build, point: _Point, sigma: SplittingType, b: BVector):
+    """The one memoized entry of disc_gen_fun and branch_sum: checks b,
+    caches build(point, rel, b) for sigma's relative type rel under prefix
+    and the canonical key, and moves the value to sigma's base."""
     check_depths(sigma, b)
     b = tuple(b)  # the recursion compares b with tuples
     rel = _relative(sigma)
-    value = _cached(point.g_prefix + _recursion_key(rel, b), lambda: _recurse(point, rel, b))
+    value = _cached(prefix + _recursion_key(rel, b), lambda: build(point, rel, b))
     return _on_base(sigma, value)
 
 
@@ -333,11 +340,7 @@ def branch_sum(sigma: SplittingType, b: BVector, point: _Point = _PT) -> GenFun 
     Memoized like disc_gen_fun, on the same canonical key, and internal
     point as there.  Raises SigmaParseError on a depth vector that
     check_depths rejects."""
-    check_depths(sigma, b)
-    b = tuple(b)
-    rel = _relative(sigma)
-    value = _cached(point.branch_prefix + _recursion_key(rel, b), lambda: _branch(point, rel, b))
-    return _on_base(sigma, value)
+    return _memoized(point.branch_prefix, _branch, point, sigma, b)
 
 
 def _branch(point: _Point, sigma: SplittingType, b: BVector):

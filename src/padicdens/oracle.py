@@ -43,10 +43,13 @@ from .splitting import BVector, SplittingType, check_depths
 
 ZERO = -1  # sentinel for a zero coefficient in code tuples and arrays
 
-# bound on one oracle call: the digit tuples and dynamic-program entries the
-# exact count visits, or the code entries (samples x conjugates x common
-# slots) the sampler holds
-GUARD = 40_000_000
+# bound on one exact count: the digit tuples and dynamic-program entries it
+# visits, each entry weighted by the 64-bit words of the largest count it
+# can hold.  At p 3, on a 2-vCPU VM, a weighted step takes 6-11 ns: e1f2 and
+# e1f1,e1f1 at the slot bound take 286M steps in 1.7-2.2 s, and
+# e1f1,e1f1,e1f1 and e1f2,e1f2 there reach the guard within 3 s, where 40M
+# unweighted steps took 12-18 s.
+GUARD = 300_000_000
 
 # bounds on one oracle call, in both modes, on work that GUARD does not see.
 # The exact count's integers grow with the common slots (e1f1,e1f1 at p 3:
@@ -54,9 +57,11 @@ GUARD = 40_000_000
 # the prime, stays small (0.1 s at 4,001 slots, 0.2 s at 8,001, where
 # --samples 1 takes 0.9 s).  The engine's argmin chains grow with each
 # entry of b (at 16: e1f1 x 6 at p 7 6.1 s, the d <= 5 types tried at most
-# 1.0 s; e1f1,e1f1 at p 3 3.0 s at 1,000).
+# 1.0 s; e1f1,e1f1 at p 3 3.0 s at 1,000).  The sampler alone holds
+# samples x conjugates x common slots int64 codes, 320 MB at its bound.
 MAX_COMMON_SLOTS = 2_048
 MAX_B_ENTRY = 16
+MAX_SAMPLED_CODES = 40_000_000
 
 
 def _common_code(a, n, j, r, s, p, e, f, M):
@@ -228,9 +233,12 @@ def exact_disc_masses(
     _layout checks the arguments.  GUARD bounds the steps taken, summed
     over slots and classes: the digit tuples of each slot's blocks and the
     (state, v) entries times the equality patterns each slot refines them
-    by.  Every slot of every class takes at least one step, so n_common x
-    classes above the guard fails at once; any other excess stops the count
-    before the slot that would pass the guard.
+    by.  A refinement step adds and multiplies counts, which grow to the
+    number of digit tuples so far, so it weighs the 64-bit words of that
+    number: 1 while the counts fit a word.  Every slot of every class takes
+    at least one step, so n_common x classes above the guard fails at once;
+    any other excess stops the count before the slot that would pass the
+    guard.
     """
     E, M, n_common, per = _layout(sigma, b, c_max, p)
     n_jvecs = math.prod(comp["gcd_j"] for comp in per)
@@ -247,6 +255,7 @@ def exact_disc_masses(
     for jvec in product(*(range(comp["gcd_j"]) for comp in per)):
         # partition labels -> {v: number of patterns}
         states: Dict[Tuple[int, ...], Dict[int, int]] = {(0,) * len(rows): {0: 1}}
+        reach = 1  # digit tuples so far, a bound on every count of states
         for mc in range(n_common):
             # {component active at mc: its local slot}; _layout ends every
             # component below the common depth, so no stored digit is left
@@ -256,14 +265,17 @@ def exact_disc_masses(
                 slot, off = divmod(mc, comp["step"])
                 if not off and comp["b"] <= slot < comp["n_slots"]:
                     active[i] = slot
-            steps += math.prod(per[i]["radix"] for i in active)
+            tuples = math.prod(per[i]["radix"] for i in active)
+            steps += tuples
             if steps > GUARD:
                 raise TooLargeError(f"{too_large} at common slot {mc}")
+            reach *= tuples
             blocks = _slot_blocks(active, jvec, per, p, M)
             if blocks not in tallies:
                 tallies[blocks] = _slot_patterns(blocks)
             patterns = tallies[blocks]
-            steps += len(patterns) * sum(map(len, states.values()))
+            words = (reach.bit_length() + 63) // 64
+            steps += len(patterns) * sum(map(len, states.values())) * words
             if steps > GUARD:
                 raise TooLargeError(f"{too_large} at common slot {mc}")
             refined: Dict[Tuple[int, ...], Dict[int, int]] = {}
@@ -308,13 +320,13 @@ def sampled_disc_masses(
     Unbiased estimates of the same unconditional masses, with standard
     errors; deterministic for a fixed seed.  Raises, before any draw, what
     _layout raises, then TooLargeError when samples x conjugates x common
-    slots exceeds GUARD, or when an int64 intermediate of the codes could
-    reach 2^63.
+    slots exceeds MAX_SAMPLED_CODES, or when an int64 intermediate of the
+    codes could reach 2^63.
     """
     layout = _layout(sigma, b, c_max, p)
     E, M, n_common, per = layout
     n_rows = len(_conjugate_rows(per))
-    if samples * n_rows * n_common > GUARD:
+    if samples * n_rows * n_common > MAX_SAMPLED_CODES:
         raise TooLargeError(
             f"{samples} samples x {n_rows} conjugates x {n_common} slots exceeds the guard"
         )

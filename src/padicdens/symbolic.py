@@ -94,6 +94,12 @@ the gcd is skipped.  Fractions appear only at that boundary: in parsing
 non-int input, in ``num_terms``/``den_terms``, in ``evaluate`` and
 ``series_coefficients``, in printing a non-integral exponent and in the JSON
 writer.
+
+A value is read at a number along one route, the gcd's ``_eval_first``:
+``evaluate`` sets every variable, p first, and ``series_coefficients`` sets
+p, leaving the t-slices of its recurrence.  Both first check integrality on
+the scale alone (``_require_integral``, shared with :func:`rewrite_in_q`),
+since a minimal scale above 1 means a fractional exponent on its axis.
 """
 
 from __future__ import annotations
@@ -385,9 +391,10 @@ def _sparse_divexact(a: Terms, b: Terms, bits: int) -> Terms | None:
 # digits G = +-Delta h, P = h, and the trial division succeeds.  xi grows
 # without bound, so the loop ends; it needs no iteration cap.
 
-def _eval_first(f: Terms, xi: int, bits: int) -> Terms:
+def _eval_first(f: Terms, xi: Scalar, bits: int) -> Terms:
     """f at first variable = xi, a term map on the other variables (bits as
-    in _sparse_divexact)."""
+    in _sparse_divexact).  xi is an int in the gcd; evaluate and
+    series_coefficients pass an int or a Fraction."""
     if not bits:
         value = sum(map(mul, f.values(), map(pow, repeat(xi), f)))
         return {0: value} if value else {}
@@ -820,33 +827,32 @@ class _RatFuncBase:
         n = len(self._vars)
         return self.substitute(self._vars, [[-(i == j) for i in range(n)] for j in range(n)])
 
+    def _require_integral(self, naxes: int) -> None:
+        """Raise NonIntegralExponentError unless the first naxes axes hold
+        integer exponents only.  A normal form's scale is minimal, so a
+        scale above 1 on an axis means a fractional exponent there."""
+        for name, s in zip(self._vars[:naxes], self._scale):
+            if s != 1:
+                raise NonIntegralExponentError(f"{self} has a non-integer exponent of {name}")
+
     def evaluate(self, *point: Scalar) -> Fraction:
         """Exact evaluation at a rational point, one value per variable;
-        requires integer exponents and nonzero values for negative powers."""
-        if len(point) != len(self._vars):
-            raise TypeError(
-                f"expected {len(self._vars)} values for {self._vars}, got {len(point)}"
-            )
-        point = tuple(Fraction(x) for x in point)
-
-        def ev(terms: Terms) -> Fraction:
-            total = Fraction(0)
-            for exps, c in zip(_vectors(terms, len(point)), terms.values()):
-                for x, e, s in zip(point, exps, self._scale):
-                    if e % s:
-                        raise NonIntegralExponentError(
-                            f"cannot evaluate fractional exponent {Fraction(e, s)} numerically"
-                        )
-                    c *= x ** (e // s)
-                total += c
-            return total
-
-        den = ev(self._den)
-        if den == 0:
+        requires integer exponents and a denominator that does not vanish
+        there.  _eval_first sets the variables in turn, p on two axes first."""
+        n = len(self._vars)
+        if len(point) != n:
+            raise TypeError(f"expected {n} values for {self._vars}, got {len(point)}")
+        point = tuple(map(_rational, point))
+        self._require_integral(n)
+        num, den = self._num, self._den
+        for i, x in enumerate(point):
+            bits = _SHIFT * (n - 1 - i)
+            num, den = _eval_first(num, x, bits), _eval_first(den, x, bits)
+        if not den:
             raise ZeroDivisionError(
                 f"denominator vanishes at {', '.join(map(str, point))}"
             )
-        return ev(self._num) / den
+        return Fraction(num.get(0, 0), den[0])
 
     # -- display ------------------------------------------------------------
 
@@ -927,34 +933,24 @@ class GenFun(_RatFuncBase):
     def series_coefficients(self, c_max: Scalar, p: Scalar) -> Dict[Fraction, Fraction]:
         """Power-series coefficients in t up to exponent c_max, at the point p.
 
-        Returns {t-exponent c: nonzero coefficient at p}.  Evaluates each
-        t-slice of numerator and denominator at p, then runs the recurrence
-        on Fractions.  Requires integer p-exponents, as :meth:`evaluate`
-        does, and a t^0 part of the denominator that is nonzero at p.
+        Returns {t-exponent c: nonzero coefficient at p}.  _eval_first sets
+        p in numerator and denominator, leaving a term map keyed by the
+        t-exponent, and the recurrence runs on Fractions.  Requires integer
+        p-exponents, as :meth:`evaluate` does, and a t^0 part of the
+        denominator that is nonzero at p.
         """
-        sp, st = self._scale
-        p = Fraction(p)
-
-        def slices(terms: Terms) -> Dict[int, Fraction]:
-            out: Dict[int, Fraction] = {}
-            for key, c in terms.items():
-                pe, te = key >> _SHIFT, key & _MASK
-                if pe % sp:
-                    raise NonIntegralExponentError(
-                        f"cannot evaluate fractional exponent {Fraction(pe, sp)} numerically"
-                    )
-                out[te] = out.get(te, 0) + c * p ** (pe // sp)
-            return out
-
-        num, den = slices(self._num), slices(self._den)
+        self._require_integral(1)
+        p = _rational(p)
+        num, den = _eval_first(self._num, p, _SHIFT), _eval_first(self._den, p, _SHIFT)
         d0 = den.pop(0, 0)
         if not d0:
             raise NoSeriesExpansionError(f"denominator vanishes at t = 0, p = {p}")
+        st = self._scale[1]
         coeffs: Dict[int, Fraction] = {}
         for k in range(floor(Fraction(c_max) * st) + 1):  # t-exponents run over k / st
             s = num.get(k, 0) - sum(v * coeffs.get(k - te, 0) for te, v in den.items())
             if s:
-                coeffs[k] = s / d0
+                coeffs[k] = Fraction(s, d0)
         return {Fraction(k, st): s for k, s in coeffs.items()}
 
     def __repr__(self):
@@ -972,8 +968,7 @@ def rewrite_in_q(f: FracPoly) -> FracPoly:
     integer; this operationalizes the rationality guarantee and raises
     NonIntegralExponentError otherwise.
     """
-    if f._scale != (1,):
-        raise NonIntegralExponentError(f"{f} has a non-integer exponent of {f.var}")
+    f._require_integral(1)
     return f.substitute(("q",), [[1]])
 
 

@@ -61,6 +61,8 @@ def test_construction_and_evaluation_errors(make, nvars):
         make(1, 0)
     with pytest.raises(ZeroDivisionError):
         make(1, {at(1): 1, at(0): -1}).evaluate(*[1] * nvars)
+    with pytest.raises(NonIntegralExponentError):  # read off the scale, before the values
+        make({at(F(1, 2)): 1}, {at(1): 1, at(0): -1}).evaluate(*[1] * nvars)
     for arity in (nvars - 1, nvars + 1):
         with pytest.raises(TypeError):
             make(1).evaluate(*[1] * arity)
@@ -375,7 +377,7 @@ def _operations(a, b):
         lambda: a.evaluate(*[2] * len(a._vars)),
         lambda: a.render_pair(),
         lambda: dumps(a),
-    ]
+    ] + ([lambda: a.series_coefficients(2, 3)] if shape is GenFun else [])
 
 
 @pytest.mark.parametrize("shape", [FracPoly, GenFun])
@@ -388,7 +390,7 @@ def test_operations_leave_operand_terms_alone(shape, data):
         before = [(dict(v._num), dict(v._den)) for v in (a, b)]
         try:
             op()
-        except (ZeroDivisionError, NonIntegralExponentError):
+        except (ZeroDivisionError, NonIntegralExponentError, NoSeriesExpansionError):
             pass
         assert [(v._num, v._den) for v in (a, b)] == before
 
