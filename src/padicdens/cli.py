@@ -29,10 +29,11 @@ Exit codes:
   5  verification failure
   6  enumeration too large: more than the oracle's 2,048 common slots, a
      --depths entry above its bound of 16, an exact count past its guard
-     of 300,000,000 steps weighted by the words of its counts, --samples x
-     conjugates x common slots above its 40,000,000 bound, or a --samples
-     run whose codes could pass numpy's int64 (a -p whose p^f, times
-     p^(f-1) for the Frobenius conjugates, nears 2^63)
+     of 320,000,000 steps (8 per digit tuple, and per step on the counts
+     the 64-bit words of the counts), --samples x conjugates x common
+     slots above its 40,000,000 bound, or a --samples run whose codes
+     could pass numpy's int64 (a -p whose p^f, times p^(f-1) for the
+     Frobenius conjugates, nears 2^63)
 
 Identical job specifications (including seeds) produce byte-identical
 reports; catalog entries are emitted in a canonical order.

@@ -45,11 +45,14 @@ ZERO = -1  # sentinel for a zero coefficient in code tuples and arrays
 
 # bound on one exact count: the digit tuples and dynamic-program entries it
 # visits, each entry weighted by the 64-bit words of the largest count it
-# can hold.  At p 3, on a 2-vCPU VM, a weighted step takes 6-11 ns: e1f2 and
-# e1f1,e1f1 at the slot bound take 286M steps in 1.7-2.2 s, and
-# e1f1,e1f1,e1f1 and e1f2,e1f2 there reach the guard within 3 s, where 40M
-# unweighted steps took 12-18 s.
-GUARD = 300_000_000
+# can hold and each digit tuple by TUPLE_WEIGHT.  At p 3, on a 2-vCPU VM, a
+# weighted entry takes 6-11 ns: e1f2 and e1f1,e1f1 at the slot bound take
+# 286M steps in 1.7-2.2 s, and e1f1,e1f1,e1f1 and e1f2,e1f2 there reach the
+# guard within 3.5 s, where 40M unweighted steps took 12-18 s.  A digit
+# tuple, tallied in Python, takes 1.1-1.3 us; its weight keeps the
+# 40,000,000 tuples that the unweighted guard admitted.
+GUARD = 320_000_000
+TUPLE_WEIGHT = 8
 
 # bounds on one oracle call, in both modes, on work that GUARD does not see.
 # The exact count's integers grow with the common slots (e1f1,e1f1 at p 3:
@@ -231,14 +234,14 @@ def exact_disc_masses(
     code blocks (see _slot_blocks) share one tally of equality patterns.
 
     _layout checks the arguments.  GUARD bounds the steps taken, summed
-    over slots and classes: the digit tuples of each slot's blocks and the
-    (state, v) entries times the equality patterns each slot refines them
-    by.  A refinement step adds and multiplies counts, which grow to the
-    number of digit tuples so far, so it weighs the 64-bit words of that
-    number: 1 while the counts fit a word.  Every slot of every class takes
-    at least one step, so n_common x classes above the guard fails at once;
-    any other excess stops the count before the slot that would pass the
-    guard.
+    over slots and classes: the digit tuples of each slot's blocks, each of
+    weight TUPLE_WEIGHT, and the (state, v) entries times the equality
+    patterns each slot refines them by.  A refinement step adds and
+    multiplies counts, which grow to the number of digit tuples so far, so
+    it weighs the 64-bit words of that number: 1 while the counts fit a
+    word.  Every slot of every class takes at least one step, so n_common x
+    classes above the guard fails at once; any other excess stops the count
+    before the slot that would pass the guard.
     """
     E, M, n_common, per = _layout(sigma, b, c_max, p)
     n_jvecs = math.prod(comp["gcd_j"] for comp in per)
@@ -266,7 +269,7 @@ def exact_disc_masses(
                 if not off and comp["b"] <= slot < comp["n_slots"]:
                     active[i] = slot
             tuples = math.prod(per[i]["radix"] for i in active)
-            steps += tuples
+            steps += tuples * TUPLE_WEIGHT
             if steps > GUARD:
                 raise TooLargeError(f"{too_large} at common slot {mc}")
             reach *= tuples

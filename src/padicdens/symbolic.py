@@ -828,12 +828,14 @@ class _RatFuncBase:
         return self.substitute(self._vars, [[-(i == j) for i in range(n)] for j in range(n)])
 
     def _require_integral(self, naxes: int) -> None:
-        """Raise NonIntegralExponentError unless the first naxes axes hold
-        integer exponents only.  A normal form's scale is minimal, so a
-        scale above 1 on an axis means a fractional exponent there."""
-        for name, s in zip(self._vars[:naxes], self._scale):
+        """Raise NonIntegralExponentError, naming a fractional exponent, unless
+        the first naxes axes hold integer exponents only: a normal form's scale
+        is minimal, so a scale above 1 on an axis means one there."""
+        for axis, (name, s) in enumerate(zip(self._vars[:naxes], self._scale)):
             if s != 1:
-                raise NonIntegralExponentError(f"{self} has a non-integer exponent of {name}")
+                vectors = _vectors([*self._den, *self._num], len(self._vars))
+                e = next(v[axis] for v in vectors if v[axis] % s)
+                raise NonIntegralExponentError(f"{self} has the exponent {Fraction(e, s)} of {name}")
 
     def evaluate(self, *point: Scalar) -> Fraction:
         """Exact evaluation at a rational point, one value per variable;

@@ -6,7 +6,6 @@ import hashlib
 import io
 import json
 import os
-import signal
 import subprocess
 import sys
 import time
@@ -359,6 +358,10 @@ ORACLE_11 = ["oracle", "--sigma", "e1f1,e1f1", "-p", "5"]
             None, EXIT_TOO_LARGE, id="exact-slots-too-many",
         ),
         pytest.param(
+            ["oracle", "--sigma", "e1f1,e1f1", "-p", "10007", "--cmax", "0"],
+            None, EXIT_TOO_LARGE, id="exact-digit-tuples-too-many",
+        ),
+        pytest.param(
             ["oracle", "--sigma", "e1f1,e1f1", "-p", "3", "--depths", "10000,0"],
             None, EXIT_TOO_LARGE, id="depth-too-large",
         ),
@@ -380,25 +383,12 @@ def test_failures_exit_with_documented_code(argv, patch, code, monkeypatch, caps
 
 
 @pytest.mark.parametrize("sigma", ["e1f1,e1f1,e1f1", "e1f2,e1f2"])
-def test_exact_guard_trips_in_proportion_to_work(sigma, capsys):
+def test_exact_guard_trips_in_proportion_to_work(sigma, capsys, deadline):
     """At the slot bound the exact count's integers run to thousands of
     bits, and the guard weighs each step by their words, so the count stops
-    within seconds; counted unweighted, it ran past the alarm."""
-
-    def expired(signum, frame):
-        raise TimeoutError
-
-    previous = signal.signal(signal.SIGALRM, expired)
-    signal.alarm(8)
-    try:
+    within seconds; counted unweighted, it ran past the deadline."""
+    with deadline(8, f"oracle --sigma {sigma}"):
         code = main(["oracle", "--sigma", sigma, "-p", "3", "--cmax", "4095"])
-    except TimeoutError:
-        # no traceback: one raised by a signal handler can carry a frame
-        # that pytest fails to render
-        pytest.fail(f"oracle --sigma {sigma} did not reach the guard in 8 s", pytrace=False)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert code == EXIT_TOO_LARGE
     assert "exceeds the guard" in capsys.readouterr().err
 

@@ -212,6 +212,23 @@ def test_exact_masses_guard_counts_states(monkeypatch):
         exact_disc_masses(s, (0, 0), 4000, 3)
 
 
+def test_exact_masses_guard_weighs_words(monkeypatch):
+    """e1f1,e1f1 at p 3 has 9 digit tuples per slot.  To c_max 8 (5 slots,
+    counts below 9^5) it takes 5 x 9 x TUPLE_WEIGHT = 360 steps for the
+    tuples and 30 entry-pattern steps of weight 1, so a guard of 390 passes
+    and one of 389 does not.  To c_max 40 the counts reach 9^21, past 2^64,
+    and the 42 entry-pattern steps of the last slot weigh 2 words each: the
+    1,974 steps counted at weight 1 do not pass, the 2,016 weighted ones do."""
+    s = SplittingType(((1, 1), (1, 1)))
+    assert oracle.TUPLE_WEIGHT == 8
+    for c_max, passes, fails in ((8, 390, 389), (40, 2016, 1974)):
+        monkeypatch.setattr(oracle, "GUARD", passes)
+        exact_disc_masses(s, (0, 0), c_max, 3)
+        monkeypatch.setattr(oracle, "GUARD", fails)
+        with pytest.raises(TooLargeError):
+            exact_disc_masses(s, (0, 0), c_max, 3)
+
+
 def test_depth_bound_admits_its_value():
     """An entry of b at MAX_B_ENTRY is counted and matches the engine; one
     above it fails before any count."""
